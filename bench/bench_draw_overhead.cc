@@ -20,7 +20,6 @@
 
 #include <algorithm>
 
-#include "src/core/alias_lottery.h"
 #include "src/core/client.h"
 #include "src/core/currency.h"
 #include "src/core/inverse_lottery.h"
@@ -122,27 +121,6 @@ void BM_TreeLotteryUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_TreeLotteryUpdate)->Range(4, 4096)->Complexity(benchmark::oLogN);
 
-// Alias-table draws on a stable weight set: one PRNG draw, one division,
-// one column load — flat in n. The rig forces an immediate rebuild
-// (threshold 1) so the measured loop is entirely table-served.
-void BM_AliasLotteryDraw(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  AliasLottery::Options aopts;
-  aopts.min_stable_draws = 1;
-  aopts.rebuild_cost_divisor = 1000000000;  // threshold collapses to 1
-  AliasLottery alias(aopts, n);
-  for (size_t i = 0; i < n; ++i) {
-    alias.Add(i == 0 ? n * 10 : 10);
-  }
-  FastRand rng(7);
-  alias.Draw(rng);  // ripens the stability counter and builds the table
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(alias.Draw(rng));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_AliasLotteryDraw)->Range(4, 4096)->Complexity(benchmark::o1);
-
 // Currency conversion cost: value a client whose funding crosses a
 // user -> task -> thread currency chain (Figure 3's depth).
 void BM_CurrencyConversionDepth3(benchmark::State& state) {
@@ -235,7 +213,7 @@ struct ChurnRig {
     sopts.backend = backend;
     sopts.metrics = &registry;
     // The 10k-client list legs exist precisely to chart the O(n) wall the
-    // demotion guard protects production users from; lift the cap here.
+    // list_max_threads cap protects production users from; lift it here.
     sopts.list_max_threads = 0;
     scheduler = std::make_unique<LotteryScheduler>(sopts);
     for (size_t i = 0; i < n; ++i) {
@@ -362,17 +340,16 @@ void AppendChurnMetrics(
 }
 
 // Steady-state dispatch rig: full quanta (no compensation ticket, no
-// reprice), the regime where the draw itself dominates dispatch cost and
-// where speculative batching and the alias table are allowed to engage.
+// reprice) on the tree backend, the regime where the draw itself dominates
+// dispatch cost and where speculative batching is allowed to engage.
 // This is the rig behind the draw-path perf-gate leg: counter-derived keys
 // are deterministic for a fixed seed; wall-clock keys end in "_ns" and are
 // skipped by the gate.
 struct SteadyRig {
-  SteadyRig(size_t n, RunQueueBackend backend, uint32_t batch_window,
-            uint32_t seed) {
+  SteadyRig(size_t n, uint32_t batch_window, uint32_t seed) {
     LotteryScheduler::Options sopts;
     sopts.seed = seed;
-    sopts.backend = backend;
+    sopts.backend = RunQueueBackend::kTree;
     sopts.batch_window = batch_window;
     sopts.metrics = &registry;
     scheduler = std::make_unique<LotteryScheduler>(sopts);
@@ -404,20 +381,18 @@ void AppendSteadyMetrics(
   constexpr int kMeasured = 8192;
   struct Leg {
     const char* key;
-    RunQueueBackend backend;
     uint32_t batch_window;
   };
   // tree_nobatch isolates the branchless-descent win from the batching win:
   // the acceptance ratio for the draw path is steady_tree vs
   // steady_tree_nobatch at the same n.
   const Leg legs[] = {
-      {"steady_tree", RunQueueBackend::kTree, 8},
-      {"steady_tree_nobatch", RunQueueBackend::kTree, 0},
-      {"steady_alias", RunQueueBackend::kAlias, 0},
+      {"steady_tree", 8},
+      {"steady_tree_nobatch", 0},
   };
   for (const Leg& leg : legs) {
     for (const size_t n : {size_t{100}, size_t{1000}, size_t{10000}}) {
-      SteadyRig rig(n, leg.backend, leg.batch_window, seed);
+      SteadyRig rig(n, leg.batch_window, seed);
       const int warmup = static_cast<int>(n < 512 ? 512 : n);
       for (int i = 0; i < warmup; ++i) {
         rig.Step();
@@ -448,16 +423,8 @@ void AppendSteadyMetrics(
           std::string(leg.key) + "_" + std::to_string(n);
       out->emplace_back(key + "_ns_per_dispatch", wall_ns / kMeasured);
       out->emplace_back(key + "_full_syncs", counter("tree.full_syncs"));
-      if (leg.backend == RunQueueBackend::kTree) {
-        out->emplace_back(key + "_batch_draws_per_dispatch",
-                          counter("lottery.batch_draws") / kMeasured);
-      } else {
-        out->emplace_back(key + "_table_draws_per_dispatch",
-                          counter("alias.table_draws") / kMeasured);
-        // The table was built during warmup; a steady measured phase must
-        // not rebuild at all.
-        out->emplace_back(key + "_rebuilds", counter("alias.rebuilds"));
-      }
+      out->emplace_back(key + "_batch_draws_per_dispatch",
+                        counter("lottery.batch_draws") / kMeasured);
       const obs::LatencyHistogram* cost =
           rig.registry.FindHistogram("lottery.draw_cost");
       if (cost != nullptr) {
@@ -473,8 +440,8 @@ void AppendSteadyMetrics(
 // sample times a group of draws to amortize clock overhead; percentiles are
 // taken over the per-draw group means. All keys end "_ns": wall-clock,
 // reported for the README/DESIGN scaling story, never gated. The list
-// backend is capped at 1k clients — the same population past which the
-// scheduler demotes it.
+// backend is capped at 1k clients — about the population past which the
+// scheduler refuses it (list_max_threads).
 void AppendDrawLatencyMatrix(
     uint32_t seed, std::vector<std::pair<std::string, double>>* out) {
   constexpr size_t kGroup = 32;
@@ -507,33 +474,16 @@ void AppendDrawLatencyMatrix(
       percentiles([&] { benchmark::DoNotOptimize(rig.lottery.Draw(rng)); },
                   "draw_list" + suffix);
     }
-    {
-      TreeLottery tree(n);
-      for (size_t i = 0; i < n; ++i) {
-        tree.Add(i == 0 ? n * 10 : 10);
-      }
-      FastRand rng(seed);
-      for (size_t i = 0; i < 4096; ++i) {
-        tree.Draw(rng);  // warm the descent paths
-      }
-      percentiles([&] { benchmark::DoNotOptimize(tree.Draw(rng)); },
-                  "draw_tree" + suffix);
+    TreeLottery tree(n);
+    for (size_t i = 0; i < n; ++i) {
+      tree.Add(i == 0 ? n * 10 : 10);
     }
-    {
-      AliasLottery::Options aopts;
-      aopts.min_stable_draws = 1;
-      aopts.rebuild_cost_divisor = 1000000000;
-      AliasLottery alias(aopts, n);
-      for (size_t i = 0; i < n; ++i) {
-        alias.Add(i == 0 ? n * 10 : 10);
-      }
-      FastRand rng(seed);
-      for (size_t i = 0; i < 4096; ++i) {
-        alias.Draw(rng);  // builds the table on the first draw, then warms
-      }
-      percentiles([&] { benchmark::DoNotOptimize(alias.Draw(rng)); },
-                  "draw_alias" + suffix);
+    FastRand rng(seed);
+    for (size_t i = 0; i < 4096; ++i) {
+      tree.Draw(rng);  // warm the descent paths
     }
+    percentiles([&] { benchmark::DoNotOptimize(tree.Draw(rng)); },
+                "draw_tree" + suffix);
   }
 }
 

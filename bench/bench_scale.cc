@@ -272,8 +272,8 @@ void RunKernelScale(int64_t n, uint32_t seed, int64_t sim_seconds,
   report.Metric(key + "_cpu_count", all_cpu.count());
   report.Metric(key + "_event_capacity", kernel.events().capacity());
   // Which run-queue backend served this leg (RunQueueBackend numeric value:
-  // list=0, tree=1, alias=2). Gated, so a silent backend swap in the scale
-  // path fails CI instead of skewing every other metric unexplained.
+  // list=0, tree=1). Gated, so a silent backend swap in the scale path
+  // fails CI instead of skewing every other metric unexplained.
   report.Metric(key + "_backend_id",
                 static_cast<int64_t>(sopts.backend));
   // Host-dependent (never gated; the baseline omits them):

@@ -14,9 +14,9 @@
 
 #include "bench/bench_util.h"
 #include "src/core/inverse_lottery.h"
+#include "src/obs/streaming.h"
 #include "src/sim/rpc.h"
 #include "src/sim/sync.h"
-#include "src/util/stats.h"
 #include "src/workloads/mutex_workload.h"
 #include "src/workloads/query_server.h"
 
@@ -105,7 +105,7 @@ double InverseLossFrequency(uint32_t seed) {
 void Report(TextTable& table, BenchReport* report, const std::string& key,
             const std::string& metric, double target,
             const std::vector<double>& values) {
-  RunningStat stat;
+  obs::StreamingStats stat;
   for (const double v : values) {
     stat.Add(v);
   }

@@ -11,9 +11,9 @@
 #include <memory>
 
 #include "bench/bench_util.h"
+#include "src/obs/streaming.h"
 #include "src/sched/decay_usage.h"
 #include "src/sched/stride.h"
-#include "src/util/stats.h"
 
 namespace lottery {
 namespace {
@@ -63,7 +63,7 @@ WindowError Measure(const std::string& policy, uint32_t seed,
   }
   kernel.RunFor(SimDuration::Seconds(seconds));
 
-  RunningStat err;
+  obs::StreamingStats err;
   for (size_t w = 0; w < tracer.num_windows(); ++w) {
     const double pa = static_cast<double>(tracer.WindowProgress(a, w));
     const double pb = static_cast<double>(tracer.WindowProgress(b, w));

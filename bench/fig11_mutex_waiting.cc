@@ -9,6 +9,7 @@
 #include <memory>
 
 #include "bench/bench_util.h"
+#include "src/obs/streaming.h"
 #include "src/sim/sync.h"
 #include "src/util/stats.h"
 #include "src/workloads/mutex_workload.h"
@@ -60,7 +61,7 @@ int Main(int argc, char** argv) {
   rig.kernel->RunFor(SimDuration::Seconds(seconds));
 
   auto collect = [&](const std::vector<std::string>& names, Histogram* hist,
-                     RunningStat* stat) {
+                     obs::StreamingStats* stat) {
     for (const std::string& name : names) {
       for (const auto& sample : rig.tracer.Samples("mutex_wait:" + name)) {
         hist->Add(sample.value);
@@ -69,7 +70,7 @@ int Main(int argc, char** argv) {
     }
   };
   Histogram hist_a(0.0, 4.0, 20), hist_b(0.0, 4.0, 20);
-  RunningStat wait_a, wait_b;
+  obs::StreamingStats wait_a, wait_b;
   collect(a_names, &hist_a, &wait_a);
   collect(b_names, &hist_b, &wait_b);
 

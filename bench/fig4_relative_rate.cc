@@ -8,7 +8,7 @@
 // averaging 19.08:1.
 
 #include "bench/bench_util.h"
-#include "src/util/stats.h"
+#include "src/obs/streaming.h"
 
 namespace lottery {
 namespace {
@@ -37,7 +37,7 @@ int Main(int argc, char** argv) {
 
   TextTable table({"allocated", "run 1", "run 2", "run 3", "mean", "error %"});
   for (int64_t ratio = 1; ratio <= 10; ++ratio) {
-    RunningStat stat;
+    obs::StreamingStats stat;
     std::vector<std::string> row = {FormatDouble(static_cast<double>(ratio), 0) +
                                     " : 1"};
     for (uint32_t run = 0; run < 3; ++run) {

@@ -9,7 +9,7 @@
 #include <fstream>
 
 #include "bench/bench_util.h"
-#include "src/util/stats.h"
+#include "src/obs/streaming.h"
 
 namespace lottery {
 namespace {
@@ -36,7 +36,7 @@ int Main(int argc, char** argv) {
   rig.kernel->RunFor(SimDuration::Seconds(seconds));
 
   TextTable table({"window (s)", "task A iter/s", "task B iter/s", "ratio"});
-  RunningStat ratio_stat;
+  obs::StreamingStats ratio_stat;
   for (size_t w = 0; w < rig.tracer.num_windows(); ++w) {
     if (static_cast<int64_t>((w + 1) * 8) > seconds) {
       break;  // partial window at the horizon

@@ -12,6 +12,7 @@
 #include <memory>
 
 #include "bench/bench_util.h"
+#include "src/obs/streaming.h"
 #include "src/sim/rpc.h"
 #include "src/workloads/query_server.h"
 
@@ -91,7 +92,7 @@ int Main(int argc, char** argv) {
                  "completed"});
   std::vector<double> means(3, 0.0);
   for (int i = 0; i < 3; ++i) {
-    RunningStat stats;
+    obs::StreamingStats stats;
     for (const auto& sample :
          rig.tracer.Samples("rpc_latency:client" + std::to_string(i))) {
       if (c0_done_at < 0 || sample.time_sec <= static_cast<double>(c0_done_at)) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <stdexcept>
 #include <vector>
 
@@ -16,8 +15,6 @@ LotteryScheduler::LotteryScheduler(Options options)
       rng_(options.seed),
       table_(options.metrics, options.trace),
       compensation_(options.compensation),
-      run_queue_(options.move_to_front),
-      alias_queue_(options.alias),
       metrics_(options.metrics != nullptr ? options.metrics
                                           : &obs::Registry::Default()),
       draws_(metrics_->counter("lottery.draws")),
@@ -29,10 +26,6 @@ LotteryScheduler::LotteryScheduler(Options options)
       batch_formed_(metrics_->counter("lottery.batch_formed")),
       batch_draws_(metrics_->counter("lottery.batch_draws")),
       batch_flushes_(metrics_->counter("lottery.batch_flushes")),
-      alias_rebuilds_(metrics_->counter("alias.rebuilds")),
-      alias_table_draws_(metrics_->counter("alias.table_draws")),
-      alias_tree_draws_(metrics_->counter("alias.tree_draws")),
-      list_upgrades_(metrics_->counter("lottery.list_upgrades")),
       draw_cost_(metrics_->histogram("lottery.draw_cost")),
       sync_ns_(metrics_->histogram("lottery.sync_ns")),
       tree_draw_ns_(metrics_->histogram("lottery.tree_draw_ns")) {
@@ -50,50 +43,6 @@ LotteryScheduler::~LotteryScheduler() {
 void LotteryScheduler::OnClientValueDirty(Client* client) {
   dirty_clients_.insert(client);
   NoteDisturbance();
-}
-
-// --- Tree/alias queue dispatch ---------------------------------------------
-
-bool LotteryScheduler::QueueEmpty() const {
-  return options_.backend == RunQueueBackend::kAlias ? alias_queue_.empty()
-                                                     : tree_queue_.empty();
-}
-
-size_t LotteryScheduler::QueueSize() const {
-  return options_.backend == RunQueueBackend::kAlias ? alias_queue_.size()
-                                                     : tree_queue_.size();
-}
-
-uint64_t LotteryScheduler::QueueTotal() const {
-  return options_.backend == RunQueueBackend::kAlias ? alias_queue_.total()
-                                                     : tree_queue_.total();
-}
-
-uint64_t LotteryScheduler::QueueWeight(size_t slot) const {
-  return options_.backend == RunQueueBackend::kAlias
-             ? alias_queue_.Weight(slot)
-             : tree_queue_.Weight(slot);
-}
-
-size_t LotteryScheduler::QueueAdd(uint64_t weight) {
-  return options_.backend == RunQueueBackend::kAlias ? alias_queue_.Add(weight)
-                                                     : tree_queue_.Add(weight);
-}
-
-void LotteryScheduler::QueueRemove(size_t slot) {
-  if (options_.backend == RunQueueBackend::kAlias) {
-    alias_queue_.Remove(slot);
-  } else {
-    tree_queue_.Remove(slot);
-  }
-}
-
-void LotteryScheduler::QueueSetWeight(size_t slot, uint64_t weight) {
-  if (options_.backend == RunQueueBackend::kAlias) {
-    alias_queue_.SetWeight(slot, weight);
-  } else {
-    tree_queue_.SetWeight(slot, weight);
-  }
 }
 
 // --- Speculative batching ---------------------------------------------------
@@ -147,33 +96,6 @@ LotteryScheduler::ThreadState& LotteryScheduler::StateOf(ThreadId id) {
   return it->second;
 }
 
-void LotteryScheduler::UpgradeListToTree() {
-  table_.AddObserver(this);
-  // Migrate every queued client, then switch; QueueAdd below must already
-  // see the tree backend so OnReady/PickNext stay consistent.
-  std::vector<Client*> queued(run_queue_.raw_order().begin(),
-                              run_queue_.raw_order().end());
-  options_.backend = RunQueueBackend::kTree;
-  for (Client* client : queued) {
-    if (client == nullptr) {
-      continue;
-    }
-    run_queue_.Remove(client);
-    const auto it = by_client_.find(client);
-    if (it == by_client_.end()) {
-      continue;
-    }
-    ThreadState& state = *it->second;
-    state.tree_slot = tree_queue_.Add(client->Value().raw_unsigned());
-    if (state.tree_slot >= tree_slot_owner_.size()) {
-      tree_slot_owner_.resize(state.tree_slot + 1, nullptr);
-    }
-    tree_slot_owner_[state.tree_slot] = &state;
-    dirty_clients_.erase(client);
-  }
-  list_upgrades_->Inc();
-}
-
 void LotteryScheduler::AddThread(ThreadId id, SimTime /*now*/) {
   if (threads_.count(id) > 0) {
     throw std::invalid_argument("LotteryScheduler::AddThread: duplicate id");
@@ -184,27 +106,17 @@ void LotteryScheduler::AddThread(ThreadId id, SimTime /*now*/) {
     // The list's O(n) draw is ~280x the tree's at 10k clients
     // (bench_draw_overhead baselines); past the threshold it is a
     // misconfiguration, not a trade-off.
-    if (!options_.list_upgrade_to_tree) {
-      throw std::length_error(
-          "LotteryScheduler: list backend past list_max_threads=" +
-          std::to_string(options_.list_max_threads) +
-          " clients; use RunQueueBackend::kTree (or set "
-          "list_upgrade_to_tree / list_max_threads=0)");
-    }
-    std::fprintf(stderr,
-                 "LotteryScheduler: list backend exceeded %zu threads; "
-                 "upgrading to tree backend\n",
-                 options_.list_max_threads);
-    util::SeqGuard guard(queue_seq_);
-    UpgradeListToTree();
+    throw std::length_error(
+        "LotteryScheduler: list backend past list_max_threads=" +
+        std::to_string(options_.list_max_threads) +
+        " clients; use RunQueueBackend::kTree (or set list_max_threads=0)");
   }
   ThreadState state;
   state.id = id;
   const std::string tag = "thread:" + std::to_string(id);
   state.currency = table_.CreateCurrency(tag);
   state.client = std::make_unique<Client>(&table_, tag);
-  state.self_ticket =
-      table_.CreateTicket(state.currency, options_.thread_ticket_amount);
+  state.self_ticket = table_.CreateTicket(state.currency, kThreadTicketAmount);
   state.client->HoldTicket(state.self_ticket);
   ThreadState& stored = threads_.emplace(id, std::move(state)).first->second;
   by_client_[stored.client.get()] = &stored;
@@ -218,7 +130,7 @@ void LotteryScheduler::RemoveThread(ThreadId id, SimTime /*now*/) {
       run_queue_.Remove(state.client.get());
     } else {
       util::SeqGuard guard(queue_seq_);
-      QueueRemove(state.tree_slot);
+      tree_queue_.Remove(state.tree_slot);
       tree_slot_owner_[state.tree_slot] = nullptr;
       NoteDisturbance();
     }
@@ -250,7 +162,7 @@ void LotteryScheduler::OnReady(ThreadId id, SimTime /*now*/) {
     } else {
       util::SeqGuard guard(queue_seq_);
       const uint64_t weight = state.client->Value().raw_unsigned();
-      state.tree_slot = QueueAdd(weight);
+      state.tree_slot = tree_queue_.Add(weight);
       if (state.tree_slot >= tree_slot_owner_.size()) {
         tree_slot_owner_.resize(state.tree_slot + 1, nullptr);
       }
@@ -281,7 +193,7 @@ void LotteryScheduler::OnBlocked(ThreadId id, SimTime /*now*/) {
       run_queue_.Remove(state.client.get());
     } else {
       util::SeqGuard guard(queue_seq_);
-      QueueRemove(state.tree_slot);
+      tree_queue_.Remove(state.tree_slot);
       tree_slot_owner_[state.tree_slot] = nullptr;
       NoteDisturbance();
     }
@@ -296,7 +208,7 @@ void LotteryScheduler::SyncTreeWeights() {
   if (dirty_clients_.empty()) {
     return;
   }
-  if (dirty_clients_.size() > QueueSize()) {
+  if (dirty_clients_.size() > tree_queue_.size()) {
     // More dirty clients than queued slots: one bulk pass is cheaper than
     // per-client lookups (and covers the first sync after mass arrivals).
     full_syncs_->Inc();
@@ -304,8 +216,8 @@ void LotteryScheduler::SyncTreeWeights() {
       if (state == nullptr) {
         continue;
       }
-      QueueSetWeight(state->tree_slot,
-                     state->client->Value().raw_unsigned());
+      tree_queue_.SetWeight(state->tree_slot,
+                            state->client->Value().raw_unsigned());
     }
   } else {
     // The weights are an order-independent fold, but client->Value() emits
@@ -331,7 +243,8 @@ void LotteryScheduler::SyncTreeWeights() {
                 return a->id < b->id;
               });
     for (ThreadState* state : dirty) {
-      QueueSetWeight(state->tree_slot, state->client->Value().raw_unsigned());
+      tree_queue_.SetWeight(state->tree_slot,
+                            state->client->Value().raw_unsigned());
       leaf_updates_->Inc();
     }
   }
@@ -340,10 +253,9 @@ void LotteryScheduler::SyncTreeWeights() {
 
 ThreadId LotteryScheduler::PickNextFromTree() {
   util::SeqGuard guard(queue_seq_);
-  if (QueueEmpty()) {
+  if (tree_queue_.empty()) {
     return kInvalidThreadId;
   }
-  const bool alias_backend = options_.backend == RunQueueBackend::kAlias;
   ++num_lotteries_;
   draws_->Inc();
   // Advance the clean-streak gate: a pick with no disturbance since the
@@ -369,10 +281,10 @@ ThreadId LotteryScheduler::PickNextFromTree() {
     uint64_t weight_sum = 0;
     for (ThreadState* s : tree_slot_owner_) {
       if (s != nullptr) {
-        weight_sum += QueueWeight(s->tree_slot);
+        weight_sum += tree_queue_.Weight(s->tree_slot);
       }
     }
-    LOT_ASSERT(weight_sum == QueueTotal(),
+    LOT_ASSERT(weight_sum == tree_queue_.total(),
                "tree lottery: partial sums out of sync with slot weights");
   }
 #endif
@@ -385,9 +297,7 @@ ThreadId LotteryScheduler::PickNextFromTree() {
   }
   // Candidate snapshot (verbose, opt-in): weights as the draw below sees
   // them, in slot order — the prefix order SlotForValue resolves against,
-  // so each winner is re-derivable from (snapshot, random value). Alias
-  // table draws are the exception; their decision events carry
-  // kDecisionAlias so auditors skip the replay.
+  // so each winner is re-derivable from (snapshot, random value).
   if (etrace::On(options_.trace, etrace::kCatLotterySnapshot)) {
     uint32_t index = 0;
     for (size_t slot = 0; slot < tree_slot_owner_.size(); ++slot) {
@@ -399,7 +309,7 @@ ThreadId LotteryScheduler::PickNextFromTree() {
       e.t_ns = options_.trace->now();
       e.a = state->id;
       e.b = index++;
-      e.v1 = QueueWeight(slot);
+      e.v1 = tree_queue_.Weight(slot);
       e.type = static_cast<uint16_t>(etrace::EventType::kCandidate);
       options_.trace->Append(e);
     }
@@ -408,52 +318,34 @@ ThreadId LotteryScheduler::PickNextFromTree() {
   uint64_t drawn_value = 0;
   std::optional<size_t> drawn;
   bool batched = false;
-  bool alias_table_draw = false;
-  if (alias_backend) {
-    drawn = alias_queue_.Draw(rng_, &drawn_value, &alias_table_draw);
-    // Mirror the AliasLottery's internal stats into counters by delta.
-    alias_rebuilds_->Inc(alias_queue_.rebuilds() - alias_rebuilds_seen_);
-    alias_rebuilds_seen_ = alias_queue_.rebuilds();
-    alias_table_draws_->Inc(alias_queue_.table_draws() -
-                            alias_table_draws_seen_);
-    alias_table_draws_seen_ = alias_queue_.table_draws();
-    alias_tree_draws_->Inc(alias_queue_.tree_draws() -
-                           alias_tree_draws_seen_);
-    alias_tree_draws_seen_ = alias_queue_.tree_draws();
-  } else {
-    if (HasLiveBatch()) {
-      const BatchEntry& entry = batch_[batch_next_];
-      if (!restore_pending_ && rng_.state() == entry.pre_state) {
-        // Serve the pre-resolved winner: identical value, winner and RNG
-        // stream to the descent this replaces.
-        drawn_value = entry.value;
-        drawn = entry.slot;
-        rng_.SetState(entry.post_state);
-        batched = true;
-        ++batch_next_;
-        batch_draws_->Inc();
-      } else {
-        // The queue never returned to the formation state (winner came
-        // back changed) or someone else drew from rng_ in between.
-        FlushBatch();
-      }
-    }
-    if (!batched) {
-      drawn = tree_queue_.Draw(rng_, &drawn_value);
+  if (HasLiveBatch()) {
+    const BatchEntry& entry = batch_[batch_next_];
+    if (!restore_pending_ && rng_.state() == entry.pre_state) {
+      // Serve the pre-resolved winner: identical value, winner and RNG
+      // stream to the descent this replaces.
+      drawn_value = entry.value;
+      drawn = entry.slot;
+      rng_.SetState(entry.post_state);
+      batched = true;
+      ++batch_next_;
+      batch_draws_->Inc();
+    } else {
+      // The queue never returned to the formation state (winner came
+      // back changed) or someone else drew from rng_ in between.
+      FlushBatch();
     }
   }
-  const size_t cost = batched || alias_table_draw
-                          ? 1
-                          : (alias_backend ? alias_queue_.draw_depth()
-                                           : tree_queue_.draw_depth());
-  draw_cost_->RecordSampled(cost);
+  if (!batched) {
+    drawn = tree_queue_.Draw(rng_, &drawn_value);
+  }
+  draw_cost_->RecordSampled(batched ? 1 : tree_queue_.draw_depth());
   if (drawn.has_value()) {
     winner = tree_slot_owner_[*drawn];
   } else {
     // All ready clients have zero funding; pick arbitrarily so no one
     // starves (uniform over the zero-funded set across draws).
     size_t index = static_cast<size_t>(
-        rng_.NextBelow(static_cast<uint32_t>(QueueSize())));
+        rng_.NextBelow(static_cast<uint32_t>(tree_queue_.size())));
     drawn_value = index;  // decision event: index into live slots
     for (ThreadState* state : tree_slot_owner_) {
       if (state == nullptr) {
@@ -473,10 +365,9 @@ ThreadId LotteryScheduler::PickNextFromTree() {
     e.t_ns = options_.trace->now();
     e.a = winner->id;
     e.v1 = drawn_value;
-    e.v2 = QueueTotal();
-    e.v3 = QueueWeight(winner->tree_slot);
-    uint16_t flags = alias_table_draw ? etrace::kDecisionAlias
-                                      : etrace::kDecisionTree;
+    e.v2 = tree_queue_.total();
+    e.v3 = tree_queue_.Weight(winner->tree_slot);
+    uint16_t flags = etrace::kDecisionTree;
     if (!drawn.has_value()) {
       flags |= etrace::kDecisionFallback;
     }
@@ -491,12 +382,12 @@ ThreadId LotteryScheduler::PickNextFromTree() {
   // exact queue state is what future draws see once the winner re-enters
   // unchanged, and any deviation (tracked via restore_pending_ / dirty
   // marks) flushes the entries unserved.
-  if (!alias_backend && options_.batch_window >= 2 && !HasLiveBatch() &&
+  if (options_.batch_window >= 2 && !HasLiveBatch() &&
       clean_streak_ >= kBatchStreakMin && drawn.has_value()) {
     FormBatch(tree_queue_.total());
   }
-  const uint64_t removed_weight = QueueWeight(winner->tree_slot);
-  QueueRemove(winner->tree_slot);
+  const uint64_t removed_weight = tree_queue_.Weight(winner->tree_slot);
+  tree_queue_.Remove(winner->tree_slot);
   tree_slot_owner_[winner->tree_slot] = nullptr;
   winner->in_queue = false;
   // Track the winner's expected re-entry whether or not a batch is live:
@@ -654,7 +545,7 @@ size_t LotteryScheduler::QueuedCount() const {
     return run_queue_.size();
   }
   util::SeqGuard guard(queue_seq_);
-  return QueueSize();
+  return tree_queue_.size();
 }
 
 uint64_t LotteryScheduler::RunnableTickets() {
@@ -663,7 +554,7 @@ uint64_t LotteryScheduler::RunnableTickets() {
   }
   util::SeqGuard guard(queue_seq_);
   SyncTreeWeights();
-  return QueueTotal();
+  return tree_queue_.total();
 }
 
 std::vector<std::pair<ThreadId, uint64_t>> LotteryScheduler::QueuedSnapshot() {
@@ -680,13 +571,13 @@ std::vector<std::pair<ThreadId, uint64_t>> LotteryScheduler::QueuedSnapshot() {
   }
   util::SeqGuard guard(queue_seq_);
   SyncTreeWeights();
-  out.reserve(QueueSize());
+  out.reserve(tree_queue_.size());
   // Slot order: small dense indices, stable between structural changes.
   for (ThreadState* state : tree_slot_owner_) {
     if (state == nullptr) {
       continue;
     }
-    out.emplace_back(state->id, QueueWeight(state->tree_slot));
+    out.emplace_back(state->id, tree_queue_.Weight(state->tree_slot));
   }
   return out;
 }

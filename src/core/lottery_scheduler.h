@@ -21,7 +21,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/core/alias_lottery.h"
 #include "src/core/client.h"
 #include "src/core/compensation.h"
 #include "src/core/currency.h"
@@ -36,22 +35,15 @@ namespace lottery {
 
 // How the run queue picks winners. kList is the prototype's list with
 // move-to-front (Section 4.2, Figure 1); kTree is the same section's "tree
-// of partial ticket sums", O(lg n) per draw once client values are synced;
-// kAlias layers a Walker alias table over the tree for O(1) draws while
-// ticket values hold still, falling back to the tree under churn (see
-// alias_lottery.h for the rebuild hysteresis).
-enum class RunQueueBackend { kList, kTree, kAlias };
+// of partial ticket sums", O(lg n) per draw once client values are synced.
+enum class RunQueueBackend { kList, kTree };
 
 class LotteryScheduler : public Scheduler, private ValueObserver {
  public:
   struct Options {
     uint32_t seed = 12345;
     RunQueueBackend backend = RunQueueBackend::kList;
-    bool move_to_front = true;
     CompensationPolicy::Options compensation;
-    // Face amount of each thread's self ticket (its claim on its own
-    // currency). Any positive value works — shares are relative.
-    int64_t thread_ticket_amount = 1000;
     // Tree backend: when >= 2 and the run queue has seen no ticket
     // mutations for a stretch of quanta, the scheduler speculatively draws
     // the next (batch_window - 1) winners in one value-sorted sweep and
@@ -60,15 +52,10 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
     // are bit-identical to unbatched draws (draw_identity_test proves it);
     // 0 or 1 disables batching.
     uint32_t batch_window = 8;
-    // List backend demotion: the list's O(n) draw is ~280x the tree's at
-    // 10k clients, so past this many threads AddThread either throws or —
-    // with list_upgrade_to_tree — migrates the scheduler to the tree
-    // backend and counts lottery.list_upgrades. 0 disables the limit
-    // (benches that measure the list's scaling curve opt out).
+    // List backend cap: the list's O(n) draw is ~280x the tree's at 10k
+    // clients, so past this many threads AddThread throws. 0 disables the
+    // limit (benches that measure the list's scaling curve opt out).
     size_t list_max_threads = 1024;
-    bool list_upgrade_to_tree = false;
-    // Alias backend tuning (rebuild hysteresis); ignored otherwise.
-    AliasLottery::Options alias;
     // Metric sink; nullptr selects obs::Registry::Default(). Tests pass
     // their own registry for isolated counter assertions.
     obs::Registry* metrics = nullptr;
@@ -133,8 +120,8 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   // Number of queued (ready, undispatched) threads.
   size_t QueuedCount() const;
   // Total runnable ticket value across the run queue, in raw Funding units.
-  // Incremental: the list backend returns its cached Total(); the tree/alias
-  // backends flush only the clients the currency table marked dirty since
+  // Incremental: the list backend returns its cached Total(); the tree
+  // backend flushes only the clients the currency table marked dirty since
   // the last sync (the same dirty-propagation pass a dispatch would run).
   uint64_t RunnableTickets();
   // (thread, raw value) of every queued thread, in deterministic queue
@@ -156,13 +143,6 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   // Draws decided by the zero-funding round-robin fallback.
   uint64_t num_zero_fallbacks() const { return num_zero_fallbacks_; }
   const ListLottery& run_queue() const { return run_queue_; }
-  // Effective backend right now (list_upgrade_to_tree can change it).
-  RunQueueBackend backend() const { return options_.backend; }
-  // Escapes the queue_seq_ domain: hands out a reference tests/benches
-  // inspect between dispatches, when no pick is in flight.
-  const AliasLottery& alias_queue() const NO_THREAD_SAFETY_ANALYSIS {
-    return alias_queue_;
-  }
   // The registry this scheduler's obs hooks write into.
   obs::Registry& metrics() { return *metrics_; }
   // Counts one ticket transfer against this scheduler (lottery.transfers).
@@ -177,7 +157,7 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
     Currency* currency = nullptr;
     Ticket* self_ticket = nullptr;
     bool in_queue = false;
-    size_t tree_slot = 0;  // valid while in_queue under tree/alias backends
+    size_t tree_slot = 0;  // valid while in_queue under the tree backend
   };
 
   // One speculatively pre-drawn winner. pre_state/post_state bracket the
@@ -196,24 +176,18 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   // Consecutive mutation-free picks required before forming a batch, so
   // churn-heavy phases never pay speculative descents they'd just flush.
   static constexpr uint32_t kBatchStreakMin = 4;
+  // Face amount of each thread's self ticket (its claim on its own
+  // currency). Any positive value works — shares are relative.
+  static constexpr int64_t kThreadTicketAmount = 1000;
 
   ThreadState& StateOf(ThreadId id);
-  // Tree/alias backends: re-push into the partial-sum weights the values of
+  // Tree backend: re-push into the partial-sum weights the values of
   // exactly the clients the currency table reported dirty since the last
   // sync — O(dirty · lg n) instead of O(n · lg n) per dispatch. Falls back
   // to one full resync (tree.full_syncs) when more clients are dirty than
   // queued.
   void SyncTreeWeights() REQUIRES(queue_seq_);
   ThreadId PickNextFromTree();
-
-  // Thin dispatch over the tree/alias queue (kList never reaches these).
-  bool QueueEmpty() const REQUIRES(queue_seq_);
-  size_t QueueSize() const REQUIRES(queue_seq_);
-  uint64_t QueueTotal() const REQUIRES(queue_seq_);
-  uint64_t QueueWeight(size_t slot) const REQUIRES(queue_seq_);
-  size_t QueueAdd(uint64_t weight) REQUIRES(queue_seq_);
-  void QueueRemove(size_t slot) REQUIRES(queue_seq_);
-  void QueueSetWeight(size_t slot, uint64_t weight) REQUIRES(queue_seq_);
 
   // Speculative batching (tree backend only).
   bool HasLiveBatch() const { return batch_next_ < batch_.size(); }
@@ -224,12 +198,8 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   void NoteDisturbance();
   void FormBatch(uint64_t total) REQUIRES(queue_seq_);
 
-  // List demotion: migrate every queued client into the tree and switch
-  // options_.backend to kTree (one-way; counts lottery.list_upgrades).
-  void UpgradeListToTree() REQUIRES(queue_seq_);
-
-  // ValueObserver (registered with table_ under the tree/alias backends
-  // only; the list backend's run_queue_ observes the table itself).
+  // ValueObserver (registered with table_ under the tree backend only; the
+  // list backend's run_queue_ observes the table itself).
   void OnClientValueDirty(Client* client) override;
 
   Options options_;
@@ -237,13 +207,12 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   CurrencyTable table_;
   CompensationPolicy compensation_;
   ListLottery run_queue_;
-  // Serialization domain for the tree/alias run queue and its slot-to-owner
+  // Serialization domain for the tree run queue and its slot-to-owner
   // map: the state the SMP per-CPU partitioning must put behind a per-queue
   // lock. PickNextFromTree holds it for the whole pick; OnReady/OnBlocked/
   // RemoveThread enter it around their queue mutations.
   mutable util::Seq queue_seq_;
   TreeLottery tree_queue_ GUARDED_BY(queue_seq_);
-  AliasLottery alias_queue_ GUARDED_BY(queue_seq_);
   // Slot -> owning thread state, nullptr for free slots. Slots are small
   // dense indices recycled by TreeLottery, and unordered_map nodes give
   // ThreadState a stable address, so a flat vector of pointers makes winner
@@ -272,11 +241,6 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   // Scratch for FormBatch (avoids per-batch allocations).
   std::vector<uint64_t> batch_values_;
   std::vector<size_t> batch_slots_;
-  // Alias stats are kept by AliasLottery; deltas are mirrored into
-  // counters after each draw.
-  uint64_t alias_rebuilds_seen_ = 0;
-  uint64_t alias_table_draws_seen_ = 0;
-  uint64_t alias_tree_draws_seen_ = 0;
 
   // Obs hooks (resolved once; raw pointers into metrics_).
   obs::Registry* metrics_;
@@ -289,10 +253,6 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   obs::Counter* batch_formed_;
   obs::Counter* batch_draws_;
   obs::Counter* batch_flushes_;
-  obs::Counter* alias_rebuilds_;
-  obs::Counter* alias_table_draws_;
-  obs::Counter* alias_tree_draws_;
-  obs::Counter* list_upgrades_;
   obs::LatencyHistogram* draw_cost_;
   // Wall-clock split of a tree dispatch: weight sync vs the draw itself
   // (sampled 1-in-16 dispatches; see bench_smp / bench_draw_overhead).

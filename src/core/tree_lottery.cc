@@ -123,22 +123,6 @@ size_t TreeLottery::SlotForValue(uint64_t value) const {
   return node - weights_.size();  // leaf index -> 0-indexed slot
 }
 
-size_t TreeLottery::DrawBatch(FastRand& rng, size_t k,  // lotlint: stream(scheduler)
-                              uint64_t* values,
-                              size_t* slots) const {
-  if (total_ == 0 || k == 0) {
-    return 0;
-  }
-  // Identical RNG consumption to k successive Draw() calls against an
-  // unchanged tree: total_ is constant, so the bound of every NextBelow64
-  // matches what the unbatched sequence would have used.
-  for (size_t i = 0; i < k; ++i) {
-    values[i] = rng.NextBelow64(total_);
-  }
-  ResolveValues(k, values, slots);
-  return k;
-}
-
 void TreeLottery::ResolveValues(size_t k, const uint64_t* values,
                                 size_t* slots) const {
   // Descend in ascending value order so consecutive descents walk adjacent

@@ -60,16 +60,10 @@ class TreeLottery {
   // `value`-th weight unit, value in [0, total).
   size_t SlotForValue(uint64_t value) const;
 
-  // Batched multi-winner draw: exactly equivalent to k successive Draw()
-  // calls — same RNG consumption, same winners in the same order — but the
-  // k descents are resolved over one value-sorted sweep so they share the
-  // upper tree levels in cache. Returns the number of winners written
-  // (k, or 0 when the total weight is zero). `values` and `slots` must
-  // each have room for k entries; `values` receives the drawn randoms.
-  size_t DrawBatch(FastRand& rng, size_t k, uint64_t* values,
-                   size_t* slots) const;
   // Resolves values[i] in [0, total) to slots[i] for i < k, descending in
-  // ascending value order (one near-sequential sweep over the tree).
+  // ascending value order so the k descents share the upper tree levels in
+  // cache (one near-sequential sweep). The scheduler's speculative batching
+  // resolves its pre-drawn values this way.
   void ResolveValues(size_t k, const uint64_t* values, size_t* slots) const;
 
   // Fenwick levels visited by one Draw descent: the tree analogue of the

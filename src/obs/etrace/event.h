@@ -119,9 +119,8 @@ inline constexpr uint16_t kSliceExit = 4;
 // kDecision flag bits.
 inline constexpr uint16_t kDecisionTree = 1u << 0;      // tree backend
 inline constexpr uint16_t kDecisionFallback = 1u << 1;  // zero-funding RR
-// Winner came from a Walker alias table (O(1) draw). v1 is the scaled
-// alias draw, not a prefix-sum value: replay-by-prefix-sum does not apply.
-inline constexpr uint16_t kDecisionAlias = 1u << 2;
+// Bit 2 is retired (it marked alias-table draws); do not reuse it, so old
+// traces never decode with a different meaning.
 // Winner was served from a speculative draw batch formed k quanta ago
 // (bit-identical to an unbatched draw; flag is informational).
 inline constexpr uint16_t kDecisionBatched = 1u << 3;

@@ -54,6 +54,17 @@ double StreamingStats::variance() const {
 
 double StreamingStats::stddev() const { return std::sqrt(variance()); }
 
+double StreamingStats::sample_variance() const {
+  if (count_ < 2) {
+    return 0.0;
+  }
+  return std::max(0.0, m2_ / static_cast<double>(count_ - 1));
+}
+
+double StreamingStats::sample_stddev() const {
+  return std::sqrt(sample_variance());
+}
+
 std::string StreamingStats::Summary() const {
   char buf[160];
   std::snprintf(buf, sizeof(buf),

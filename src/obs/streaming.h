@@ -43,6 +43,9 @@ class StreamingStats {
   // Population variance (divide by n). 0 with fewer than two observations.
   double variance() const;
   double stddev() const;
+  // Sample variance (divide by n - 1). 0 with fewer than two observations.
+  double sample_variance() const;
+  double sample_stddev() const;
 
   // "count=... mean=... stddev=... min=... max=..." for text output.
   std::string Summary() const;

@@ -544,7 +544,7 @@ std::string Scenario::ReproCommand() const {
 ScenarioResult RunScenario(const Scenario& scenario,
                            etrace::TraceBuffer* trace) {
   if (scenario.backend != "list" && scenario.backend != "tree" &&
-      scenario.backend != "alias" && scenario.backend != "stride") {
+      scenario.backend != "stride") {
     throw std::invalid_argument("RunScenario: unknown backend '" +
                                 scenario.backend + "'");
   }
@@ -576,10 +576,8 @@ ScenarioResult RunScenario(const Scenario& scenario,
   } else {
     LotteryScheduler::Options opts;
     opts.seed = sched_seed;
-    opts.backend = scenario.backend == "tree"
-                       ? RunQueueBackend::kTree
-                       : (scenario.backend == "alias" ? RunQueueBackend::kAlias
-                                                      : RunQueueBackend::kList);
+    opts.backend = scenario.backend == "tree" ? RunQueueBackend::kTree
+                                              : RunQueueBackend::kList;
     opts.metrics = &registry;
     opts.trace = trace;
     lottery = std::make_unique<LotteryScheduler>(opts);
@@ -821,8 +819,8 @@ FaultPlan RandomFaultPlan(FastRand& rng) {  // lotlint: stream(workload)
 Scenario RandomScenario(FastRand& rng, uint64_t seed) {  // lotlint: stream(workload)
   Scenario scenario;
   scenario.seed = seed;
-  const char* backends[4] = {"list", "tree", "alias", "stride"};
-  scenario.backend = backends[rng.NextBelow(4)];
+  const char* backends[3] = {"list", "tree", "stride"};
+  scenario.backend = backends[rng.NextBelow(3)];
   scenario.num_cpus = 1 + static_cast<int>(rng.NextBelow(2));
   scenario.num_threads = 4 + static_cast<int>(rng.NextBelow(9));
   scenario.horizon = SimDuration::Millis(

@@ -170,7 +170,7 @@ size_t CrossbarSwitch::Backlog(CircuitId circuit) const {
   return circuits_.at(circuit).cells.size();
 }
 
-const RunningStat& CrossbarSwitch::Delay(CircuitId circuit) const {
+const obs::StreamingStats& CrossbarSwitch::Delay(CircuitId circuit) const {
   return circuits_.at(circuit).delay;
 }
 

@@ -27,9 +27,9 @@
 #include <map>
 #include <vector>
 
+#include "src/obs/streaming.h"
 #include "src/util/fastrand.h"
 #include "src/util/sim_time.h"
-#include "src/util/stats.h"
 
 namespace lottery {
 
@@ -62,7 +62,7 @@ class CrossbarSwitch {
   uint64_t CellsSent(CircuitId circuit) const;
   uint64_t CellsDropped(CircuitId circuit) const;
   size_t Backlog(CircuitId circuit) const;
-  const RunningStat& Delay(CircuitId circuit) const;
+  const obs::StreamingStats& Delay(CircuitId circuit) const;
   // Total cells forwarded across all circuits (for throughput measures).
   uint64_t total_cells_sent() const { return total_sent_; }
   // Cell slots elapsed since construction.
@@ -76,7 +76,7 @@ class CrossbarSwitch {
     std::deque<SimTime> cells;
     uint64_t sent = 0;
     uint64_t dropped = 0;
-    RunningStat delay;
+    obs::StreamingStats delay;
   };
 
   // Runs one slot's matching and transmits the matched cells.

@@ -196,7 +196,7 @@ uint64_t DiskScheduler::RequestsServed(ClientId client) const {
   return StateOf(client).requests_served;
 }
 
-const RunningStat& DiskScheduler::QueueDelay(ClientId client) const {
+const obs::StreamingStats& DiskScheduler::QueueDelay(ClientId client) const {
   return StateOf(client).queue_delay;
 }
 

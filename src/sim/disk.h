@@ -19,9 +19,9 @@
 #include <optional>
 #include <vector>
 
+#include "src/obs/streaming.h"
 #include "src/util/fastrand.h"
 #include "src/util/sim_time.h"
-#include "src/util/stats.h"
 
 namespace lottery {
 
@@ -78,7 +78,7 @@ class DiskScheduler {
   int64_t BytesServed(ClientId client) const;
   uint64_t RequestsServed(ClientId client) const;
   // Queueing delay (submit -> service start) statistics per client.
-  const RunningStat& QueueDelay(ClientId client) const;
+  const obs::StreamingStats& QueueDelay(ClientId client) const;
   size_t QueueDepth(ClientId client) const;
 
  private:
@@ -94,7 +94,7 @@ class DiskScheduler {
     std::deque<Request> queue;
     int64_t bytes_served = 0;
     uint64_t requests_served = 0;
-    RunningStat queue_delay;
+    obs::StreamingStats queue_delay;
   };
 
   ClientState& StateOf(ClientId client);

@@ -113,7 +113,7 @@ size_t LinkScheduler::Backlog(CircuitId circuit) const {
   return StateOf(circuit).cells.size();
 }
 
-const RunningStat& LinkScheduler::Delay(CircuitId circuit) const {
+const obs::StreamingStats& LinkScheduler::Delay(CircuitId circuit) const {
   return StateOf(circuit).delay;
 }
 

@@ -17,9 +17,9 @@
 #include <optional>
 #include <vector>
 
+#include "src/obs/streaming.h"
 #include "src/util/fastrand.h"
 #include "src/util/sim_time.h"
-#include "src/util/stats.h"
 
 namespace lottery {
 
@@ -51,7 +51,7 @@ class LinkScheduler {
   uint64_t CellsDropped(CircuitId circuit) const;
   size_t Backlog(CircuitId circuit) const;
   // Per-cell queueing delay statistics.
-  const RunningStat& Delay(CircuitId circuit) const;
+  const obs::StreamingStats& Delay(CircuitId circuit) const;
 
  private:
   struct CircuitState {
@@ -59,7 +59,7 @@ class LinkScheduler {
     std::deque<SimTime> cells;  // arrival times
     uint64_t sent = 0;
     uint64_t dropped = 0;
-    RunningStat delay;
+    obs::StreamingStats delay;
   };
 
   CircuitState& StateOf(CircuitId circuit);

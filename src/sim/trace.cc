@@ -61,8 +61,8 @@ const std::vector<Tracer::Sample>& Tracer::Samples(
   return it != samples_.end() ? it->second : kEmpty;
 }
 
-RunningStat Tracer::SampleStats(const std::string& series) const {
-  RunningStat stat;
+obs::StreamingStats Tracer::SampleStats(const std::string& series) const {
+  obs::StreamingStats stat;
   for (const Sample& s : Samples(series)) {
     stat.Add(s.value);
   }

@@ -13,9 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "src/obs/streaming.h"
 #include "src/sched/scheduler.h"
 #include "src/util/sim_time.h"
-#include "src/util/stats.h"
 
 namespace lottery {
 
@@ -42,7 +42,7 @@ class Tracer {
     double value;
   };
   const std::vector<Sample>& Samples(const std::string& series) const;
-  RunningStat SampleStats(const std::string& series) const;
+  obs::StreamingStats SampleStats(const std::string& series) const;
   bool HasSeries(const std::string& series) const;
 
   // --- Dispatch timeline ------------------------------------------------------

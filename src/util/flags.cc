@@ -4,6 +4,14 @@
 #include <stdexcept>
 
 namespace lottery {
+namespace {
+
+std::string BadValue(const std::string& name, const std::string& text,
+                     const char* expected) {
+  return "--" + name + "='" + text + "' is not " + expected;
+}
+
+}  // namespace
 
 Flags::Flags(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
@@ -39,7 +47,13 @@ int64_t Flags::GetInt(const std::string& name, int64_t default_value) const {
   if (it == values_.end()) {
     return default_value;
   }
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  const std::string& text = it->second;
+  char* end = nullptr;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || end != text.c_str() + text.size()) {
+    throw std::invalid_argument(BadValue(name, text, "an integer"));
+  }
+  return value;
 }
 
 double Flags::GetDouble(const std::string& name, double default_value) const {
@@ -47,7 +61,13 @@ double Flags::GetDouble(const std::string& name, double default_value) const {
   if (it == values_.end()) {
     return default_value;
   }
-  return std::strtod(it->second.c_str(), nullptr);
+  const std::string& text = it->second;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || end != text.c_str() + text.size()) {
+    throw std::invalid_argument(BadValue(name, text, "a number"));
+  }
+  return value;
 }
 
 bool Flags::GetBool(const std::string& name, bool default_value) const {

@@ -23,6 +23,9 @@ class Flags {
   bool Has(const std::string& name) const;
   std::string GetString(const std::string& name,
                         const std::string& default_value) const;
+  // The whole value must parse (base-10 integer / strtod number); an empty
+  // or partly numeric value ("--seconds=1O", "--seed=") throws
+  // std::invalid_argument naming the flag.
   int64_t GetInt(const std::string& name, int64_t default_value) const;
   double GetDouble(const std::string& name, double default_value) const;
   bool GetBool(const std::string& name, bool default_value) const;

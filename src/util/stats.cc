@@ -4,61 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
 namespace lottery {
-
-void RunningStat::Add(double x) {
-  ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-  min_ = std::min(min_, x);
-  max_ = std::max(max_, x);
-}
-
-void RunningStat::Merge(const RunningStat& other) {
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double total = na + nb;
-  mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-void RunningStat::Reset() { *this = RunningStat(); }
-
-double RunningStat::variance() const {
-  return count_ > 0 ? m2_ / static_cast<double>(count_) : 0.0;
-}
-
-double RunningStat::stddev() const { return std::sqrt(variance()); }
-
-double RunningStat::sample_variance() const {
-  return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
-}
-
-double RunningStat::sample_stddev() const {
-  return std::sqrt(sample_variance());
-}
-
-double RunningStat::cv() const {
-  const double m = mean();
-  return m != 0.0 ? stddev() / m : 0.0;
-}
 
 Histogram::Histogram(double lo, double hi, size_t num_buckets)
     : lo_(lo),

@@ -3,49 +3,21 @@
 // The paper reasons about lottery fairness through the binomial distribution
 // (number of lotteries won) and the geometric distribution (lotteries until
 // first win); see Section 2. The helpers here provide those moments plus the
-// generic accumulators (running mean/variance, histograms, least squares)
-// that the figure-reproduction benches need.
+// histograms, goodness-of-fit tests and least squares that the
+// figure-reproduction benches need. Running mean/variance is
+// obs::StreamingStats (src/obs/streaming.h).
 
 #ifndef SRC_UTIL_STATS_H_
 #define SRC_UTIL_STATS_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
+#include "src/obs/streaming.h"
+
 namespace lottery {
-
-// Numerically stable single-pass accumulator (Welford's algorithm).
-class RunningStat {
- public:
-  void Add(double x);
-  void Merge(const RunningStat& other);
-  void Reset();
-
-  int64_t count() const { return count_; }
-  double mean() const { return count_ > 0 ? mean_ : 0.0; }
-  // Population variance / stddev (divide by n).
-  double variance() const;
-  double stddev() const;
-  // Sample variance / stddev (divide by n-1).
-  double sample_variance() const;
-  double sample_stddev() const;
-  double min() const { return min_; }
-  double max() const { return max_; }
-  double sum() const { return sum_; }
-  // Coefficient of variation: stddev / mean (0 when mean == 0).
-  double cv() const;
-
- private:
-  int64_t count_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double sum_ = 0.0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 // Fixed-width bucket histogram over [lo, hi); values outside the range are
 // counted in saturating under/overflow buckets. Used for the Figure 11
@@ -62,8 +34,8 @@ class Histogram {
   int64_t bucket_count(size_t i) const { return counts_[i]; }
   int64_t underflow() const { return underflow_; }
   int64_t overflow() const { return overflow_; }
-  int64_t total() const { return stat_.count(); }
-  const RunningStat& stat() const { return stat_; }
+  int64_t total() const { return static_cast<int64_t>(stat_.count()); }
+  const obs::StreamingStats& stat() const { return stat_; }
 
   // Value below which `fraction` (in [0,1]) of observations fall, estimated
   // by linear interpolation within buckets.
@@ -78,7 +50,7 @@ class Histogram {
   std::vector<int64_t> counts_;
   int64_t underflow_ = 0;
   int64_t overflow_ = 0;
-  RunningStat stat_;
+  obs::StreamingStats stat_;
 };
 
 // Moments the paper quotes for n identical lotteries with win probability p

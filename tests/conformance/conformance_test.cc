@@ -139,7 +139,6 @@ void RunSweep(const std::string& backend) {
 
 TEST(Conformance, ListBackend) { RunSweep("list"); }
 TEST(Conformance, TreeBackend) { RunSweep("tree"); }
-TEST(Conformance, AliasBackend) { RunSweep("alias"); }
 TEST(Conformance, StrideBackend) { RunSweep("stride"); }
 
 }  // namespace

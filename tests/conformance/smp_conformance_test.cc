@@ -1,7 +1,7 @@
 // SMP statistical conformance sweep: the partitioned per-CPU lotteries plus
 // ticket-weighted stealing must still deliver *global* proportional share.
 //
-// Each cell runs {1, 4, 16, 64} CPUs x {list, tree, alias} backends x 32
+// Each cell runs {1, 4, 16, 64} CPUs x {list, tree} backends x 32
 // seeds. Every CPU starts with two compute-bound threads (round-robin
 // placement) funded from a cyclic weight ladder, so per-CPU ticket totals
 // begin skewed and the balancer has real work to do. After a fixed horizon:
@@ -169,7 +169,6 @@ TEST_P(SmpConformance, GlobalSharesAndLoadSpread) {
   switch (backend) {
     case RunQueueBackend::kList: label += "list"; break;
     case RunQueueBackend::kTree: label += "tree"; break;
-    case RunQueueBackend::kAlias: label += "alias"; break;
   }
   RunSweep(cpus, backend, label);
 }
@@ -178,8 +177,7 @@ std::vector<std::pair<int, RunQueueBackend>> AllCells() {
   std::vector<std::pair<int, RunQueueBackend>> cells;
   for (const int cpus : {1, 4, 16, 64}) {
     for (const RunQueueBackend backend :
-         {RunQueueBackend::kList, RunQueueBackend::kTree,
-          RunQueueBackend::kAlias}) {
+         {RunQueueBackend::kList, RunQueueBackend::kTree}) {
       cells.emplace_back(cpus, backend);
     }
   }
@@ -193,7 +191,6 @@ INSTANTIATE_TEST_SUITE_P(
       switch (param_info.param.second) {
         case RunQueueBackend::kList: return name + "_list";
         case RunQueueBackend::kTree: return name + "_tree";
-        case RunQueueBackend::kAlias: return name + "_alias";
       }
       return name + "_unknown";
     });

@@ -8,6 +8,7 @@
 #include <set>
 #include <vector>
 
+#include "src/obs/streaming.h"
 #include "src/util/stats.h"
 
 namespace lottery {
@@ -166,7 +167,7 @@ TEST(FastRand, NextUnitInHalfOpenUnitInterval) {
 
 TEST(FastRand, NextUnitMeanNearHalf) {
   FastRand rng(23);
-  RunningStat stat;
+  obs::StreamingStats stat;
   for (int i = 0; i < 200000; ++i) {
     stat.Add(rng.NextUnit());
   }

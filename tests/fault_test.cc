@@ -150,6 +150,14 @@ TEST(ChaosScenario, SameSeedAndPlanReproduceBitIdentically) {
   }
 }
 
+// A retired backend name fails loudly: an old repro line such as
+// `faultctl --backend=alias` must never quietly run a different backend.
+TEST(ChaosScenario, RetiredBackendNameIsRejected) {
+  chaos::Scenario scenario;
+  scenario.backend = "alias";
+  EXPECT_THROW(chaos::RunScenario(scenario), std::invalid_argument);
+}
+
 TEST(ChaosScenario, DifferentSeedsDiverge) {
   chaos::Scenario scenario;
   scenario.plan = kRichPlan;

@@ -89,8 +89,8 @@ TEST(Disk, QueueDelayLowerForFundedClient) {
     disk.Submit(2, 5000, At(0));
   }
   disk.AdvanceTo(At(60000));
-  ASSERT_GT(disk.QueueDelay(1).count(), 100);
-  ASSERT_GT(disk.QueueDelay(2).count(), 100);
+  ASSERT_GT(disk.QueueDelay(1).count(), 100u);
+  ASSERT_GT(disk.QueueDelay(2).count(), 100u);
   EXPECT_LT(disk.QueueDelay(1).mean(), disk.QueueDelay(2).mean());
 }
 

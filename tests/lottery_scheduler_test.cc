@@ -261,63 +261,5 @@ TEST(LotteryScheduler, ListBackendUnlimitedWhenDisabled) {
   EXPECT_EQ(sched.PickNext(SimTime::Zero()), 3u);
 }
 
-TEST(LotteryScheduler, ListBackendUpgradesToTreeUnderFlag) {
-  obs::Registry metrics;
-  LotteryScheduler::Options opts;
-  opts.backend = RunQueueBackend::kList;
-  opts.list_max_threads = 8;
-  opts.list_upgrade_to_tree = true;
-  opts.metrics = &metrics;
-  LotteryScheduler sched(opts);
-  for (int i = 0; i < 8; ++i) {
-    const ThreadId id = static_cast<ThreadId>(i + 1);
-    sched.AddThread(id, SimTime::Zero());
-    sched.OnReady(id, SimTime::Zero());
-  }
-  EXPECT_EQ(sched.backend(), RunQueueBackend::kList);
-  sched.AddThread(9, SimTime::Zero());  // crosses the limit: upgrades
-  sched.OnReady(9, SimTime::Zero());
-  EXPECT_EQ(sched.backend(), RunQueueBackend::kTree);
-  EXPECT_EQ(metrics.FindCounter("lottery.list_upgrades")->value(),
-            obs::kObsEnabled ? 1u : 0u);
-  // All queued threads migrated: every one is dispatchable and proportions
-  // still follow funding (equal self-funding here -> everyone wins).
-  std::map<ThreadId, int> wins;
-  for (int i = 0; i < 900; ++i) {
-    const ThreadId winner = sched.PickNext(SimTime::Zero());
-    ASSERT_NE(winner, kInvalidThreadId);
-    ++wins[winner];
-    sched.OnReady(winner, SimTime::Zero());
-  }
-  EXPECT_EQ(wins.size(), 9u);
-}
-
-TEST(LotteryScheduler, AliasBackendProportionsFollowFunding) {
-  obs::Registry metrics;
-  LotteryScheduler::Options opts;
-  opts.backend = RunQueueBackend::kAlias;
-  opts.seed = 777;
-  opts.metrics = &metrics;
-  LotteryScheduler sched(opts);
-  sched.AddThread(1, SimTime::Zero());
-  sched.AddThread(2, SimTime::Zero());
-  sched.FundThread(1, sched.table().base(), 300);
-  sched.FundThread(2, sched.table().base(), 100);
-  int first = 0;
-  constexpr int kRounds = 8000;
-  for (int i = 0; i < kRounds; ++i) {
-    sched.OnReady(1, SimTime::Zero());
-    sched.OnReady(2, SimTime::Zero());
-    if (sched.PickNext(SimTime::Zero()) == 1u) {
-      ++first;
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(first) / kRounds, 0.75, 0.03);
-  // The steady phase must actually be served by the alias table.
-  EXPECT_GT(metrics.FindCounter("alias.table_draws")->value(),
-            obs::kObsEnabled ? uint64_t{kRounds} / 2 : 0u);
-  EXPECT_GT(sched.alias_queue().rebuilds(), 0u);
-}
-
 }  // namespace
 }  // namespace lottery

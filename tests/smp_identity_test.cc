@@ -131,13 +131,11 @@ TEST_P(SmpIdentity, StealSwitchUnobservableAtOneCpu) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, SmpIdentity,
                          testing::Values(RunQueueBackend::kList,
-                                         RunQueueBackend::kTree,
-                                         RunQueueBackend::kAlias),
+                                         RunQueueBackend::kTree),
                          [](const auto& param_info) {
                            switch (param_info.param) {
                              case RunQueueBackend::kList: return "list";
                              case RunQueueBackend::kTree: return "tree";
-                             case RunQueueBackend::kAlias: return "alias";
                            }
                            return "unknown";
                          });

@@ -8,74 +8,6 @@
 namespace lottery {
 namespace {
 
-TEST(RunningStat, EmptyIsZero) {
-  RunningStat s;
-  EXPECT_EQ(s.count(), 0);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.cv(), 0.0);
-}
-
-TEST(RunningStat, SingleValue) {
-  RunningStat s;
-  s.Add(5.0);
-  EXPECT_EQ(s.count(), 1);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), 5.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-}
-
-TEST(RunningStat, KnownMoments) {
-  RunningStat s;
-  for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
-    s.Add(x);
-  }
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 4.0);  // classic population-variance example
-  EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
-  EXPECT_NEAR(s.sample_variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.cv(), 0.4);
-}
-
-TEST(RunningStat, MergeMatchesSequential) {
-  RunningStat all, a, b;
-  for (int i = 0; i < 100; ++i) {
-    const double x = std::sin(i) * 10.0;
-    all.Add(x);
-    (i % 2 == 0 ? a : b).Add(x);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStat, MergeWithEmptySides) {
-  RunningStat a, b;
-  a.Add(1.0);
-  a.Add(3.0);
-  RunningStat empty;
-  a.Merge(empty);
-  EXPECT_EQ(a.count(), 2);
-  b.Merge(a);
-  EXPECT_EQ(b.count(), 2);
-  EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-}
-
-TEST(RunningStat, ResetClearsEverything) {
-  RunningStat s;
-  s.Add(4.0);
-  s.Reset();
-  EXPECT_EQ(s.count(), 0);
-  EXPECT_DOUBLE_EQ(s.sum(), 0.0);
-}
-
 TEST(Histogram, RejectsEmptyRange) {
   EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
   EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);

@@ -19,6 +19,7 @@ TEST(StreamingStats, EmptyIsAllZeros) {
   EXPECT_EQ(s.mean(), 0.0);
   EXPECT_EQ(s.variance(), 0.0);
   EXPECT_EQ(s.stddev(), 0.0);
+  EXPECT_EQ(s.sample_variance(), 0.0);
   EXPECT_EQ(s.min(), 0.0);
   EXPECT_EQ(s.max(), 0.0);
 }
@@ -29,6 +30,7 @@ TEST(StreamingStats, SingleValue) {
   EXPECT_EQ(s.count(), 1u);
   EXPECT_DOUBLE_EQ(s.mean(), 3.5);
   EXPECT_EQ(s.variance(), 0.0);
+  EXPECT_EQ(s.sample_variance(), 0.0);
   EXPECT_DOUBLE_EQ(s.min(), 3.5);
   EXPECT_DOUBLE_EQ(s.max(), 3.5);
 }
@@ -44,6 +46,22 @@ TEST(StreamingStats, MatchesClosedFormMoments) {
   EXPECT_NEAR(s.variance(), 833.25, 1e-6);
   EXPECT_DOUBLE_EQ(s.min(), 1.0);
   EXPECT_DOUBLE_EQ(s.max(), 100.0);
+}
+
+TEST(StreamingStats, KnownPopulationAndSampleMoments) {
+  // The classic population-variance example: mean 5, variance 4, and
+  // sample variance (divide by n - 1) 32/7.
+  obs::StreamingStats s;
+  for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
+    s.Add(x);
+  }
+  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
+  EXPECT_DOUBLE_EQ(s.variance(), 4.0);
+  EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
+  EXPECT_NEAR(s.sample_variance(), 32.0 / 7.0, 1e-12);
+  EXPECT_NEAR(s.sample_stddev(), std::sqrt(32.0 / 7.0), 1e-12);
+  EXPECT_DOUBLE_EQ(s.min(), 2.0);
+  EXPECT_DOUBLE_EQ(s.max(), 9.0);
 }
 
 TEST(StreamingStats, MergeEqualsSingleAccumulator) {

@@ -11,6 +11,7 @@
 #include "src/core/client.h"
 #include "src/core/currency.h"
 #include "src/core/list_lottery.h"
+#include "src/obs/streaming.h"
 #include "src/util/fastrand.h"
 #include "src/util/stats.h"
 
@@ -57,7 +58,7 @@ TEST(SectionTwoTheory, WinVarianceIsBinomial) {
   FastRand rng(202);
   constexpr int kBlock = 400;
   constexpr int kBlocks = 2000;
-  RunningStat block_wins;
+  obs::StreamingStats block_wins;
   for (int b = 0; b < kBlocks; ++b) {
     int wins = 0;
     for (int i = 0; i < kBlock; ++i) {
@@ -79,7 +80,7 @@ TEST(SectionTwoTheory, CoefficientOfVariationShrinksAsSqrtN) {
   TwoClientLottery rig(1, 3);  // p = 1/4
   FastRand rng(303);
   auto measure_cv = [&](int block, int blocks) {
-    RunningStat stat;
+    obs::StreamingStats stat;
     for (int b = 0; b < blocks; ++b) {
       int wins = 0;
       for (int i = 0; i < block; ++i) {
@@ -102,7 +103,7 @@ TEST(SectionTwoTheory, FirstWinWaitIsGeometric) {
   // geometric distribution" with mean 1/p and variance (1-p)/p^2.
   TwoClientLottery rig(1, 4);  // p = 1/5
   FastRand rng(404);
-  RunningStat waits;
+  obs::StreamingStats waits;
   for (int trial = 0; trial < 20000; ++trial) {
     int draws = 0;
     do {
@@ -146,7 +147,7 @@ TEST(SectionTwoTheory, ThroughputProportionalAndResponseInverse) {
   FastRand rng(606);
   for (const int64_t tickets : {1, 2, 4}) {
     TwoClientLottery rig(tickets, 8 - tickets);
-    RunningStat waits;
+    obs::StreamingStats waits;
     int wins = 0;
     constexpr int kDraws = 80000;
     int since_last = 0;

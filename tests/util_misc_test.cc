@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "src/util/flags.h"
 #include "src/util/sim_time.h"
 #include "src/util/table.h"
@@ -129,9 +132,36 @@ TEST(Flags, ExplicitFalse) {
 }
 
 TEST(Flags, DoubleParsing) {
-  const char* argv[] = {"prog", "--ratio=2.5"};
-  Flags flags(2, const_cast<char**>(argv));
+  const char* argv[] = {"prog", "--ratio=2.5", "--seconds=20.0",
+                        "--scale=1e3"};
+  Flags flags(4, const_cast<char**>(argv));
   EXPECT_DOUBLE_EQ(flags.GetDouble("ratio", 0.0), 2.5);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("seconds", 0.0), 20.0);
+  EXPECT_DOUBLE_EQ(flags.GetDouble("scale", 0.0), 1000.0);
+}
+
+TEST(Flags, MalformedIntegerThrowsNamingTheFlag) {
+  const char* argv[] = {"prog", "--seconds=1O", "--seed=abc", "--empty=",
+                        "--frac=2.5", "--bare"};
+  Flags flags(6, const_cast<char**>(argv));
+  for (const char* name : {"seconds", "seed", "empty", "frac", "bare"}) {
+    try {
+      flags.GetInt(name, 7);
+      ADD_FAILURE() << "--" << name << " parsed as an integer";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("--") + name),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Flags, MalformedDoubleThrows) {
+  const char* argv[] = {"prog", "--ratio=2.5x", "--empty=", "--word=fast"};
+  Flags flags(4, const_cast<char**>(argv));
+  EXPECT_THROW(flags.GetDouble("ratio", 1.0), std::invalid_argument);
+  EXPECT_THROW(flags.GetDouble("empty", 1.0), std::invalid_argument);
+  EXPECT_THROW(flags.GetDouble("word", 1.0), std::invalid_argument);
 }
 
 }  // namespace

@@ -90,13 +90,6 @@ DecisionAudit AuditDecisions(const TraceFile& trace) {
     if ((e.flags & etrace::kDecisionFallback) != 0) {
       ++audit.fallbacks;
     }
-    if ((e.flags & etrace::kDecisionAlias) != 0) {
-      // Alias-table draws carry the scaled column draw in v1, not a
-      // prefix-sum value: the snapshot replay rule does not apply (the
-      // chi-square below still covers them).
-      candidates.clear();
-      continue;
-    }
     if (!candidates.empty()) {
       ++audit.replay_checked;
       uint32_t derived = kInvalidThreadId;
