@@ -41,7 +41,13 @@ LotteryScheduler::~LotteryScheduler() {
 }
 
 void LotteryScheduler::OnClientValueDirty(Client* client) {
-  dirty_clients_.insert(client);
+  // Marks raised while RemoveThread tears a client down find no thread: the
+  // dying thread's entry is already gone.
+  const auto it = by_client_.find(client);
+  if (it != by_client_.end() && !it->second->dirty) {
+    it->second->dirty = true;
+    dirty_threads_.push_back(it->second);
+  }
   NoteDisturbance();
 }
 
@@ -116,10 +122,13 @@ void LotteryScheduler::AddThread(ThreadId id, SimTime /*now*/) {
   const std::string tag = "thread:" + std::to_string(id);
   state.currency = table_.CreateCurrency(tag);
   state.client = std::make_unique<Client>(&table_, tag);
-  state.self_ticket = table_.CreateTicket(state.currency, kThreadTicketAmount);
-  state.client->HoldTicket(state.self_ticket);
   ThreadState& stored = threads_.emplace(id, std::move(state)).first->second;
+  // Registered before the client takes its self ticket, so the dirty mark
+  // HoldTicket raises finds the thread.
   by_client_[stored.client.get()] = &stored;
+  stored.self_ticket =
+      table_.CreateTicket(stored.currency, kThreadTicketAmount);
+  stored.client->HoldTicket(stored.self_ticket);
   LOT_DCHECK_TABLE(table_);
 }
 
@@ -136,13 +145,12 @@ void LotteryScheduler::RemoveThread(ThreadId id, SimTime /*now*/) {
     }
   }
   state.client->SetActive(false);
+  // From here on the client's marks find no thread, so this drops its last
+  // dirty_threads_ entries (stale ones included) before state dies.
   by_client_.erase(state.client.get());
+  std::erase(dirty_threads_, &state);
   table_.DestroyTicket(state.self_ticket);
-  Client* dead = state.client.get();
   state.client.reset();
-  // After reset: the Client destructor releases any remaining tickets,
-  // which re-notifies observers and can re-insert the pointer.
-  dirty_clients_.erase(dead);
   // Destroys the thread currency and all tickets funding it. A thread that
   // dies with in-flight transfers (a crashed RPC client whose call is still
   // queued) leaves tickets issued in this currency in others' hands; the
@@ -168,8 +176,9 @@ void LotteryScheduler::OnReady(ThreadId id, SimTime /*now*/) {
       }
       tree_slot_owner_[state.tree_slot] = &state;
       // The slot was seeded with the current value; any pending dirty mark
-      // (e.g. from the unblock activation above) is already folded in.
-      dirty_clients_.erase(state.client.get());
+      // (e.g. from the unblock activation above) is already folded in. Its
+      // dirty_threads_ entry stays behind, stale, until the next sync.
+      state.dirty = false;
       if (restore_pending_ && state.tree_slot == restore_slot_ &&
           weight == restore_weight_) {
         // The previous winner re-entered at its old slot with its old
@@ -205,12 +214,22 @@ void LotteryScheduler::OnBlocked(ThreadId id, SimTime /*now*/) {
 }
 
 void LotteryScheduler::SyncTreeWeights() {
-  if (dirty_clients_.empty()) {
+  if (dirty_threads_.empty()) {
     return;
   }
-  if (dirty_clients_.size() > tree_queue_.size()) {
-    // More dirty clients than queued slots: one bulk pass is cheaper than
-    // per-client lookups (and covers the first sync after mass arrivals).
+  // Compact to the threads still marked, each once: an entry whose bit is
+  // clear was folded in by OnReady or repeats an earlier entry.
+  size_t marked = 0;
+  for (ThreadState* state : dirty_threads_) {
+    if (state->dirty) {
+      state->dirty = false;
+      dirty_threads_[marked++] = state;
+    }
+  }
+  dirty_threads_.resize(marked);
+  if (marked > tree_queue_.size()) {
+    // More dirty threads than queued slots: one bulk pass is cheaper than
+    // per-client updates (and covers the first sync after mass arrivals).
     full_syncs_->Inc();
     for (ThreadState* state : tree_slot_owner_) {
       if (state == nullptr) {
@@ -220,35 +239,24 @@ void LotteryScheduler::SyncTreeWeights() {
                             state->client->Value().raw_unsigned());
     }
   } else {
-    // The weights are an order-independent fold, but client->Value() emits
-    // kReprice trace events on cache fills — flushing straight out of the
-    // pointer-hashed set would bake heap layout into the trace. Collect the
-    // queued survivors and flush in thread-id order so traces stay
-    // byte-identical run to run.
-    std::vector<ThreadState*> dirty;
-    dirty.reserve(dirty_clients_.size());
-    // lotlint: ordered-ok (collect only; applied in sorted order below)
-    for (Client* client : dirty_clients_) {
-      const auto it = by_client_.find(client);
-      if (it == by_client_.end()) {
-        continue;
-      }
-      if (!it->second->in_queue) {
-        continue;  // not competing; OnReady seeds a fresh weight later
-      }
-      dirty.push_back(it->second);
-    }
-    std::sort(dirty.begin(), dirty.end(),
+    // Threads not competing get a fresh weight from OnReady later. The
+    // weights are an order-independent fold, but client->Value() emits
+    // kReprice trace events on cache fills, so the survivors flush in
+    // thread-id order: the trace then does not depend on the order the
+    // marks arrived in.
+    std::erase_if(dirty_threads_,
+                  [](const ThreadState* state) { return !state->in_queue; });
+    std::sort(dirty_threads_.begin(), dirty_threads_.end(),
               [](const ThreadState* a, const ThreadState* b) {
                 return a->id < b->id;
               });
-    for (ThreadState* state : dirty) {
+    for (ThreadState* state : dirty_threads_) {
       tree_queue_.SetWeight(state->tree_slot,
                             state->client->Value().raw_unsigned());
       leaf_updates_->Inc();
     }
   }
-  dirty_clients_.clear();
+  dirty_threads_.clear();
 }
 
 ThreadId LotteryScheduler::PickNextFromTree() {

@@ -17,7 +17,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -158,6 +157,9 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
     Ticket* self_ticket = nullptr;
     bool in_queue = false;
     size_t tree_slot = 0;  // valid while in_queue under the tree backend
+    // Tree backend: value changed since the last sync and not yet folded
+    // into the tree; listed in dirty_threads_.
+    bool dirty = false;
   };
 
   // One speculatively pre-drawn winner. pre_state/post_state bracket the
@@ -184,7 +186,7 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   // Tree backend: re-push into the partial-sum weights the values of
   // exactly the clients the currency table reported dirty since the last
   // sync — O(dirty · lg n) instead of O(n · lg n) per dispatch. Falls back
-  // to one full resync (tree.full_syncs) when more clients are dirty than
+  // to one full resync (tree.full_syncs) when more threads are dirty than
   // queued.
   void SyncTreeWeights() REQUIRES(queue_seq_);
   ThreadId PickNextFromTree();
@@ -219,7 +221,13 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   // resolution a single indexed load (a hash map here shows up at 10k
   // clients in bench_draw_overhead's churn rig).
   std::vector<ThreadState*> tree_slot_owner_ GUARDED_BY(queue_seq_);
-  std::unordered_set<Client*> dirty_clients_;
+  // Threads marked dirty since the last sync, the ListLottery idiom: a mark
+  // sets ThreadState::dirty and appends, OnReady clears the bit (the entry
+  // stays, stale), and the sync skips unset bits and clear()s the vector —
+  // O(marked). A hash set would cost O(largest set ever held) per reset:
+  // clear() zeroes every bucket, and the arrival burst of a large
+  // population grows the bucket array to the whole population.
+  std::vector<ThreadState*> dirty_threads_;
   std::unordered_map<ThreadId, ThreadState> threads_;
   std::unordered_map<const Client*, ThreadState*> by_client_;
   uint64_t num_lotteries_ = 0;

@@ -211,6 +211,16 @@ std::string ToChromeTraceJson(const TraceFile& trace) {
             .EndObject()
             .EndObject();
         break;
+      case EventType::kLagAnomaly:
+      case EventType::kStarvation:
+      case EventType::kShareError:
+        BeginInstant(w, EventTypeName(e.type), e.a, e.t_ns)
+            .Key("args").BeginObject()
+            .Key("value").Uint(e.v1)
+            .Key("bound").Uint(e.v2)
+            .EndObject()
+            .EndObject();
+        break;
       case EventType::kNone:
         break;
     }

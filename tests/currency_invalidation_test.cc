@@ -597,5 +597,144 @@ TEST(TreeBackendSteadyState, InflationOnQueuedThreadUpdatesOneLeaf) {
   EXPECT_EQ(reg.counter("tree.full_syncs")->value(), 0u);
 }
 
+// --- Scheduler dirty list: marks that never reach a leaf --------------------
+
+// A tree backend with `n` base-funded threads (100 tickets each) queued, the
+// arrival burst already synced.
+struct TreeRig {
+  obs::Registry reg;
+  std::unique_ptr<LotteryScheduler> sched;
+  std::vector<Ticket*> funding;  // funding[id - 1]
+
+  explicit TreeRig(ThreadId n) {
+    LotteryScheduler::Options opts;
+    opts.backend = RunQueueBackend::kTree;
+    opts.metrics = &reg;
+    opts.seed = 42;
+    sched = std::make_unique<LotteryScheduler>(opts);
+    for (ThreadId id = 1; id <= n; ++id) {
+      sched->AddThread(id, SimTime::Zero());
+      sched->OnReady(id, SimTime::Zero());
+      funding.push_back(sched->FundThread(id, sched->table().base(), 100));
+    }
+    (void)sched->RunnableTickets();
+  }
+
+  // One dispatch that runs its whole quantum and requeues.
+  ThreadId Cycle() {
+    const ThreadId id = sched->PickNext(SimTime::Zero());
+    EXPECT_NE(id, kInvalidThreadId);
+    sched->OnQuantumEnd(id, SimDuration::Millis(100), SimDuration::Millis(100),
+                        SimTime::Zero());
+    sched->OnReady(id, SimTime::Zero());
+    return id;
+  }
+
+  uint64_t Count(const std::string& name) {
+    return reg.counter(name)->value();
+  }
+};
+
+// Every queued weight the tree draws from equals the client's current value.
+void ExpectTreeMatchesClients(LotteryScheduler& sched) {
+  for (const auto& [id, weight] : sched.QueuedSnapshot()) {
+    EXPECT_EQ(weight, sched.ThreadValue(id).raw_unsigned()) << "thread " << id;
+  }
+}
+
+TEST(TreeBackendSteadyState, MarkBlockWakeBeforeAPickCostsNoLeafUpdate) {
+  if (!obs::kObsEnabled) {
+    GTEST_SKIP() << "obs hooks compiled out";
+  }
+  TreeRig rig(16);
+  rig.reg.Reset();
+  ASSERT_TRUE(rig.sched->IsQueued(5));
+  // Marked while queued, then blocked and woken: OnReady seeds the slot with
+  // the new value, so the mark is spent before any sync sees it.
+  rig.sched->table().SetAmount(rig.funding[4], 700);
+  rig.sched->OnBlocked(5, SimTime::Zero());
+  rig.sched->OnReady(5, SimTime::Zero());
+  (void)rig.sched->PickNext(SimTime::Zero());
+  EXPECT_EQ(rig.Count("tree.leaf_updates"), 0u);
+  EXPECT_EQ(rig.Count("tree.full_syncs"), 0u);
+  ExpectTreeMatchesClients(*rig.sched);
+}
+
+TEST(TreeBackendSteadyState, MarksOnThreadsNotYetReadyCountTowardAFullSync) {
+  if (!obs::kObsEnabled) {
+    GTEST_SKIP() << "obs hooks compiled out";
+  }
+  TreeRig rig(4);
+  rig.reg.Reset();
+  // Added but not readied: taking its self ticket marks each new client.
+  for (ThreadId id = 5; id <= 12; ++id) {
+    rig.sched->AddThread(id, SimTime::Zero());
+  }
+  (void)rig.sched->PickNext(SimTime::Zero());
+  // 8 marked threads against 4 queued: one bulk resync.
+  EXPECT_EQ(rig.Count("tree.full_syncs"), 1u);
+  EXPECT_EQ(rig.Count("tree.leaf_updates"), 0u);
+}
+
+TEST(TreeBackendSteadyState, RemovingAThreadWithAPendingMarkKeepsPicksRight) {
+  TreeRig rig(16);
+  // Queued: inflate thread 3, then remove it before any sync.
+  ASSERT_TRUE(rig.sched->IsQueued(3));
+  rig.sched->table().SetAmount(rig.funding[2], 900);
+  rig.sched->RemoveThread(3, SimTime::Zero());
+  // Unqueued: a winner that under-consumes its quantum is marked by the
+  // compensation grant, then exits before it is requeued.
+  const ThreadId exiting = rig.sched->PickNext(SimTime::Zero());
+  ASSERT_NE(exiting, kInvalidThreadId);
+  ASSERT_NE(exiting, 3u);
+  rig.sched->OnQuantumEnd(exiting, SimDuration::Millis(20),
+                          SimDuration::Millis(100), SimTime::Zero());
+  ASSERT_TRUE(rig.sched->client(exiting)->has_compensation());
+  rig.sched->RemoveThread(exiting, SimTime::Zero());
+
+  EXPECT_EQ(rig.sched->QueuedCount(), 14u);
+  ExpectTreeMatchesClients(*rig.sched);
+  for (int i = 0; i < 200; ++i) {
+    const ThreadId id = rig.Cycle();
+    ASSERT_NE(id, 3u);
+    ASSERT_NE(id, exiting);
+  }
+  ExpectTreeMatchesClients(*rig.sched);
+}
+
+TEST(TreeBackendSteadyState, BlockWakeAfterArrivalBurstCostsNoSyncs) {
+  if (!obs::kObsEnabled) {
+    GTEST_SKIP() << "obs hooks compiled out";
+  }
+  // Large enough that the burst dwarfs the steady state's marks; larger
+  // bursts cost minutes in invariant builds, whose sampled table sweeps
+  // are quadratic in the number of currencies.
+  constexpr ThreadId kThreads = 1024;
+  TreeRig rig(kThreads);
+  // Half the population sleeps; each dispatch's winner blocks and the
+  // longest sleeper wakes, so the queue holds half of it throughout.
+  std::vector<ThreadId> asleep;
+  for (ThreadId id = 2; id <= kThreads; id += 2) {
+    rig.sched->OnBlocked(id, SimTime::Zero());
+    asleep.push_back(id);
+  }
+  (void)rig.Cycle();
+  rig.reg.Reset();
+  for (size_t i = 0; i < 5000; ++i) {
+    const ThreadId id = rig.sched->PickNext(SimTime::Zero());
+    ASSERT_NE(id, kInvalidThreadId);
+    rig.sched->OnQuantumEnd(id, SimDuration::Millis(100),
+                            SimDuration::Millis(100), SimTime::Zero());
+    rig.sched->OnBlocked(id, SimTime::Zero());
+    asleep.push_back(id);
+    rig.sched->OnReady(asleep[i], SimTime::Zero());
+  }
+  EXPECT_EQ(rig.Count("lottery.draws"), 5000u);
+  EXPECT_EQ(rig.Count("tree.full_syncs"), 0u);
+  EXPECT_EQ(rig.Count("tree.leaf_updates"), 0u);
+  EXPECT_EQ(rig.sched->QueuedCount(), kThreads / 2);
+  ExpectTreeMatchesClients(*rig.sched);
+}
+
 }  // namespace
 }  // namespace lottery

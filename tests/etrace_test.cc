@@ -16,6 +16,7 @@
 #include "src/obs/etrace/event.h"
 #include "src/obs/etrace/export.h"
 #include "src/obs/etrace/trace_buffer.h"
+#include "src/obs/json_reader.h"
 #include "src/obs/registry.h"
 #include "src/sim/kernel.h"
 #include "src/util/sim_time.h"
@@ -282,6 +283,41 @@ TEST(Export, ChromeJsonIsDeterministicAndNonTrivial) {
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("thread_name"), std::string::npos);
   EXPECT_EQ(json, ToChromeTraceJson(file));
+}
+
+// The timeseries auditor's anomalies reach the Perfetto export: one instant
+// event per anomaly, on the client's thread, named after its kind, with
+// the observed value and the bound it crossed.
+TEST(Export, AuditorAnomaliesBecomeInstantEvents) {
+  if (!obs::kObsEnabled) GTEST_SKIP() << "no events with obs off";
+  const EventType kinds[] = {EventType::kLagAnomaly, EventType::kStarvation,
+                             EventType::kShareError};
+  TraceBuffer trace(/*capacity=*/8, kAllCategories);
+  for (uint32_t i = 0; i < 3; ++i) {
+    Event e = MakeEvent(static_cast<uint16_t>(kinds[i]), /*a=*/10 + i,
+                        /*t_ns=*/1000 * (i + 1));
+    e.v1 = 500 + i;
+    e.v2 = 400 + i;
+    trace.Append(e);
+  }
+  const obs::JsonValue doc =
+      obs::ParseJson(ToChromeTraceJson(TraceFile::Parse(trace.Serialize())));
+  for (uint32_t i = 0; i < 3; ++i) {
+    const std::string name = EventTypeName(static_cast<uint16_t>(kinds[i]));
+    const obs::JsonValue* found = nullptr;
+    for (const obs::JsonValue& event : doc.At("traceEvents").items) {
+      if (event.StringAt("name") == name) {
+        EXPECT_EQ(found, nullptr) << name << " exported twice";
+        found = &event;
+      }
+    }
+    ASSERT_NE(found, nullptr) << name << " missing from the export";
+    EXPECT_EQ(found->StringAt("ph"), "i");
+    EXPECT_EQ(found->IntAt("tid"), 10 + i);
+    EXPECT_EQ(found->NumberAt("ts"), static_cast<double>(i + 1));
+    EXPECT_EQ(found->At("args").IntAt("value"), 500 + i);
+    EXPECT_EQ(found->At("args").IntAt("bound"), 400 + i);
+  }
 }
 
 // Late attach via SetTrace: names interned while detached still resolve,

@@ -1,9 +1,9 @@
 // faultctl: replay a chaos scenario (seed + fault plan) outside gtest.
 //
 // The flags mirror Scenario::ReproCommand(), so a failing fuzz or CI run
-// prints a line that can be pasted verbatim:
+// prints a line that can be pasted verbatim (wrapped here):
 //
-//   faultctl --seed=123 --backend=tree --cpus=2 --threads=9 \
+//   faultctl --seed=123 --backend=tree --cpus=2 --threads=9
 //       --horizon-us=250000 --quantum-us=1000 --plan='crash:p=0.01'
 //
 // Prints the run's fingerprint, per-class injection counts, and any oracle

@@ -353,8 +353,8 @@ std::string Sparkline(const std::vector<double>& values, int width,
   if (values.empty()) {
     return "";
   }
-  const size_t start =
-      values.size() > static_cast<size_t>(width) ? values.size() - width : 0;
+  const size_t cap = static_cast<size_t>(width);
+  const size_t start = values.size() > cap ? values.size() - cap : 0;
   double lo = values[start];
   double hi = values[start];
   for (size_t i = start; i < values.size(); ++i) {
