@@ -11,10 +11,14 @@
 namespace lottery {
 
 LotteryScheduler::LotteryScheduler(Options options)
+    : LotteryScheduler(options, {options.seed}) {}
+
+LotteryScheduler::LotteryScheduler(Options options,
+                                   const std::vector<uint32_t>& queue_seeds)
     : options_(options),
-      rng_(options.seed),
       table_(options.metrics, options.trace),
       compensation_(options.compensation),
+      queues_(queue_seeds.size()),
       metrics_(options.metrics != nullptr ? options.metrics
                                           : &obs::Registry::Default()),
       draws_(metrics_->counter("lottery.draws")),
@@ -29,9 +33,12 @@ LotteryScheduler::LotteryScheduler(Options options)
       draw_cost_(metrics_->histogram("lottery.draw_cost")),
       sync_ns_(metrics_->histogram("lottery.sync_ns")),
       tree_draw_ns_(metrics_->histogram("lottery.tree_draw_ns")) {
+  for (size_t i = 0; i < queue_seeds.size(); ++i) {
+    queues_[i].rng.Seed(queue_seeds[i]);
+  }
   if (options_.backend != RunQueueBackend::kList) {
-    // The list backend needs no scheduler-side tracking: run_queue_ itself
-    // observes the table for its cached total.
+    // The list backend needs no scheduler-side tracking: each queue's list
+    // observes the table itself for its cached total.
     table_.AddObserver(this);
   }
 }
@@ -41,55 +48,50 @@ LotteryScheduler::~LotteryScheduler() {
 }
 
 void LotteryScheduler::OnClientValueDirty(Client* client) {
-  // Marks raised while RemoveThread tears a client down find no thread: the
-  // dying thread's entry is already gone.
   const auto it = by_client_.find(client);
-  if (it != by_client_.end() && !it->second->dirty) {
-    it->second->dirty = true;
-    dirty_threads_.push_back(it->second);
+  if (it == by_client_.end()) {
+    return;  // a client the scheduler does not own
   }
-  NoteDisturbance();
+  ThreadState* state = it->second;
+  RunQueue& q = queues_[state->queue];
+  if (!state->dirty) {
+    state->dirty = true;
+    q.dirty.push_back(state);
+  }
+  NoteDisturbance(q);
 }
 
 // --- Speculative batching ---------------------------------------------------
 
-void LotteryScheduler::FlushBatch() {
-  if (HasLiveBatch()) {
+void LotteryScheduler::FlushBatch(RunQueue& q) {
+  if (q.HasLiveBatch()) {
     batch_flushes_->Inc();
   }
-  batch_.clear();
-  batch_next_ = 0;
-  restore_pending_ = false;
+  q.batch.clear();
+  q.batch_next = 0;
+  q.restore_pending = false;
 }
 
-void LotteryScheduler::NoteDisturbance() {
-  pick_clean_ = false;
-  clean_streak_ = 0;
-  if (HasLiveBatch()) {
-    FlushBatch();
-  }
-}
-
-void LotteryScheduler::FormBatch(uint64_t total) {
+void LotteryScheduler::FormBatch(RunQueue& q, uint64_t total) {
   const size_t k = options_.batch_window - 1;
   batch_values_.resize(k);
   batch_slots_.resize(k);
-  batch_.resize(k);
-  // Draw the next k randoms from a copy of the generator: rng_ itself stays
-  // untouched until each entry is actually served, so a flushed batch
+  q.batch.resize(k);
+  // Draw the next k randoms from a copy of the generator: q.rng itself
+  // stays untouched until each entry is actually served, so a flushed batch
   // leaves no trace in the stream.
-  FastRand spec = rng_;  // lotlint: stream(scheduler)
+  FastRand spec(q.rng.state());  // lotlint: stream(scheduler)
   for (size_t i = 0; i < k; ++i) {
-    batch_[i].pre_state = spec.state();
+    q.batch[i].pre_state = spec.state();
     batch_values_[i] = spec.NextBelow64(total);
-    batch_[i].post_state = spec.state();
+    q.batch[i].post_state = spec.state();
   }
-  tree_queue_.ResolveValues(k, batch_values_.data(), batch_slots_.data());
+  q.tree.ResolveValues(k, batch_values_.data(), batch_slots_.data());
   for (size_t i = 0; i < k; ++i) {
-    batch_[i].value = batch_values_[i];
-    batch_[i].slot = batch_slots_[i];
+    q.batch[i].value = batch_values_[i];
+    q.batch[i].slot = batch_slots_[i];
   }
-  batch_next_ = 0;
+  q.batch_next = 0;
   batch_formed_->Inc();
 }
 
@@ -102,13 +104,18 @@ LotteryScheduler::ThreadState& LotteryScheduler::StateOf(ThreadId id) {
   return it->second;
 }
 
+// lotlint: invariant-ok — AddThreadOn checks the table.
 void LotteryScheduler::AddThread(ThreadId id, SimTime /*now*/) {
+  AddThreadOn(id, 0);
+}
+
+void LotteryScheduler::AddThreadOn(ThreadId id, int queue) {
   if (threads_.count(id) > 0) {
     throw std::invalid_argument("LotteryScheduler::AddThread: duplicate id");
   }
+  RunQueue& q = QueueAt(queue);
   if (options_.backend == RunQueueBackend::kList &&
-      options_.list_max_threads != 0 &&
-      threads_.size() >= options_.list_max_threads) {
+      options_.list_max_threads != 0 && q.homed >= options_.list_max_threads) {
     // The list's O(n) draw is ~280x the tree's at 10k clients
     // (bench_draw_overhead baselines); past the threshold it is a
     // misconfiguration, not a trade-off.
@@ -119,10 +126,12 @@ void LotteryScheduler::AddThread(ThreadId id, SimTime /*now*/) {
   }
   ThreadState state;
   state.id = id;
+  state.queue = static_cast<uint32_t>(queue);
   const std::string tag = "thread:" + std::to_string(id);
   state.currency = table_.CreateCurrency(tag);
   state.client = std::make_unique<Client>(&table_, tag);
   ThreadState& stored = threads_.emplace(id, std::move(state)).first->second;
+  ++q.homed;
   // Registered before the client takes its self ticket, so the dirty mark
   // HoldTicket raises finds the thread.
   by_client_[stored.client.get()] = &stored;
@@ -134,22 +143,17 @@ void LotteryScheduler::AddThread(ThreadId id, SimTime /*now*/) {
 
 void LotteryScheduler::RemoveThread(ThreadId id, SimTime /*now*/) {
   ThreadState& state = StateOf(id);
+  RunQueue& q = queues_[state.queue];
   if (state.in_queue) {
-    if (options_.backend == RunQueueBackend::kList) {
-      run_queue_.Remove(state.client.get());
-    } else {
-      util::SeqGuard guard(queue_seq_);
-      tree_queue_.Remove(state.tree_slot);
-      tree_slot_owner_[state.tree_slot] = nullptr;
-      NoteDisturbance();
-    }
+    Dequeue(state);
   }
+  --q.homed;
   state.client->SetActive(false);
-  // From here on the client's marks find no thread, so this drops its last
-  // dirty_threads_ entries (stale ones included) before state dies.
-  by_client_.erase(state.client.get());
-  std::erase(dirty_threads_, &state);
   table_.DestroyTicket(state.self_ticket);
+  // From here on the client's marks find no thread, so this drops its last
+  // dirty entries (stale ones included) before state dies.
+  by_client_.erase(state.client.get());
+  std::erase(q.dirty, &state);
   state.client.reset();
   // Destroys the thread currency and all tickets funding it. A thread that
   // dies with in-flight transfers (a crashed RPC client whose call is still
@@ -161,35 +165,53 @@ void LotteryScheduler::RemoveThread(ThreadId id, SimTime /*now*/) {
   LOT_DCHECK_TABLE(table_);
 }
 
+void LotteryScheduler::Enqueue(ThreadState& state) {
+  RunQueue& q = queues_[state.queue];
+  if (options_.backend == RunQueueBackend::kList) {
+    q.list.Add(state.client.get());
+  } else {
+    util::SeqGuard guard(q.seq);
+    const uint64_t weight = state.client->Value().raw_unsigned();
+    state.tree_slot = q.tree.Add(weight);
+    if (state.tree_slot >= q.slot_owner.size()) {
+      q.slot_owner.resize(state.tree_slot + 1, nullptr);
+    }
+    q.slot_owner[state.tree_slot] = &state;
+    // The slot was seeded with the current value; any pending dirty mark
+    // (e.g. from the unblock activation) is already folded in. Its dirty
+    // list entry stays behind, stale, until the next sync.
+    state.dirty = false;
+    if (q.restore_pending && state.tree_slot == q.restore_slot &&
+        weight == q.restore_weight) {
+      // The previous winner re-entered at its old slot with its old
+      // weight: the queue is back to the state any live batch was formed
+      // against, and the steady-state cycle stays "clean".
+      q.restore_pending = false;
+    } else {
+      NoteDisturbance(q);
+    }
+  }
+  state.in_queue = true;
+}
+
+void LotteryScheduler::Dequeue(ThreadState& state) {
+  RunQueue& q = queues_[state.queue];
+  if (options_.backend == RunQueueBackend::kList) {
+    q.list.Remove(state.client.get());
+  } else {
+    util::SeqGuard guard(q.seq);
+    q.tree.Remove(state.tree_slot);
+    q.slot_owner[state.tree_slot] = nullptr;
+    NoteDisturbance(q);
+  }
+  state.in_queue = false;
+}
+
 void LotteryScheduler::OnReady(ThreadId id, SimTime /*now*/) {
   ThreadState& state = StateOf(id);
   state.client->SetActive(true);
   if (!state.in_queue) {
-    if (options_.backend == RunQueueBackend::kList) {
-      run_queue_.Add(state.client.get());
-    } else {
-      util::SeqGuard guard(queue_seq_);
-      const uint64_t weight = state.client->Value().raw_unsigned();
-      state.tree_slot = tree_queue_.Add(weight);
-      if (state.tree_slot >= tree_slot_owner_.size()) {
-        tree_slot_owner_.resize(state.tree_slot + 1, nullptr);
-      }
-      tree_slot_owner_[state.tree_slot] = &state;
-      // The slot was seeded with the current value; any pending dirty mark
-      // (e.g. from the unblock activation above) is already folded in. Its
-      // dirty_threads_ entry stays behind, stale, until the next sync.
-      state.dirty = false;
-      if (restore_pending_ && state.tree_slot == restore_slot_ &&
-          weight == restore_weight_) {
-        // The previous winner re-entered at its old slot with its old
-        // weight: the queue is back to the state any live batch was formed
-        // against, and the steady-state cycle stays "clean".
-        restore_pending_ = false;
-      } else {
-        NoteDisturbance();
-      }
-    }
-    state.in_queue = true;
+    Enqueue(state);
   }
   LOT_ASSERT(state.in_queue && state.client->active(),
              "OnReady left thread " + std::to_string(id) + " not competing");
@@ -198,45 +220,54 @@ void LotteryScheduler::OnReady(ThreadId id, SimTime /*now*/) {
 void LotteryScheduler::OnBlocked(ThreadId id, SimTime /*now*/) {
   ThreadState& state = StateOf(id);
   if (state.in_queue) {
-    if (options_.backend == RunQueueBackend::kList) {
-      run_queue_.Remove(state.client.get());
-    } else {
-      util::SeqGuard guard(queue_seq_);
-      tree_queue_.Remove(state.tree_slot);
-      tree_slot_owner_[state.tree_slot] = nullptr;
-      NoteDisturbance();
-    }
-    state.in_queue = false;
+    Dequeue(state);
   }
   state.client->SetActive(false);
   LOT_ASSERT(!state.in_queue && !state.client->active(),
              "OnBlocked left thread " + std::to_string(id) + " competing");
 }
 
-void LotteryScheduler::SyncTreeWeights() {
-  if (dirty_threads_.empty()) {
+void LotteryScheduler::MoveQueued(ThreadId id, int queue) {
+  ThreadState& state = StateOf(id);
+  LOT_ASSERT(state.in_queue, "moving unqueued thread " + std::to_string(id));
+  RunQueue& from = queues_[state.queue];
+  RunQueue& to = QueueAt(queue);
+  Dequeue(state);
+  // Keeps "a queue's dirty list holds only its own threads": the move
+  // folds the current value in, so pending marks have nothing left to say.
+  std::erase(from.dirty, &state);
+  --from.homed;
+  ++to.homed;
+  state.queue = static_cast<uint32_t>(queue);
+  // An arrival perturbs the destination like any other queue change.
+  NoteDisturbance(to);
+  Enqueue(state);
+}
+
+void LotteryScheduler::SyncTreeWeights(RunQueue& q) {
+  if (q.dirty.empty()) {
     return;
   }
   // Compact to the threads still marked, each once: an entry whose bit is
   // clear was folded in by OnReady or repeats an earlier entry.
   size_t marked = 0;
-  for (ThreadState* state : dirty_threads_) {
+  for (ThreadState* state : q.dirty) {
     if (state->dirty) {
       state->dirty = false;
-      dirty_threads_[marked++] = state;
+      q.dirty[marked++] = state;
     }
   }
-  dirty_threads_.resize(marked);
-  if (marked > tree_queue_.size()) {
+  q.dirty.resize(marked);
+  if (marked > q.tree.size()) {
     // More dirty threads than queued slots: one bulk pass is cheaper than
     // per-client updates (and covers the first sync after mass arrivals).
     full_syncs_->Inc();
-    for (ThreadState* state : tree_slot_owner_) {
+    for (ThreadState* state : q.slot_owner) {
       if (state == nullptr) {
         continue;
       }
-      tree_queue_.SetWeight(state->tree_slot,
-                            state->client->Value().raw_unsigned());
+      q.tree.SetWeight(state->tree_slot,
+                       state->client->Value().raw_unsigned());
     }
   } else {
     // Threads not competing get a fresh weight from OnReady later. The
@@ -244,35 +275,35 @@ void LotteryScheduler::SyncTreeWeights() {
     // kReprice trace events on cache fills, so the survivors flush in
     // thread-id order: the trace then does not depend on the order the
     // marks arrived in.
-    std::erase_if(dirty_threads_,
+    std::erase_if(q.dirty,
                   [](const ThreadState* state) { return !state->in_queue; });
-    std::sort(dirty_threads_.begin(), dirty_threads_.end(),
+    std::sort(q.dirty.begin(), q.dirty.end(),
               [](const ThreadState* a, const ThreadState* b) {
                 return a->id < b->id;
               });
-    for (ThreadState* state : dirty_threads_) {
-      tree_queue_.SetWeight(state->tree_slot,
-                            state->client->Value().raw_unsigned());
+    for (ThreadState* state : q.dirty) {
+      q.tree.SetWeight(state->tree_slot,
+                       state->client->Value().raw_unsigned());
       leaf_updates_->Inc();
     }
   }
-  dirty_threads_.clear();
+  q.dirty.clear();
 }
 
-ThreadId LotteryScheduler::PickNextFromTree() {
-  util::SeqGuard guard(queue_seq_);
-  if (tree_queue_.empty()) {
+ThreadId LotteryScheduler::PickNextFromTree(RunQueue& q) {
+  util::SeqGuard guard(q.seq);
+  if (q.tree.empty()) {
     return kInvalidThreadId;
   }
   ++num_lotteries_;
   draws_->Inc();
   // Advance the clean-streak gate: a pick with no disturbance since the
   // previous one extends the streak that arms speculative batching.
-  if (pick_clean_) {
-    ++clean_streak_;
+  if (q.pick_clean) {
+    ++q.clean_streak;
   } else {
-    clean_streak_ = 0;
-    pick_clean_ = true;
+    q.clean_streak = 0;
+    q.pick_clean = true;
   }
   // Sample the wall-clock sync/draw split on the histogram cadence; the
   // clock reads would otherwise dominate a tree dispatch.
@@ -281,18 +312,18 @@ ThreadId LotteryScheduler::PickNextFromTree() {
   if (timed) {
     t0 = std::chrono::steady_clock::now();  // lotlint: wallclock-ok
   }
-  SyncTreeWeights();
+  SyncTreeWeights(q);
 #if LOT_INVARIANTS_ENABLED
   // Sampled O(n) sweep: the partial-sum total must equal the sum of the
   // live slots' weights, or incremental SetWeight updates have drifted.
   if (timing_tick_ % 64 == 1) {
     uint64_t weight_sum = 0;
-    for (ThreadState* s : tree_slot_owner_) {
+    for (ThreadState* s : q.slot_owner) {
       if (s != nullptr) {
-        weight_sum += tree_queue_.Weight(s->tree_slot);
+        weight_sum += q.tree.Weight(s->tree_slot);
       }
     }
-    LOT_ASSERT(weight_sum == tree_queue_.total(),
+    LOT_ASSERT(weight_sum == q.tree.total(),
                "tree lottery: partial sums out of sync with slot weights");
   }
 #endif
@@ -308,8 +339,8 @@ ThreadId LotteryScheduler::PickNextFromTree() {
   // so each winner is re-derivable from (snapshot, random value).
   if (etrace::On(options_.trace, etrace::kCatLotterySnapshot)) {
     uint32_t index = 0;
-    for (size_t slot = 0; slot < tree_slot_owner_.size(); ++slot) {
-      ThreadState* state = tree_slot_owner_[slot];
+    for (size_t slot = 0; slot < q.slot_owner.size(); ++slot) {
+      ThreadState* state = q.slot_owner[slot];
       if (state == nullptr) {
         continue;
       }
@@ -317,7 +348,7 @@ ThreadId LotteryScheduler::PickNextFromTree() {
       e.t_ns = options_.trace->now();
       e.a = state->id;
       e.b = index++;
-      e.v1 = tree_queue_.Weight(slot);
+      e.v1 = q.tree.Weight(slot);
       e.type = static_cast<uint16_t>(etrace::EventType::kCandidate);
       options_.trace->Append(e);
     }
@@ -326,36 +357,36 @@ ThreadId LotteryScheduler::PickNextFromTree() {
   uint64_t drawn_value = 0;
   std::optional<size_t> drawn;
   bool batched = false;
-  if (HasLiveBatch()) {
-    const BatchEntry& entry = batch_[batch_next_];
-    if (!restore_pending_ && rng_.state() == entry.pre_state) {
+  if (q.HasLiveBatch()) {
+    const BatchEntry& entry = q.batch[q.batch_next];
+    if (!q.restore_pending && q.rng.state() == entry.pre_state) {
       // Serve the pre-resolved winner: identical value, winner and RNG
       // stream to the descent this replaces.
       drawn_value = entry.value;
       drawn = entry.slot;
-      rng_.SetState(entry.post_state);
+      q.rng.SetState(entry.post_state);
       batched = true;
-      ++batch_next_;
+      ++q.batch_next;
       batch_draws_->Inc();
     } else {
       // The queue never returned to the formation state (winner came
-      // back changed) or someone else drew from rng_ in between.
-      FlushBatch();
+      // back changed) or someone else drew from q.rng in between.
+      FlushBatch(q);
     }
   }
   if (!batched) {
-    drawn = tree_queue_.Draw(rng_, &drawn_value);
+    drawn = q.tree.Draw(q.rng, &drawn_value);
   }
-  draw_cost_->RecordSampled(batched ? 1 : tree_queue_.draw_depth());
+  draw_cost_->RecordSampled(batched ? 1 : q.tree.draw_depth());
   if (drawn.has_value()) {
-    winner = tree_slot_owner_[*drawn];
+    winner = q.slot_owner[*drawn];
   } else {
     // All ready clients have zero funding; pick arbitrarily so no one
     // starves (uniform over the zero-funded set across draws).
     size_t index = static_cast<size_t>(
-        rng_.NextBelow(static_cast<uint32_t>(tree_queue_.size())));
+        q.rng.NextBelow(static_cast<uint32_t>(q.tree.size())));
     drawn_value = index;  // decision event: index into live slots
-    for (ThreadState* state : tree_slot_owner_) {
+    for (ThreadState* state : q.slot_owner) {
       if (state == nullptr) {
         continue;
       }
@@ -373,8 +404,8 @@ ThreadId LotteryScheduler::PickNextFromTree() {
     e.t_ns = options_.trace->now();
     e.a = winner->id;
     e.v1 = drawn_value;
-    e.v2 = tree_queue_.total();
-    e.v3 = tree_queue_.Weight(winner->tree_slot);
+    e.v2 = q.tree.total();
+    e.v3 = q.tree.Weight(winner->tree_slot);
     uint16_t flags = etrace::kDecisionTree;
     if (!drawn.has_value()) {
       flags |= etrace::kDecisionFallback;
@@ -388,22 +419,22 @@ ThreadId LotteryScheduler::PickNextFromTree() {
   }
   // Speculative batch formation happens before the winner's removal: this
   // exact queue state is what future draws see once the winner re-enters
-  // unchanged, and any deviation (tracked via restore_pending_ / dirty
+  // unchanged, and any deviation (tracked via q.restore_pending / dirty
   // marks) flushes the entries unserved.
-  if (options_.batch_window >= 2 && !HasLiveBatch() &&
-      clean_streak_ >= kBatchStreakMin && drawn.has_value()) {
-    FormBatch(tree_queue_.total());
+  if (options_.batch_window >= 2 && !q.HasLiveBatch() &&
+      q.clean_streak >= kBatchStreakMin && drawn.has_value()) {
+    FormBatch(q, q.tree.total());
   }
-  const uint64_t removed_weight = tree_queue_.Weight(winner->tree_slot);
-  tree_queue_.Remove(winner->tree_slot);
-  tree_slot_owner_[winner->tree_slot] = nullptr;
+  const uint64_t removed_weight = q.tree.Weight(winner->tree_slot);
+  q.tree.Remove(winner->tree_slot);
+  q.slot_owner[winner->tree_slot] = nullptr;
   winner->in_queue = false;
   // Track the winner's expected re-entry whether or not a batch is live:
   // the matching OnReady is the one queue change that keeps the
   // steady-state cycle "clean" (and a live batch valid).
-  restore_pending_ = true;
-  restore_slot_ = winner->tree_slot;
-  restore_weight_ = removed_weight;
+  q.restore_pending = true;
+  q.restore_slot = winner->tree_slot;
+  q.restore_weight = removed_weight;
   compensation_.OnQuantumStart(winner->client.get());
   if (timed) {
     const auto t2 = std::chrono::steady_clock::now();  // lotlint: wallclock-ok
@@ -414,14 +445,19 @@ ThreadId LotteryScheduler::PickNextFromTree() {
   return winner->id;
 }
 
-ThreadId LotteryScheduler::PickNext(SimTime now) {
+// lotlint: invariant-ok — PickFrom carries the checks.
+ThreadId LotteryScheduler::PickNext(SimTime now) { return PickFrom(0, now); }
+
+ThreadId LotteryScheduler::PickFrom(int queue, SimTime now) {
   // Advance the trace's sim-time cursor: everything recorded from here to
   // the dispatch (decisions, reprices, transfer churn) stamps this instant.
   etrace::SetNow(options_.trace, now.nanos());
+  RunQueue& q = QueueAt(queue);
   if (options_.backend != RunQueueBackend::kList) {
-    return PickNextFromTree();
+    return PickNextFromTree(q);
   }
-  if (run_queue_.empty()) {
+  ListLottery& list = q.list;
+  if (list.empty()) {
     return kInvalidThreadId;
   }
   ++num_lotteries_;
@@ -431,7 +467,7 @@ ThreadId LotteryScheduler::PickNext(SimTime now) {
   // whose running value sum exceeds the drawn random value.
   if (etrace::On(options_.trace, etrace::kCatLotterySnapshot)) {
     uint32_t index = 0;
-    for (Client* candidate : run_queue_.raw_order()) {
+    for (Client* candidate : list.raw_order()) {
       if (candidate == nullptr) {
         continue;
       }
@@ -445,16 +481,16 @@ ThreadId LotteryScheduler::PickNext(SimTime now) {
       options_.trace->Append(e);
     }
   }
-  const uint64_t scanned_before = run_queue_.total_scanned();
+  const uint64_t scanned_before = list.total_scanned();
   uint64_t drawn_value = 0;
-  Client* winner = run_queue_.Draw(rng_, &drawn_value);
-  draw_cost_->RecordSampled(run_queue_.total_scanned() - scanned_before);
+  Client* winner = list.Draw(q.rng, &drawn_value);
+  draw_cost_->RecordSampled(list.total_scanned() - scanned_before);
   bool fallback = false;
   if (winner == nullptr) {
     // Every ready client currently has zero funding (e.g. all their backing
     // is deactivated). Degrade to round-robin so no one starves: take the
     // front; the requeue path appends, rotating the list.
-    winner = run_queue_.Front();
+    winner = list.Front();
     fallback = true;
     ++num_zero_fallbacks_;
     zero_fallbacks_->Inc();
@@ -465,7 +501,7 @@ ThreadId LotteryScheduler::PickNext(SimTime now) {
     etrace::Event e;
     e.t_ns = options_.trace->now();
     e.v1 = drawn_value;
-    e.v2 = run_queue_.Total().raw_unsigned();
+    e.v2 = list.Total().raw_unsigned();
     e.v3 = winner->Value().raw_unsigned();
     e.flags = fallback ? etrace::kDecisionFallback : uint16_t{0};
     e.type = static_cast<uint16_t>(etrace::EventType::kDecision);
@@ -473,7 +509,7 @@ ThreadId LotteryScheduler::PickNext(SimTime now) {
     e.a = wit != by_client_.end() ? wit->second->id : kInvalidThreadId;
     options_.trace->Append(e);
   }
-  run_queue_.Remove(winner);
+  list.Remove(winner);
   const auto it = by_client_.find(winner);
   if (it == by_client_.end()) {
     throw std::logic_error("LotteryScheduler::PickNext: orphan client");
@@ -539,55 +575,91 @@ Funding LotteryScheduler::ThreadBaseValue(ThreadId id) {
   return value;
 }
 
-bool LotteryScheduler::HasThread(ThreadId id) const {
-  return threads_.find(id) != threads_.end();
-}
-
 bool LotteryScheduler::IsQueued(ThreadId id) const {
   const auto it = threads_.find(id);
   return it != threads_.end() && it->second.in_queue;
 }
 
-size_t LotteryScheduler::QueuedCount() const {
-  if (options_.backend == RunQueueBackend::kList) {
-    return run_queue_.size();
+int LotteryScheduler::QueueOf(ThreadId id) const {
+  const auto it = threads_.find(id);
+  if (it == threads_.end()) {
+    throw std::invalid_argument("LotteryScheduler: unknown thread " +
+                                std::to_string(id));
   }
-  util::SeqGuard guard(queue_seq_);
-  return tree_queue_.size();
+  return static_cast<int>(it->second.queue);
 }
 
-uint64_t LotteryScheduler::RunnableTickets() {
+size_t LotteryScheduler::QueuedCount(int queue) const {
+  const RunQueue& q = queues_[static_cast<size_t>(queue)];
   if (options_.backend == RunQueueBackend::kList) {
-    return run_queue_.Total().raw_unsigned();
+    return q.list.size();
   }
-  util::SeqGuard guard(queue_seq_);
-  SyncTreeWeights();
-  return tree_queue_.total();
+  util::SeqGuard guard(q.seq);
+  return q.tree.size();
 }
 
-std::vector<std::pair<ThreadId, uint64_t>> LotteryScheduler::QueuedSnapshot() {
+uint64_t LotteryScheduler::RunnableTickets(int queue) {
+  RunQueue& q = QueueAt(queue);
+  if (options_.backend == RunQueueBackend::kList) {
+    return q.list.Total().raw_unsigned();
+  }
+  util::SeqGuard guard(q.seq);
+  SyncTreeWeights(q);
+  return q.tree.total();
+}
+
+std::vector<std::pair<ThreadId, uint64_t>> LotteryScheduler::QueuedSnapshot(
+    int queue) {
+  RunQueue& q = QueueAt(queue);
   std::vector<std::pair<ThreadId, uint64_t>> out;
   if (options_.backend == RunQueueBackend::kList) {
-    for (Client* client : run_queue_.ClientsInOrder()) {
-      const auto it = by_client_.find(client);
-      if (it == by_client_.end()) {
-        continue;
-      }
-      out.emplace_back(it->second->id, client->Value().raw_unsigned());
+    for (Client* client : q.list.ClientsInOrder()) {
+      out.emplace_back(by_client_.at(client)->id,
+                       client->Value().raw_unsigned());
     }
     return out;
   }
-  util::SeqGuard guard(queue_seq_);
-  SyncTreeWeights();
-  out.reserve(tree_queue_.size());
+  util::SeqGuard guard(q.seq);
+  SyncTreeWeights(q);
+  out.reserve(q.tree.size());
   // Slot order: small dense indices, stable between structural changes.
-  for (ThreadState* state : tree_slot_owner_) {
+  for (ThreadState* state : q.slot_owner) {
     if (state == nullptr) {
       continue;
     }
-    out.emplace_back(state->id, tree_queue_.Weight(state->tree_slot));
+    out.emplace_back(state->id, q.tree.Weight(state->tree_slot));
   }
   return out;
+}
+
+void LotteryScheduler::CheckQueues() const {
+  size_t members = 0;
+  for (size_t i = 0; i < queues_.size(); ++i) {
+    members += QueuedCount(static_cast<int>(i));
+  }
+  // Each queued thread is a member of its home queue, and there are as
+  // many queued threads as members, so no queue holds anyone else.
+  size_t queued = 0;
+  // lotlint: ordered-ok — any violation throws; visiting order is moot.
+  for (const auto& [id, state] : threads_) {
+    if (!state.in_queue) {
+      continue;
+    }
+    ++queued;
+    const RunQueue& q = queues_[state.queue];
+    util::SeqGuard guard(q.seq);
+    if (options_.backend == RunQueueBackend::kList
+            ? !q.list.Contains(state.client.get())
+            : q.slot_owner[state.tree_slot] != &state) {
+      throw std::logic_error("LotteryScheduler: queued thread " +
+                             std::to_string(id) + " not in its home queue");
+    }
+  }
+  if (queued != members) {
+    throw std::logic_error("LotteryScheduler: " + std::to_string(members) +
+                           " queue members but " + std::to_string(queued) +
+                           " queued threads");
+  }
 }
 
 }  // namespace lottery

@@ -9,6 +9,11 @@
 // under-consumed quanta and cleared when the thread next starts a quantum;
 // blocked threads deactivate, which is what gives ticket transfers their
 // semantics.
+//
+// The scheduler is one ticket economy (the currency table, compensation,
+// and each thread's client, currency and self ticket) over one or more run
+// queues. A plain scheduler has one; smp::SmpScheduler derives from this
+// class with one queue per CPU, so transfers and inheritance cross CPUs.
 
 #ifndef SRC_CORE_LOTTERY_SCHEDULER_H_
 #define SRC_CORE_LOTTERY_SCHEDULER_H_
@@ -52,8 +57,9 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
     // 0 or 1 disables batching.
     uint32_t batch_window = 8;
     // List backend cap: the list's O(n) draw is ~280x the tree's at 10k
-    // clients, so past this many threads AddThread throws. 0 disables the
-    // limit (benches that measure the list's scaling curve opt out).
+    // clients, so past this many threads homed on one run queue AddThread
+    // throws. 0 disables the limit (benches that measure the list's scaling
+    // curve opt out).
     size_t list_max_threads = 1024;
     // Metric sink; nullptr selects obs::Registry::Default(). Tests pass
     // their own registry for isolated counter assertions.
@@ -80,6 +86,7 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   void OnQuantumEnd(ThreadId id, SimDuration used, SimDuration quantum,
                     SimTime now) override;
   std::string name() const override { return "lottery"; }
+  LotteryScheduler* economy() override { return this; }
 
   // --- Funding API (the paper's user-level commands) -----------------------
 
@@ -105,29 +112,28 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   // the base entitlement the fairness-lag auditor accrues against. Defined
   // whether or not the thread is queued (the sampler decides inclusion from
   // the kernel's runnable bit, which also covers the currently-running
-  // thread the queue no longer holds). Zero for threads not in this table.
+  // thread the queue no longer holds). Zero for unknown threads.
   // Read-only: exact integer rescale, never touches the RNG or the queue.
   Funding ThreadBaseValue(ThreadId id);
 
-  // --- SMP partitioning support (src/sched/smp/) ---------------------------
-  // Read-only views the SmpScheduler's balancer consults between dispatches.
+  // --- Run-queue views (the SmpScheduler's balancer reads these) ----------
+  // `queue` indexes the run queues; a plain scheduler has only queue 0.
 
-  // True iff `id` has been AddThread'ed here and not removed.
-  bool HasThread(ThreadId id) const;
-  // True iff the thread is sitting in the run queue (ready, not dispatched).
+  // True iff the thread is sitting in a run queue (ready, not dispatched).
   bool IsQueued(ThreadId id) const;
   // Number of queued (ready, undispatched) threads.
-  size_t QueuedCount() const;
+  size_t QueuedCount(int queue = 0) const;
   // Total runnable ticket value across the run queue, in raw Funding units.
   // Incremental: the list backend returns its cached Total(); the tree
   // backend flushes only the clients the currency table marked dirty since
   // the last sync (the same dirty-propagation pass a dispatch would run).
-  uint64_t RunnableTickets();
+  uint64_t RunnableTickets(int queue = 0);
   // (thread, raw value) of every queued thread, in deterministic queue
   // order — the candidate set for the balancer's steal lottery.
-  std::vector<std::pair<ThreadId, uint64_t>> QueuedSnapshot();
+  std::vector<std::pair<ThreadId, uint64_t>> QueuedSnapshot(int queue = 0);
 
-  FastRand& rng() { return rng_; }  // lotlint: stream(scheduler)
+  // Queue 0's dispatch stream, which the kernel services' draws share.
+  FastRand& rng() { return queues_[0].rng; }  // lotlint: stream(scheduler)
   const CompensationPolicy& compensation() const { return compensation_; }
 
   // Attaches (or detaches, with nullptr) the structured-event trace at
@@ -141,7 +147,6 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   uint64_t num_lotteries() const { return num_lotteries_; }
   // Draws decided by the zero-funding round-robin fallback.
   uint64_t num_zero_fallbacks() const { return num_zero_fallbacks_; }
-  const ListLottery& run_queue() const { return run_queue_; }
   // The registry this scheduler's obs hooks write into.
   obs::Registry& metrics() { return *metrics_; }
   // Counts one ticket transfer against this scheduler (lottery.transfers).
@@ -149,30 +154,92 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   // TicketTransfer they create on behalf of a blocking thread.
   void NoteTransfer() { transfers_->Inc(); }
 
+ protected:
+  // One economy with one run queue per seed: queue i dispatches from its
+  // own stream, seeded with queue_seeds[i] (`options.seed` is unused).
+  LotteryScheduler(Options options, const std::vector<uint32_t>& queue_seeds);
+
+  // AddThread with the thread homed on `queue` (AddThread homes on 0).
+  void AddThreadOn(ThreadId id, int queue);
+  // PickNext from one run queue.
+  ThreadId PickFrom(int queue, SimTime now);
+  // Moves a queued thread's slot to `queue`. The thread keeps its client,
+  // currency, funding and compensation: only its run queue changes.
+  void MoveQueued(ThreadId id, int queue);
+  // The run queue the thread is homed on.
+  int QueueOf(ThreadId id) const;
+  // Every queue member is a queued thread homed there, and every queued
+  // thread is a member of its home queue. Throws std::logic_error.
+  void CheckQueues() const;
+  etrace::TraceBuffer* trace() const { return options_.trace; }
+
  private:
   struct ThreadState {
     ThreadId id = kInvalidThreadId;
+    uint32_t queue = 0;  // home run queue
     std::unique_ptr<Client> client;
     Currency* currency = nullptr;
     Ticket* self_ticket = nullptr;
     bool in_queue = false;
     size_t tree_slot = 0;  // valid while in_queue under the tree backend
     // Tree backend: value changed since the last sync and not yet folded
-    // into the tree; listed in dirty_threads_.
+    // into the tree; listed in its queue's dirty list.
     bool dirty = false;
   };
 
   // One speculatively pre-drawn winner. pre_state/post_state bracket the
   // RNG stream the equivalent unbatched draw would have consumed: an entry
-  // is served only when rng_ sits exactly at pre_state, and serving it
-  // advances rng_ to post_state — so external rng() consumers (the kernel
-  // services draw jitter from the same stream) simply invalidate the batch
-  // instead of observing a perturbed generator.
+  // is served only when the queue's rng sits exactly at pre_state, and
+  // serving it advances the rng to post_state — so external rng() consumers
+  // (the kernel services draw from queue 0's stream) simply invalidate the
+  // batch instead of observing a perturbed generator.
   struct BatchEntry {
     uint64_t value = 0;  // drawn random in [0, total)
     size_t slot = 0;     // pre-resolved winner slot
     uint32_t pre_state = 0;
     uint32_t post_state = 0;
+  };
+
+  // The per-CPU half of the scheduler: everything a dispatch touches that
+  // is not the economy. Only the backend's half is used.
+  struct RunQueue {
+    FastRand rng;  // lotlint: stream(scheduler)
+    ListLottery list;
+    // Serialization domain for the tree and its slot-to-owner map: the
+    // state a real SMP kernel would put behind a per-queue lock.
+    // PickNextFromTree holds it for the whole pick; enqueue/dequeue enter
+    // it around their tree mutations.
+    mutable util::Seq seq;
+    TreeLottery tree GUARDED_BY(seq);
+    // Slot -> owning thread state, nullptr for free slots. Slots are small
+    // dense indices recycled by TreeLottery, and unordered_map nodes give
+    // ThreadState a stable address, so a flat vector of pointers makes
+    // winner resolution a single indexed load (a hash map here shows up at
+    // 10k clients in bench_draw_overhead's churn rig).
+    std::vector<ThreadState*> slot_owner GUARDED_BY(seq);
+    // Threads homed here marked dirty since the last sync, the ListLottery
+    // idiom: a mark sets ThreadState::dirty and appends, enqueueing clears
+    // the bit (the entry stays, stale), and the sync skips unset bits and
+    // clear()s the vector — O(marked). A hash set would cost O(largest set
+    // ever held) per reset: clear() zeroes every bucket, and the arrival
+    // burst of a large population grows the bucket array to the whole
+    // population.
+    std::vector<ThreadState*> dirty;
+    size_t homed = 0;  // threads homed here (the list_max_threads count)
+    // Batching state. The steady-state dispatch cycle is pick (winner
+    // leaves the queue) -> quantum -> OnReady (winner re-enters at the same
+    // recycled slot with the same weight); restore_* tracks whether the
+    // queue has returned to the exact state a live batch was formed
+    // against, and pick_clean whether anything else moved between picks.
+    std::vector<BatchEntry> batch;
+    size_t batch_next = 0;
+    uint32_t clean_streak = 0;
+    bool pick_clean = true;
+    bool restore_pending = false;
+    size_t restore_slot = 0;
+    uint64_t restore_weight = 0;
+
+    bool HasLiveBatch() const { return batch_next < batch.size(); }
   };
 
   // Consecutive mutation-free picks required before forming a batch, so
@@ -183,69 +250,46 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   static constexpr int64_t kThreadTicketAmount = 1000;
 
   ThreadState& StateOf(ThreadId id);
+  RunQueue& QueueAt(int queue) { return queues_[static_cast<size_t>(queue)]; }
+  // Enters / leaves the thread's home queue (in_queue must be clear / set).
+  void Enqueue(ThreadState& state);
+  void Dequeue(ThreadState& state);
   // Tree backend: re-push into the partial-sum weights the values of
   // exactly the clients the currency table reported dirty since the last
   // sync — O(dirty · lg n) instead of O(n · lg n) per dispatch. Falls back
   // to one full resync (tree.full_syncs) when more threads are dirty than
   // queued.
-  void SyncTreeWeights() REQUIRES(queue_seq_);
-  ThreadId PickNextFromTree();
+  void SyncTreeWeights(RunQueue& q) REQUIRES(q.seq);
+  ThreadId PickNextFromTree(RunQueue& q);
 
   // Speculative batching (tree backend only).
-  bool HasLiveBatch() const { return batch_next_ < batch_.size(); }
-  void FlushBatch();
+  void FlushBatch(RunQueue& q);
   // Any run-queue perturbation: flush the batch and break the clean streak.
   // Fires reentrantly (via OnClientValueDirty) from inside guarded scopes,
-  // so the batch/streak state is deliberately outside queue_seq_.
-  void NoteDisturbance();
-  void FormBatch(uint64_t total) REQUIRES(queue_seq_);
+  // so the batch/streak state is deliberately outside the queue's seq.
+  void NoteDisturbance(RunQueue& q) {
+    q.pick_clean = false;
+    q.clean_streak = 0;
+    if (q.HasLiveBatch()) {
+      FlushBatch(q);
+    }
+  }
+  void FormBatch(RunQueue& q, uint64_t total) REQUIRES(q.seq);
 
   // ValueObserver (registered with table_ under the tree backend only; the
-  // list backend's run_queue_ observes the table itself).
+  // list backend's queues observe the table themselves).
   void OnClientValueDirty(Client* client) override;
 
   Options options_;
-  FastRand rng_;  // lotlint: stream(scheduler)
   CurrencyTable table_;
   CompensationPolicy compensation_;
-  ListLottery run_queue_;
-  // Serialization domain for the tree run queue and its slot-to-owner
-  // map: the state the SMP per-CPU partitioning must put behind a per-queue
-  // lock. PickNextFromTree holds it for the whole pick; OnReady/OnBlocked/
-  // RemoveThread enter it around their queue mutations.
-  mutable util::Seq queue_seq_;
-  TreeLottery tree_queue_ GUARDED_BY(queue_seq_);
-  // Slot -> owning thread state, nullptr for free slots. Slots are small
-  // dense indices recycled by TreeLottery, and unordered_map nodes give
-  // ThreadState a stable address, so a flat vector of pointers makes winner
-  // resolution a single indexed load (a hash map here shows up at 10k
-  // clients in bench_draw_overhead's churn rig).
-  std::vector<ThreadState*> tree_slot_owner_ GUARDED_BY(queue_seq_);
-  // Threads marked dirty since the last sync, the ListLottery idiom: a mark
-  // sets ThreadState::dirty and appends, OnReady clears the bit (the entry
-  // stays, stale), and the sync skips unset bits and clear()s the vector —
-  // O(marked). A hash set would cost O(largest set ever held) per reset:
-  // clear() zeroes every bucket, and the arrival burst of a large
-  // population grows the bucket array to the whole population.
-  std::vector<ThreadState*> dirty_threads_;
+  // Sized once at construction (RunQueue is not movable).
+  std::vector<RunQueue> queues_;
   std::unordered_map<ThreadId, ThreadState> threads_;
   std::unordered_map<const Client*, ThreadState*> by_client_;
   uint64_t num_lotteries_ = 0;
   uint64_t num_zero_fallbacks_ = 0;
   uint64_t timing_tick_ = 0;
-
-  // Batching state. The steady-state dispatch cycle is pick (winner leaves
-  // the queue) -> quantum -> OnReady (winner re-enters at the same recycled
-  // slot with the same weight); restore_* tracks whether the queue has
-  // returned to the exact state a live batch was formed against, and
-  // pick_clean_ whether anything else moved between picks.
-  std::vector<BatchEntry> batch_;
-  size_t batch_next_ = 0;
-  uint32_t clean_streak_ = 0;
-  bool pick_clean_ = true;
-  bool restore_pending_ = false;
-  size_t restore_slot_ = 0;
-  uint64_t restore_weight_ = 0;
   // Scratch for FormBatch (avoids per-batch allocations).
   std::vector<uint64_t> batch_values_;
   std::vector<size_t> batch_slots_;

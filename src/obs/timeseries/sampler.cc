@@ -102,7 +102,7 @@ void Sampler::AttachScheduler(LotteryScheduler* sched) {
 
 void Sampler::AttachSmp(smp::SmpScheduler* smp) {
   smp_ = smp;
-  sched_ = nullptr;
+  sched_ = smp;
   if (cpus_.empty()) {
     for (int c = 0; c < kernel_->num_cpus(); ++c) {
       CpuState state;
@@ -166,9 +166,7 @@ void Sampler::WatchCounter(const std::string& name) {
 
 uint64_t Sampler::BaseValueRaw(ThreadId tid, double* base_units) {
   Funding value = Funding::Zero();
-  if (smp_ != nullptr) {
-    value = smp_->ThreadBaseValue(tid);
-  } else if (sched_ != nullptr) {
+  if (sched_ != nullptr) {
     value = sched_->ThreadBaseValue(tid);
   }
   *base_units += value.ToBaseF();
@@ -417,7 +415,7 @@ int64_t Sampler::Sample(SimTime now) {
     cpu.last_busy_ns = busy_ns;
     if (smp_ != nullptr) {
       series_[cpu.s_queued].series.Record(
-          t, static_cast<double>(smp_->cpu(cpu.index).QueuedCount()));
+          t, static_cast<double>(smp_->QueuedCount(cpu.index)));
       series_[cpu.s_steals].series.Record(
           t, static_cast<double>(cpu.steals_in->value()));
     }

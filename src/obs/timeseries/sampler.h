@@ -155,8 +155,9 @@ class Sampler : public SampleHook {
   // --- Setup (allocates; call before the steady state) ----------------------
 
   // Entitlement source: exactly one of these, matching the kernel's policy
-  // scheduler. Without one, lag/share auditing is disabled (weights are
-  // unknown) and only kernel-level series record.
+  // scheduler (AttachSmp also records the per-CPU queue and steal series).
+  // Without one, lag/share auditing is disabled (weights are unknown) and
+  // only kernel-level series record.
   void AttachScheduler(LotteryScheduler* sched);
   void AttachSmp(smp::SmpScheduler* smp);
 

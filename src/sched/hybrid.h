@@ -38,9 +38,6 @@ class HybridScheduler : public Scheduler {
   void ClearFixedPriority(ThreadId id);
   bool IsFixedPriority(ThreadId id) const;
 
-  // Funding API is forwarded to the embedded lottery scheduler.
-  LotteryScheduler& lottery() { return lottery_; }
-
   // --- Scheduler interface -------------------------------------------------
   void AddThread(ThreadId id, SimTime now) override;
   void RemoveThread(ThreadId id, SimTime now) override;
@@ -49,8 +46,10 @@ class HybridScheduler : public Scheduler {
   ThreadId PickNext(SimTime now) override;
   void OnQuantumEnd(ThreadId id, SimDuration used, SimDuration quantum,
                     SimTime now) override;
-  void Tick(SimTime now) override { lottery_.Tick(now); }
   std::string name() const override { return "hybrid"; }
+  // The embedded lottery scheduler: funding goes through it, and the
+  // kernel services transfer and inherit in its economy.
+  LotteryScheduler* economy() override { return &lottery_; }
 
  private:
   LotteryScheduler lottery_;

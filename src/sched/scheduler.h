@@ -30,6 +30,8 @@ namespace lottery {
 using ThreadId = uint32_t;
 inline constexpr ThreadId kInvalidThreadId = 0xFFFFFFFFu;
 
+class LotteryScheduler;
+
 class Scheduler {
  public:
   virtual ~Scheduler() = default;
@@ -59,6 +61,12 @@ class Scheduler {
   // num_cpus works (single-queue schedulers). The kernel rejects a mismatch
   // at construction, before any dispatch can target a nonexistent queue.
   virtual int partitioned_cpus() const { return 0; }
+
+  // The ticket economy (currency table, transfers, compensation) behind
+  // this policy, which the kernel services fund and inherit through; null
+  // for the ticketless baselines (round-robin, priority, decay-usage,
+  // stride), under which those services fall back to FIFO.
+  virtual LotteryScheduler* economy() { return nullptr; }
 
   // The dispatched thread ran for `used` out of an allotted `quantum`.
   virtual void OnQuantumEnd(ThreadId id, SimDuration used, SimDuration quantum,

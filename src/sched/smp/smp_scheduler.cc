@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "src/core/client.h"
 #include "src/obs/etrace/trace_buffer.h"
 #include "src/util/invariant.h"
 
@@ -27,41 +26,48 @@ CrossbarSwitch::Options XbarOptions(const SmpScheduler::Options& options) {
   return x;
 }
 
+LotteryScheduler::Options EconomyOptions(const SmpScheduler::Options& options) {
+  LotteryScheduler::Options o = options.cpu;
+  o.metrics = options.metrics;
+  o.trace = options.trace;
+  return o;
+}
+
+// CPU 0 dispatches from the user seed verbatim, CPU i > 0 from a derived one.
+std::vector<uint32_t> QueueSeeds(const SmpScheduler::Options& options) {
+  if (options.num_cpus < 1) {
+    throw std::invalid_argument("SmpScheduler: need at least one CPU");
+  }
+  std::vector<uint32_t> seeds{options.seed};
+  for (int i = 1; i < options.num_cpus; ++i) {
+    seeds.push_back(
+        DeriveSeed(options.seed, 0x09000000u + static_cast<uint32_t>(i)));
+  }
+  return seeds;
+}
+
 }  // namespace
 
 SmpScheduler::SmpScheduler(Options options)
-    : options_(options),
+    : LotteryScheduler(EconomyOptions(options), QueueSeeds(options)),
+      options_(options),
       domains_(options.num_cpus),
       balance_rng_(DeriveSeed(options.seed, 0xba1a6ceu)),
       xbar_rng_(DeriveSeed(options.seed, 0xc6055bau)),
       xbar_(XbarOptions(options), &xbar_rng_),
-      metrics_(options.metrics != nullptr ? options.metrics
-                                          : &obs::Registry::Default()),
-      m_steals_(metrics_->counter("smp.steals")),
-      m_migrations_(metrics_->counter("smp.migrations")),
-      m_balance_checks_(metrics_->counter("smp.balance_checks")),
-      m_cost_vetoes_(metrics_->counter("smp.cost_vetoes")),
-      m_xbar_cells_(metrics_->counter("smp.xbar_cells")) {
-  if (options_.num_cpus < 1) {
-    throw std::invalid_argument("SmpScheduler: need at least one CPU");
-  }
+      m_steals_(metrics().counter("smp.steals")),
+      m_migrations_(metrics().counter("smp.migrations")),
+      m_balance_checks_(metrics().counter("smp.balance_checks")),
+      m_cost_vetoes_(metrics().counter("smp.cost_vetoes")),
+      m_xbar_cells_(metrics().counter("smp.xbar_cells")) {
   if (options_.balance_period < 1) {
     throw std::invalid_argument("SmpScheduler: balance_period must be >= 1");
   }
-  cpus_.reserve(static_cast<size_t>(options_.num_cpus));
-  m_cpu_dispatches_.reserve(static_cast<size_t>(options_.num_cpus));
   for (int i = 0; i < options_.num_cpus; ++i) {
-    LotteryScheduler::Options o = options_.cpu;
-    o.seed = (i == 0) ? options_.seed
-                      : DeriveSeed(options_.seed,
-                                   0x09000000u + static_cast<uint32_t>(i));
-    o.metrics = metrics_;
-    o.trace = options_.trace;
-    cpus_.push_back(std::make_unique<LotteryScheduler>(o));
     const std::string prefix = "smp.cpu" + std::to_string(i) + ".";
-    m_cpu_dispatches_.push_back(metrics_->counter(prefix + "dispatches"));
-    m_cpu_steals_in_.push_back(metrics_->counter(prefix + "steals_in"));
-    m_cpu_steals_out_.push_back(metrics_->counter(prefix + "steals_out"));
+    m_cpu_dispatches_.push_back(metrics().counter(prefix + "dispatches"));
+    m_cpu_steals_in_.push_back(metrics().counter(prefix + "steals_in"));
+    m_cpu_steals_out_.push_back(metrics().counter(prefix + "steals_out"));
   }
   running_tid_.assign(static_cast<size_t>(options_.num_cpus),
                       kInvalidThreadId);
@@ -70,63 +76,35 @@ SmpScheduler::SmpScheduler(Options options)
 
 SmpScheduler::~SmpScheduler() = default;
 
-SmpScheduler::ThreadRec& SmpScheduler::RecOf(ThreadId id) {
-  const auto it = recs_.find(id);
-  if (it == recs_.end()) {
-    throw std::invalid_argument("SmpScheduler: unknown thread " +
-                                std::to_string(id));
-  }
-  return it->second;
-}
-
-const SmpScheduler::ThreadRec& SmpScheduler::RecOf(ThreadId id) const {
-  const auto it = recs_.find(id);
-  if (it == recs_.end()) {
-    throw std::invalid_argument("SmpScheduler: unknown thread " +
-                                std::to_string(id));
-  }
-  return it->second;
-}
-
-void SmpScheduler::AddThread(ThreadId id, SimTime now) {
-  if (recs_.count(id) > 0) {
-    throw std::invalid_argument("SmpScheduler::AddThread: duplicate id");
-  }
+void SmpScheduler::AddThread(ThreadId id, SimTime /*now*/) {
   // Round-robin spawn placement: deterministic and already value-balanced
   // for homogeneous spawns; the balancer corrects everything else.
   const int home = next_home_;
   next_home_ = (next_home_ + 1) % options_.num_cpus;
-  cpus_[static_cast<size_t>(home)]->AddThread(id, now);
-  ThreadRec rec;
-  rec.home = home;
-  recs_.emplace(id, std::move(rec));
+  AddThreadOn(id, home);
 }
 
-void SmpScheduler::ClearRunning(ThreadRec& rec) {
-  if (rec.running && rec.running_cpu >= 0) {
-    running_tid_[static_cast<size_t>(rec.running_cpu)] = kInvalidThreadId;
+void SmpScheduler::ClearRunning(ThreadId id) {
+  // A running thread is never migrated, so it runs on its home CPU.
+  ThreadId& running = running_tid_[static_cast<size_t>(QueueOf(id))];
+  if (running == id) {
+    running = kInvalidThreadId;
   }
-  rec.running = false;
-  rec.running_cpu = -1;
 }
 
 void SmpScheduler::RemoveThread(ThreadId id, SimTime now) {
-  ThreadRec& rec = RecOf(id);
-  cpus_[static_cast<size_t>(rec.home)]->RemoveThread(id, now);
-  ClearRunning(rec);
-  recs_.erase(id);
+  ClearRunning(id);
+  LotteryScheduler::RemoveThread(id, now);
 }
 
 void SmpScheduler::OnReady(ThreadId id, SimTime now) {
-  ThreadRec& rec = RecOf(id);
-  ClearRunning(rec);
-  cpus_[static_cast<size_t>(rec.home)]->OnReady(id, now);
+  ClearRunning(id);
+  LotteryScheduler::OnReady(id, now);
 }
 
 void SmpScheduler::OnBlocked(ThreadId id, SimTime now) {
-  ThreadRec& rec = RecOf(id);
-  ClearRunning(rec);
-  cpus_[static_cast<size_t>(rec.home)]->OnBlocked(id, now);
+  ClearRunning(id);
+  LotteryScheduler::OnBlocked(id, now);
 }
 
 ThreadId SmpScheduler::PickNextOnCpu(int cpu, SimTime now) {
@@ -135,18 +113,15 @@ ThreadId SmpScheduler::PickNextOnCpu(int cpu, SimTime now) {
   }
   const size_t c = static_cast<size_t>(cpu);
   if (options_.steal_enabled && options_.num_cpus > 1) {
-    if (cpus_[c]->QueuedCount() == 0) {
+    if (QueuedCount(cpu) == 0) {
       TryIdleSteal(cpu, now);
     } else if (++since_balance_[c] >= options_.balance_period) {
       since_balance_[c] = 0;
       TryBalanceSteal(cpu, now);
     }
   }
-  const ThreadId tid = cpus_[c]->PickNext(now);
+  const ThreadId tid = PickFrom(cpu, now);
   if (tid != kInvalidThreadId) {
-    ThreadRec& rec = RecOf(tid);
-    rec.running = true;
-    rec.running_cpu = cpu;
     running_tid_[c] = tid;
     m_cpu_dispatches_[c]->Inc();
   }
@@ -160,51 +135,18 @@ void SmpScheduler::OnQuantumEnd(ThreadId id, SimDuration used,
   // requeue/block that follows: on a multi-CPU kernel the slice is still in
   // flight when OnQuantumEnd arrives, and the balancer should keep seeing
   // the CPU as loaded for that window.
-  cpus_[static_cast<size_t>(RecOf(id).home)]->OnQuantumEnd(id, used, quantum,
-                                                           now);
+  LotteryScheduler::OnQuantumEnd(id, used, quantum, now);
 }
 
-void SmpScheduler::Tick(SimTime now) {
-  for (const auto& cpu : cpus_) {
-    cpu->Tick(now);
-  }
-}
-
-void SmpScheduler::FundThread(ThreadId id, int64_t amount) {
-  ThreadRec& rec = RecOf(id);
-  LotteryScheduler& home = *cpus_[static_cast<size_t>(rec.home)];
-  home.FundThread(id, home.table().base(), amount);
-  rec.funding.push_back(amount);
-}
-
-int64_t SmpScheduler::FundedAmount(ThreadId id) const {
-  int64_t total = 0;
-  for (const int64_t amount : RecOf(id).funding) {
-    total += amount;
-  }
-  return total;
-}
-
-int SmpScheduler::HomeCpu(ThreadId id) const { return RecOf(id).home; }
-
-Funding SmpScheduler::ThreadBaseValue(ThreadId id) {
-  const auto it = recs_.find(id);
-  if (it == recs_.end()) {
-    return Funding::Zero();
-  }
-  return cpus_[static_cast<size_t>(it->second.home)]->ThreadBaseValue(id);
-}
-
-uint64_t SmpScheduler::ThreadMigrations(ThreadId id) const {
-  return RecOf(id).migrations;
+Ticket* SmpScheduler::FundThread(ThreadId id, int64_t amount) {
+  return FundThread(id, table().base(), amount);
 }
 
 uint64_t SmpScheduler::AssignedValue(int c) {
-  const size_t i = static_cast<size_t>(c);
-  uint64_t total = cpus_[i]->RunnableTickets();
-  const ThreadId running = running_tid_[i];
+  uint64_t total = RunnableTickets(c);
+  const ThreadId running = running_tid_[static_cast<size_t>(c)];
   if (running != kInvalidThreadId) {
-    total += cpus_[i]->ThreadValue(running).raw_unsigned();
+    total += ThreadValue(running).raw_unsigned();
   }
   return total;
 }
@@ -221,12 +163,11 @@ void SmpScheduler::TryIdleSteal(int cpu, SimTime now) {
       if (c == cpu) {
         continue;
       }
-      const size_t queued = cpus_[static_cast<size_t>(c)]->QueuedCount();
+      const size_t queued = QueuedCount(c);
       if (queued == 0) {
         continue;
       }
-      const uint64_t value =
-          cpus_[static_cast<size_t>(c)]->RunnableTickets();
+      const uint64_t value = RunnableTickets(c);
       // Busiest by ticket value; more queued threads break ties, then the
       // lowest index (the ascending scan with strict > keeps the first).
       if (victim < 0 || value > best_value ||
@@ -239,12 +180,11 @@ void SmpScheduler::TryIdleSteal(int cpu, SimTime now) {
     if (victim < 0) {
       continue;
     }
-    const ThreadId migrant = PickMigrant(
-        cpus_[static_cast<size_t>(victim)]->QueuedSnapshot(), 0);
+    const ThreadId migrant = PickMigrant(QueuedSnapshot(victim), 0);
     if (migrant == kInvalidThreadId) {
       return;
     }
-    DoMigrate(migrant, victim, cpu, now, level,
+    DoMigrate(migrant, victim, cpu, now,
               static_cast<uint16_t>(etrace::EventType::kSteal), best_value);
     return;
   }
@@ -258,7 +198,7 @@ void SmpScheduler::TryBalanceSteal(int cpu, SimTime now) {
     int victim = -1;
     uint64_t best = 0;
     for (int c = d.first; c < d.first + d.count; ++c) {
-      if (c == cpu || cpus_[static_cast<size_t>(c)]->QueuedCount() == 0) {
+      if (c == cpu || QueuedCount(c) == 0) {
         continue;
       }
       const uint64_t value = AssignedValue(c);
@@ -295,8 +235,8 @@ void SmpScheduler::TryBalanceSteal(int cpu, SimTime now) {
     if (imbalance < 2) {
       continue;  // no migrant below a gap of 1 can exist
     }
-    const ThreadId migrant = PickMigrant(
-        cpus_[static_cast<size_t>(victim)]->QueuedSnapshot(), imbalance - 1);
+    const ThreadId migrant =
+        PickMigrant(QueuedSnapshot(victim), imbalance - 1);
     if (migrant == kInvalidThreadId) {
       continue;  // granularity floor here; a wider victim may divide finer
     }
@@ -314,7 +254,7 @@ void SmpScheduler::TryBalanceSteal(int cpu, SimTime now) {
       m_cost_vetoes_->Inc();
       return;
     }
-    DoMigrate(migrant, victim, cpu, now, level,
+    DoMigrate(migrant, victim, cpu, now,
               static_cast<uint16_t>(etrace::EventType::kMigrate), imbalance);
     return;
   }
@@ -384,37 +324,12 @@ int64_t SmpScheduler::PredictCostNs(int src, int dst, int level) {
 }
 
 void SmpScheduler::DoMigrate(ThreadId id, int src, int dst, SimTime now,
-                             int level, uint16_t type, uint64_t imbalance) {
-  (void)level;
-  ThreadRec& rec = RecOf(id);
-  LOT_ASSERT(rec.home == src, "SmpScheduler: migrant not homed on source");
-  LotteryScheduler& from = *cpus_[static_cast<size_t>(src)];
-  LotteryScheduler& to = *cpus_[static_cast<size_t>(dst)];
-  if (!from.IsQueued(id)) {
-    throw std::logic_error(
-        "SmpScheduler: migrating a thread not in the source queue");
-  }
-  const uint64_t value = from.ThreadValue(id).raw_unsigned();
-  // Compensation must survive the move (the paper's guarantee is about the
-  // thread, not the queue it happens to sit in): capture the ratio before
-  // the source client is destroyed, re-apply on the destination client.
-  const Client* old_client = from.client(id);
-  const int64_t comp_num = old_client->compensation_num();
-  const int64_t comp_den = old_client->compensation_den();
-  // RemoveThread retires the source-side currency and every ticket funding
-  // it, so each table stays conserved; the facade's funding record is the
-  // cross-table invariant (FundedAmount never changes here).
-  from.RemoveThread(id, now);
-  rec.home = dst;
-  ++rec.migrations;
-  to.AddThread(id, now);
-  for (const int64_t amount : rec.funding) {
-    to.FundThread(id, to.table().base(), amount);
-  }
-  if (comp_num != comp_den) {
-    to.client(id)->SetCompensation(comp_num, comp_den);
-  }
-  to.OnReady(id, now);
+                             uint16_t type, uint64_t imbalance) {
+  LOT_ASSERT(QueueOf(id) == src, "SmpScheduler: migrant not homed on source");
+  const uint64_t value = ThreadValue(id).raw_unsigned();
+  // The slot moves; the thread's client, currency, funding and
+  // compensation stay where they are, in the one economy.
+  MoveQueued(id, dst);
 
   // Price the cache-footprint transfer on the victim->thief circuit. The
   // cells drain as simulated time advances past future migrations.
@@ -435,7 +350,7 @@ void SmpScheduler::DoMigrate(ThreadId id, int src, int dst, SimTime now,
   }
   m_cpu_steals_in_[static_cast<size_t>(dst)]->Inc();
   m_cpu_steals_out_[static_cast<size_t>(src)]->Inc();
-  if (etrace::On(options_.trace, etrace::kCatSched)) {
+  if (etrace::On(trace(), etrace::kCatSched)) {
     etrace::Event e;
     e.t_ns = now.nanos();
     e.a = id;
@@ -444,7 +359,7 @@ void SmpScheduler::DoMigrate(ThreadId id, int src, int dst, SimTime now,
     e.v2 = value;
     e.v3 = imbalance;
     e.type = type;
-    options_.trace->Append(e);
+    trace()->Append(e);
   }
 }
 
@@ -452,53 +367,25 @@ void SmpScheduler::Migrate(ThreadId id, int dst, SimTime now) {
   if (dst < 0 || dst >= options_.num_cpus) {
     throw std::out_of_range("SmpScheduler::Migrate: bad cpu");
   }
-  ThreadRec& rec = RecOf(id);
-  if (rec.home == dst) {
+  const int home = QueueOf(id);
+  if (home == dst) {
     throw std::invalid_argument("SmpScheduler::Migrate: already on cpu");
   }
-  if (rec.running) {
+  if (running_tid_[static_cast<size_t>(home)] == id) {
     throw std::invalid_argument("SmpScheduler::Migrate: thread is running");
   }
-  if (!cpus_[static_cast<size_t>(rec.home)]->IsQueued(id)) {
+  if (!IsQueued(id)) {
     throw std::invalid_argument("SmpScheduler::Migrate: thread not queued");
   }
-  DoMigrate(id, rec.home, dst, now, 0,
+  DoMigrate(id, home, dst, now,
             static_cast<uint16_t>(etrace::EventType::kMigrate), 0);
 }
 
 void SmpScheduler::CheckIntegrity() const {
-  for (const auto& [tid, rec] : recs_) {
-    if (rec.home < 0 || rec.home >= options_.num_cpus) {
-      throw std::logic_error("SmpScheduler: thread homed out of range");
-    }
-    int present = 0;
-    for (int c = 0; c < options_.num_cpus; ++c) {
-      if (cpus_[static_cast<size_t>(c)]->HasThread(tid)) {
-        ++present;
-        if (c != rec.home) {
-          throw std::logic_error(
-              "SmpScheduler: thread present on a non-home CPU");
-        }
-      }
-    }
-    if (present != 1) {
-      throw std::logic_error(
-          "SmpScheduler: thread present on " + std::to_string(present) +
-          " CPU tables (lost or duplicated)");
-    }
-    if (rec.running &&
-        cpus_[static_cast<size_t>(rec.home)]->IsQueued(tid)) {
-      throw std::logic_error("SmpScheduler: thread both queued and running");
-    }
-  }
+  CheckQueues();
   for (int c = 0; c < options_.num_cpus; ++c) {
     const ThreadId tid = running_tid_[static_cast<size_t>(c)];
-    if (tid == kInvalidThreadId) {
-      continue;
-    }
-    const auto it = recs_.find(tid);
-    if (it == recs_.end() || !it->second.running ||
-        it->second.running_cpu != c) {
+    if (tid != kInvalidThreadId && (QueueOf(tid) != c || IsQueued(tid))) {
       throw std::logic_error("SmpScheduler: running-thread map out of sync");
     }
   }

@@ -1,10 +1,12 @@
-// Partitioned SMP lottery scheduling: one LotteryScheduler per CPU behind
-// the generic Scheduler interface, with deterministic ticket-weighted work
-// stealing across hierarchical balancing domains.
+// Partitioned SMP lottery scheduling: one ticket economy with a run queue
+// per CPU behind the generic Scheduler interface, with deterministic
+// ticket-weighted work stealing across hierarchical balancing domains.
 //
 // Section 4.2 of the paper sketches "a distributed lottery scheduler" for
-// multiprocessors; this module builds it. Each CPU owns a private currency
-// table and run queue, so dispatch is entirely local — the global lottery's
+// multiprocessors; this module builds it. SmpScheduler is a
+// LotteryScheduler with one run queue (and one dispatch RNG) per CPU over
+// the single currency table, so dispatch is entirely local while funding,
+// transfers and inheritance span the machine. The global lottery's
 // proportional-share guarantee is recovered by keeping the per-CPU runnable
 // ticket totals equal: if every CPU holds T/P of the ticket value, a thread
 // with t tickets wins t/(T/P) of one CPU, i.e. exactly t/T of the machine.
@@ -35,7 +37,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,14 +51,14 @@
 namespace lottery {
 namespace smp {
 
-class SmpScheduler : public Scheduler {
+class SmpScheduler : public LotteryScheduler {
  public:
   struct Options {
     int num_cpus = 1;
     uint32_t seed = 12345;
-    // Per-CPU scheduler template. seed/metrics/trace are managed by the
-    // facade: CPU 0 runs on exactly `seed` (the 1-CPU identity contract),
-    // CPU i > 0 on an independent SplitMix64-derived stream.
+    // Economy and run-queue template. seed/metrics/trace are managed by the
+    // facade: CPU 0's queue draws from exactly `seed` (the 1-CPU identity
+    // contract), CPU i > 0 from an independent SplitMix64-derived stream.
     LotteryScheduler::Options cpu;
     // Master switch for cross-CPU stealing (identity tests turn it off).
     bool steal_enabled = true;
@@ -88,28 +89,17 @@ class SmpScheduler : public Scheduler {
   ThreadId PickNextOnCpu(int cpu, SimTime now) override;
   void OnQuantumEnd(ThreadId id, SimDuration used, SimDuration quantum,
                     SimTime now) override;
-  void Tick(SimTime now) override;
   int partitioned_cpus() const override { return options_.num_cpus; }
   std::string name() const override { return "smp-lottery"; }
 
   // --- Funding -------------------------------------------------------------
-  // Issues `amount` base-currency tickets to the thread on its home CPU and
-  // records the grant, so migration can re-issue it on the destination's
-  // table. (Cross-CPU tables are disjoint; base-denominated funding is the
-  // shape every SMP workload here uses.)
-  void FundThread(ThreadId id, int64_t amount);
-  // Sum of this thread's recorded base funding (migration-invariant).
-  int64_t FundedAmount(ThreadId id) const;
-  // Base entitlement on the thread's current home table, compensation
-  // divided out (the timeseries sampler's weight; see LotteryScheduler::
-  // ThreadBaseValue). Zero for unknown threads; survives migration because
-  // it reads whichever per-CPU table currently homes the thread.
-  Funding ThreadBaseValue(ThreadId id);
+  using LotteryScheduler::FundThread;
+  // Shorthand for FundThread(id, table().base(), amount).
+  Ticket* FundThread(ThreadId id, int64_t amount);
 
   // --- Introspection (tests, benches) --------------------------------------
   int num_cpus() const { return options_.num_cpus; }
-  LotteryScheduler& cpu(int i) { return *cpus_[static_cast<size_t>(i)]; }
-  int HomeCpu(ThreadId id) const;
+  int HomeCpu(ThreadId id) const { return QueueOf(id); }
   const DomainMap& domains() const { return domains_; }
   CrossbarSwitch& crossbar() { return xbar_; }
   FastRand& balance_rng() { return balance_rng_; }  // lotlint: stream(balance)
@@ -117,35 +107,23 @@ class SmpScheduler : public Scheduler {
   uint64_t migrations() const { return migrations_; }
   // Times a balance steal was vetoed by the crossbar cost model.
   uint64_t cost_vetoes() const { return cost_vetoes_; }
-  // Migrations a single thread has survived (property tests).
-  uint64_t ThreadMigrations(ThreadId id) const;
-  // Structural invariants: every thread homed on exactly one CPU, queued on
-  // at most its home, never queued while running. Throws on violation.
+  // Structural invariants: every queued thread sits in its home CPU's
+  // queue, and a running thread is homed on its CPU and never queued.
+  // Throws on violation.
   void CheckIntegrity() const;
 
-  // Forcible migration hook for tests: moves a queued thread to `dst`,
-  // preserving funding and compensation. Throws if the thread is running,
-  // blocked-out of the queue, or already on `dst`.
+  // Forcible migration hook for tests: moves a queued thread to `dst`.
+  // Throws if the thread is running, blocked-out of the queue, or already
+  // on `dst`.
   void Migrate(ThreadId id, int dst, SimTime now);
 
  private:
-  struct ThreadRec {
-    int home = 0;
-    bool running = false;
-    int running_cpu = -1;
-    // Base-currency grants recorded by FundThread, re-issued on migration.
-    std::vector<int64_t> funding;
-    uint64_t migrations = 0;
-  };
-
-  ThreadRec& RecOf(ThreadId id);
-  const ThreadRec& RecOf(ThreadId id) const;
   // Drops a thread's running claim on its CPU (requeue/block/removal).
-  void ClearRunning(ThreadRec& rec);
+  void ClearRunning(ThreadId id);
 
   // Runnable ticket value assigned to a CPU: its queue total plus the value
   // of the thread it is currently running. Both terms are maintained
-  // incrementally by the per-CPU currency table's dirty propagation.
+  // incrementally by the currency table's dirty propagation.
   uint64_t AssignedValue(int c);
 
   // Idle pull: nearest-domain victim with queued work, migrant chosen by a
@@ -167,13 +145,12 @@ class SmpScheduler : public Scheduler {
   // Predicted transfer time for one migration over `level` domain hops.
   int64_t PredictCostNs(int src, int dst, int level);
 
-  // Moves `id` (queued on `src`) to `dst`, re-issuing funding and carrying
-  // compensation; emits etrace/counters with `type` (kSteal or kMigrate).
-  void DoMigrate(ThreadId id, int src, int dst, SimTime now, int level,
-                 uint16_t type, uint64_t imbalance);
+  // Moves `id` (queued on `src`) to `dst`'s queue and prices the move on
+  // the crossbar; emits etrace/counters with `type` (kSteal or kMigrate).
+  void DoMigrate(ThreadId id, int src, int dst, SimTime now, uint16_t type,
+                 uint64_t imbalance);
 
   Options options_;
-  std::vector<std::unique_ptr<LotteryScheduler>> cpus_;
   DomainMap domains_;
   // Balance draws live on their own stream so per-CPU dispatch sequences
   // are invariant under steal_enabled and rebalance churn.
@@ -181,9 +158,6 @@ class SmpScheduler : public Scheduler {
   FastRand xbar_rng_;     // lotlint: stream(device)
   CrossbarSwitch xbar_;
   std::map<std::pair<int, int>, CrossbarSwitch::CircuitId> circuits_;
-  // ThreadId -> record. std::map: scheduler-path iteration must be ordered
-  // (lotlint D2) and CheckIntegrity walks it.
-  std::map<ThreadId, ThreadRec> recs_;
   std::vector<ThreadId> running_tid_;        // per CPU, kInvalid when none
   std::vector<uint32_t> since_balance_;      // dispatches since last check
   int next_home_ = 0;                        // round-robin spawn placement
@@ -192,8 +166,7 @@ class SmpScheduler : public Scheduler {
   uint64_t migrations_ = 0;
   uint64_t cost_vetoes_ = 0;
 
-  // Obs hooks (resolved once; raw pointers into metrics_).
-  obs::Registry* metrics_;
+  // Obs hooks (resolved once; raw pointers into metrics()).
   obs::Counter* m_steals_;
   obs::Counter* m_migrations_;
   obs::Counter* m_balance_checks_;

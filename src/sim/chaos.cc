@@ -9,6 +9,7 @@
 
 #include "src/core/lottery_scheduler.h"
 #include "src/obs/registry.h"
+#include "src/sched/smp/smp_scheduler.h"
 #include "src/sched/stride.h"
 #include "src/sim/disk.h"
 #include "src/sim/rpc.h"
@@ -544,7 +545,7 @@ std::string Scenario::ReproCommand() const {
 ScenarioResult RunScenario(const Scenario& scenario,
                            etrace::TraceBuffer* trace) {
   if (scenario.backend != "list" && scenario.backend != "tree" &&
-      scenario.backend != "stride") {
+      scenario.backend != "stride" && scenario.backend != "smp") {
     throw std::invalid_argument("RunScenario: unknown backend '" +
                                 scenario.backend + "'");
   }
@@ -573,6 +574,15 @@ ScenarioResult RunScenario(const Scenario& scenario,
   if (scenario.backend == "stride") {
     stride = std::make_unique<StrideScheduler>(&registry);
     scheduler = stride.get();
+  } else if (scenario.backend == "smp") {
+    smp::SmpScheduler::Options opts;
+    opts.num_cpus = scenario.num_cpus;
+    opts.seed = sched_seed;
+    opts.cpu.backend = RunQueueBackend::kTree;
+    opts.metrics = &registry;
+    opts.trace = trace;
+    lottery = std::make_unique<smp::SmpScheduler>(opts);
+    scheduler = lottery.get();
   } else {
     LotteryScheduler::Options opts;
     opts.seed = sched_seed;

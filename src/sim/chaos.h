@@ -73,7 +73,9 @@ class ChaosController {
 // `seed`, so (seed, backend, plan, shape) reproduces bit-identically.
 struct Scenario {
   uint64_t seed = 1;
-  std::string backend = "list";  // "list" | "tree" | "stride"
+  // "list" | "tree" | "stride" | "smp" (SmpScheduler, one tree queue per
+  // CPU).
+  std::string backend = "list";
   std::string plan;              // FaultPlan grammar; empty = fault-free
   int num_cpus = 1;
   int num_threads = 8;

@@ -84,7 +84,7 @@ void RunContext::AddProgress(int64_t delta) {
 
 Kernel::Kernel(Scheduler* scheduler, Options options, Tracer* tracer)
     : scheduler_(scheduler),
-      lottery_(dynamic_cast<LotteryScheduler*>(scheduler)),
+      lottery_(scheduler->economy()),
       options_(options),
       tracer_(tracer),
       now_(SimTime::Zero()),

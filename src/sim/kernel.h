@@ -1,5 +1,6 @@
-// The simulated kernel: a single-CPU, quantum-driven dispatcher that stands
-// in for the modified Mach 3.0 kernel of the paper's prototype.
+// The simulated kernel: a quantum-driven dispatcher over one or more CPUs
+// (Options::num_cpus) that stands in for the modified Mach 3.0 kernel of
+// the paper's prototype.
 //
 // Threads are ThreadBody state machines. On dispatch, a body receives a
 // RunContext with a CPU budget (one scheduling quantum); it consumes
@@ -188,8 +189,10 @@ class Kernel {
   SimTime now() const { return now_; }
   EventQueue& events() { return events_; }
   Scheduler* scheduler() { return scheduler_; }
-  // Non-null iff the policy scheduler is the lottery scheduler; kernel
-  // services (RPC, mutexes) use this for ticket transfers.
+  // The policy scheduler's ticket economy (Scheduler::economy()): non-null
+  // under every lottery scheduler — plain, hybrid and partitioned SMP —
+  // and null under the ticketless baselines. Kernel services (RPC, mutexes,
+  // rwlocks, semaphores) use it for ticket transfers and inheritance.
   LotteryScheduler* lottery() { return lottery_; }
   Tracer* tracer() { return tracer_; }
   // Structured-event trace shared by the kernel and its services (mutexes,

@@ -19,9 +19,11 @@ SimRwLock::SimRwLock(Kernel* kernel, const std::string& name,
     currency_ = ls->table().CreateCurrency("rwlock:" + name);
     writer_inherit_ = ls->table().CreateTicket(currency_, transfer_amount_);
   }
+  kernel_->AddExitObserver(this);
 }
 
 SimRwLock::~SimRwLock() {
+  kernel_->RemoveExitObserver(this);
   if (currency_ == nullptr) {
     return;
   }
@@ -170,7 +172,26 @@ bool SimRwLock::AcquireWrite(RunContext& ctx) {
 
 void SimRwLock::ReleaseRead(RunContext& ctx) {
   util::SeqGuard guard(seq_);
-  const auto it = reader_inherit_.find(ctx.self());
+  ReleaseReadAt(ctx.self(), ctx.now());
+}
+
+void SimRwLock::ReleaseWrite(RunContext& ctx) {
+  util::SeqGuard guard(seq_);
+  ReleaseWriteAt(ctx.self(), ctx.now());
+}
+
+void SimRwLock::OnThreadExit(ThreadId tid, SimTime when) {
+  util::SeqGuard guard(seq_);
+  std::erase_if(waiters_, [tid](const Waiter& w) { return w.tid == tid; });
+  if (writer_ == tid) {
+    ReleaseWriteAt(tid, when);
+  } else if (reader_inherit_.count(tid) > 0) {
+    ReleaseReadAt(tid, when);
+  }
+}
+
+void SimRwLock::ReleaseReadAt(ThreadId tid, SimTime now) {
+  const auto it = reader_inherit_.find(tid);
   if (it == reader_inherit_.end()) {
     throw std::logic_error("SimRwLock: ReleaseRead by non-reader of " +
                            name_);
@@ -179,7 +200,7 @@ void SimRwLock::ReleaseRead(RunContext& ctx) {
   // Decide admission before tearing down this reader's inheritance, while
   // waiter transfers are still active through it.
   if (reader_inherit_.size() == 1 && !waiters_.empty()) {
-    AdmitNext(ctx);  // destroys the releaser's inheritance internally
+    AdmitNext(tid, now);  // destroys the releaser's inheritance internally
     return;
   }
   if (ls != nullptr && it->second != nullptr) {
@@ -188,14 +209,13 @@ void SimRwLock::ReleaseRead(RunContext& ctx) {
   reader_inherit_.erase(it);
 }
 
-void SimRwLock::ReleaseWrite(RunContext& ctx) {
-  util::SeqGuard guard(seq_);
-  if (writer_ != ctx.self()) {
+void SimRwLock::ReleaseWriteAt(ThreadId tid, SimTime now) {
+  if (writer_ != tid) {
     throw std::logic_error("SimRwLock: ReleaseWrite by non-writer of " +
                            name_);
   }
   if (!waiters_.empty()) {
-    AdmitNext(ctx);
+    AdmitNext(tid, now);
     return;
   }
   writer_ = kInvalidThreadId;
@@ -205,7 +225,7 @@ void SimRwLock::ReleaseWrite(RunContext& ctx) {
   }
 }
 
-void SimRwLock::AdmitNext(RunContext& ctx) {
+void SimRwLock::AdmitNext(ThreadId releaser, SimTime now) {
   // Weights are computed while the releasing holder still carries the lock
   // currency's funding (transfers active through it).
   std::vector<uint64_t> weights(waiters_.size());
@@ -249,21 +269,21 @@ void SimRwLock::AdmitNext(RunContext& ctx) {
 
   // Tear down the releasing holder's inheritance now that the draw is done.
   if (ls != nullptr) {
-    if (writer_ == ctx.self()) {
+    if (writer_ == releaser) {
       if (writer_inherit_->funds() != nullptr) {
         ls->table().Unfund(writer_inherit_);
       }
     } else {
-      const auto it = reader_inherit_.find(ctx.self());
+      const auto it = reader_inherit_.find(releaser);
       if (it != reader_inherit_.end() && it->second != nullptr) {
         ls->table().DestroyTicket(it->second);
         reader_inherit_.erase(it);
       }
     }
   } else {
-    reader_inherit_.erase(ctx.self());
+    reader_inherit_.erase(releaser);
   }
-  if (writer_ == ctx.self()) {
+  if (writer_ == releaser) {
     writer_ = kInvalidThreadId;
   }
 
@@ -276,9 +296,9 @@ void SimRwLock::AdmitNext(RunContext& ctx) {
       }
       waiter.transfer.reset();
       m_wait_us_->Record(
-          static_cast<uint64_t>((ctx.now() - waiter.since).nanos()) / 1000u);
+          static_cast<uint64_t>((now - waiter.since).nanos()) / 1000u);
       AdmitReader(waiter.tid);
-      kernel_->Wake(waiter.tid, ctx.now());
+      kernel_->Wake(waiter.tid, now);
     }
     waiters_ = std::move(keep);
   } else {
@@ -295,9 +315,9 @@ void SimRwLock::AdmitNext(RunContext& ctx) {
     waiters_.erase(waiters_.begin() + static_cast<ptrdiff_t>(writer_index));
     winner.transfer.reset();
     m_wait_us_->Record(
-        static_cast<uint64_t>((ctx.now() - winner.since).nanos()) / 1000u);
+        static_cast<uint64_t>((now - winner.since).nanos()) / 1000u);
     AdmitWriter(winner.tid);
-    kernel_->Wake(winner.tid, ctx.now());
+    kernel_->Wake(winner.tid, now);
   }
 }
 

@@ -19,6 +19,11 @@
 //
 // Under non-lottery schedulers the lock degrades to FIFO-ish admission
 // (readers batch, writers in arrival order).
+//
+// The lock observes thread exits: a dead waiter leaves the queue (its
+// transfer rolls back), and a holder that dies — voluntarily or through an
+// injected crash — releases the lock exactly as ReleaseRead/ReleaseWrite
+// would, admitting waiters, before its currency is destroyed.
 
 #ifndef SRC_SIM_RWLOCK_H_
 #define SRC_SIM_RWLOCK_H_
@@ -41,11 +46,11 @@ namespace lottery {
 // holding the lock across scheduling slices use the cross-slice protocol
 // (NoteHeldAcrossSlice / AssertHeld, both runtime-checked) — see
 // thread_safety.h.
-class CAPABILITY("rwlock") SimRwLock {
+class CAPABILITY("rwlock") SimRwLock : public ThreadExitObserver {
  public:
   SimRwLock(Kernel* kernel, const std::string& name,
             int64_t transfer_amount = 1000);
-  ~SimRwLock();
+  ~SimRwLock() override;
   SimRwLock(const SimRwLock&) = delete;
   SimRwLock& operator=(const SimRwLock&) = delete;
 
@@ -72,6 +77,8 @@ class CAPABILITY("rwlock") SimRwLock {
   uint64_t read_admissions() const;
   uint64_t write_admissions() const;
 
+  void OnThreadExit(ThreadId tid, SimTime when) override;
+
  private:
   struct Waiter {
     ThreadId tid;
@@ -83,8 +90,11 @@ class CAPABILITY("rwlock") SimRwLock {
   uint64_t WaiterWeight(const Waiter& waiter) const;
   void AdmitReader(ThreadId tid) REQUIRES(seq_);
   void AdmitWriter(ThreadId tid) REQUIRES(seq_);
-  // Runs the admission lottery after the lock empties.
-  void AdmitNext(RunContext& ctx) REQUIRES(seq_);
+  // The release paths shared by ReleaseRead/ReleaseWrite and OnThreadExit.
+  void ReleaseReadAt(ThreadId tid, SimTime now) REQUIRES(seq_);
+  void ReleaseWriteAt(ThreadId tid, SimTime now) REQUIRES(seq_);
+  // Runs the admission lottery after `releaser` empties the lock.
+  void AdmitNext(ThreadId releaser, SimTime now) REQUIRES(seq_);
 
   Kernel* kernel_;
   std::string name_;

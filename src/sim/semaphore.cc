@@ -21,9 +21,11 @@ SimSemaphore::SimSemaphore(Kernel* kernel, const std::string& name,
     inheritance_ticket_ = ls->table().CreateTicket(currency_,
                                                    transfer_amount_);
   }
+  kernel_->AddExitObserver(this);
 }
 
 SimSemaphore::~SimSemaphore() {
+  kernel_->RemoveExitObserver(this);
   if (currency_ != nullptr) {
     CurrencyTable& table = kernel_->lottery()->table();
     waiters_.clear();  // destroys outstanding transfers
@@ -43,6 +45,16 @@ void SimSemaphore::SetBeneficiary(ThreadId tid) {
   beneficiary_ = tid;
   if (tid != kInvalidThreadId) {
     ls->table().Fund(ls->thread_currency(tid), inheritance_ticket_);
+  }
+}
+
+void SimSemaphore::OnThreadExit(ThreadId tid, SimTime /*when*/) {
+  {
+    util::SeqGuard guard(seq_);
+    std::erase_if(waiters_, [tid](const Waiter& w) { return w.tid == tid; });
+  }
+  if (tid == beneficiary_) {
+    SetBeneficiary(kInvalidThreadId);
   }
 }
 

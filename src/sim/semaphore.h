@@ -17,6 +17,10 @@
 // (inactive) and Signal falls back to FIFO wakeups.
 //
 // Under non-lottery schedulers the semaphore is plain FIFO.
+//
+// The semaphore observes thread exits: a dead waiter leaves the queue (its
+// transfer rolls back), and a dead beneficiary is detached, its
+// inheritance ticket unfunded before the thread's currency is destroyed.
 
 #ifndef SRC_SIM_SEMAPHORE_H_
 #define SRC_SIM_SEMAPHORE_H_
@@ -37,11 +41,11 @@ namespace lottery {
 // (Signal is legal from producers that never Wait), so only its internal
 // permit/waiter state is annotated — a serialization domain the SMP kernel
 // will replace with a real lock.
-class SimSemaphore {
+class SimSemaphore : public ThreadExitObserver {
  public:
   SimSemaphore(Kernel* kernel, const std::string& name,
                int64_t initial_permits, int64_t transfer_amount = 1000);
-  ~SimSemaphore();
+  ~SimSemaphore() override;
   SimSemaphore(const SimSemaphore&) = delete;
   SimSemaphore& operator=(const SimSemaphore&) = delete;
 
@@ -61,6 +65,8 @@ class SimSemaphore {
   int64_t permits() const;
   size_t num_waiters() const;
   uint64_t total_waits() const;
+
+  void OnThreadExit(ThreadId tid, SimTime when) override;
 
  private:
   struct Waiter {

@@ -1,10 +1,13 @@
-// SMP statistical conformance sweep: the partitioned per-CPU lotteries plus
+// SMP statistical conformance sweep: the per-CPU run queues plus
 // ticket-weighted stealing must still deliver *global* proportional share.
 //
 // Each cell runs {1, 4, 16, 64} CPUs x {list, tree} backends x 32
-// seeds. Every CPU starts with two compute-bound threads (round-robin
+// seeds. Every CPU starts with eight compute-bound threads (round-robin
 // placement) funded from a cyclic weight ladder, so per-CPU ticket totals
-// begin skewed and the balancer has real work to do. After a fixed horizon:
+// begin skewed and the balancer has real work to do. At {4, 16} CPUs the
+// ladder is also issued in two user currencies instead of base, each
+// backed at its own exchange rate, so the shares run through one currency
+// graph that spans the CPUs. After a fixed horizon:
 //
 //  1. Per-seed Pearson chi-square (df = n-1) of per-thread dispatch counts
 //     against the global ticket shares at alpha = 0.01; at most 3 of 32
@@ -23,8 +26,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "src/core/currency.h"
 #include "src/obs/registry.h"
 #include "src/sched/smp/smp_scheduler.h"
 #include "src/sim/kernel.h"
@@ -44,7 +49,8 @@ struct SeedOutcome {
   std::string load_detail;
 };
 
-SeedOutcome RunOne(int cpus, RunQueueBackend backend, uint32_t seed) {
+SeedOutcome RunOne(int cpus, RunQueueBackend backend, bool currencies,
+                   uint32_t seed) {
   obs::Registry reg;
   smp::SmpScheduler::Options so;
   so.num_cpus = cpus;
@@ -60,20 +66,45 @@ SeedOutcome RunOne(int cpus, RunQueueBackend backend, uint32_t seed) {
   ko.metrics = &reg;
   Kernel kernel(&sched, ko);
 
+  // Cyclic ladder 50..400: adjacent spawns (which round-robin onto
+  // adjacent CPUs) get different weights, so initial per-CPU totals are
+  // skewed and only stealing can equalize them. The smallest rung keeps
+  // migrant granularity fine relative to per-CPU totals, so the balancer
+  // can converge to within the imbalance floor.
   const int n = cpus * kThreadsPerCpu;
+  const auto ladder = [](int i) { return int64_t{50} + 50 * (i % 8); };
+  // With `currencies`, thread i's rung is issued in user currency
+  // (i / cpus) % 2, backed by 1 or 2 base units per unit issued, so a
+  // thread's share is its rung times that exchange rate. Alternating by
+  // spawn row puts both currencies on every CPU and keeps the plain
+  // ladder's per-CPU skew; alternating by i % 2 would quadruple it at 16
+  // CPUs, more than the balancer levels within the warm-up.
+  Currency* user[2] = {nullptr, nullptr};
+  if (currencies) {
+    int64_t issued[2] = {0, 0};
+    for (int i = 0; i < n; ++i) {
+      issued[(i / cpus) % 2] += ladder(i);
+    }
+    CurrencyTable& table = sched.table();
+    for (int c = 0; c < 2; ++c) {
+      user[c] = table.CreateCurrency("user" + std::to_string(c));
+      table.Fund(user[c],
+                 table.CreateTicket(table.base(), (1 + c) * issued[c]));
+    }
+  }
   std::vector<ThreadId> tids;
   std::vector<int64_t> weights;
   int64_t total_weight = 0;
   for (int i = 0; i < n; ++i) {
     const ThreadId tid = kernel.Spawn("smpconf" + std::to_string(i),
                                       std::make_unique<ComputeTask>());
-    // Cyclic ladder 50..400: adjacent spawns (which round-robin onto
-    // adjacent CPUs) get different weights, so initial per-CPU totals are
-    // skewed and only stealing can equalize them. The smallest rung keeps
-    // migrant granularity fine relative to per-CPU totals, so the balancer
-    // can converge to within the imbalance floor.
-    const int64_t w = 50 + 50 * (i % 8);
-    sched.FundThread(tid, w);
+    int64_t w = ladder(i);
+    if (currencies) {
+      sched.FundThread(tid, user[(i / cpus) % 2], w);
+      w *= 1 + (i / cpus) % 2;
+    } else {
+      sched.FundThread(tid, w);
+    }
     tids.push_back(tid);
     weights.push_back(w);
     total_weight += w;
@@ -131,7 +162,8 @@ SeedOutcome RunOne(int cpus, RunQueueBackend backend, uint32_t seed) {
   return out;
 }
 
-void RunSweep(int cpus, RunQueueBackend backend, const std::string& label) {
+void RunSweep(int cpus, RunQueueBackend backend, bool currencies,
+              const std::string& label) {
   const int df = cpus * kThreadsPerCpu - 1;
   const double chi2_cutoff = ChiSquareCritical(df, 0.01);
   const double chi2_sum_cutoff = ChiSquareCritical(kNumSeeds * df, 0.001);
@@ -141,7 +173,7 @@ void RunSweep(int cpus, RunQueueBackend backend, const std::string& label) {
   double chi2_sum = 0.0;
   for (int s = 0; s < kNumSeeds; ++s) {
     const SeedOutcome out =
-        RunOne(cpus, backend, 2000 + static_cast<uint32_t>(s));
+        RunOne(cpus, backend, currencies, 2000 + static_cast<uint32_t>(s));
     chi2_sum += out.chi2;
     if (out.chi2 > chi2_cutoff) {
       ++chi2_failures;
@@ -160,25 +192,35 @@ void RunSweep(int cpus, RunQueueBackend backend, const std::string& label) {
   EXPECT_EQ(load_failures, 0) << label << ": work conservation violated";
 }
 
-class SmpConformance
-    : public testing::TestWithParam<std::pair<int, RunQueueBackend>> {};
+// (cpus, backend, ladder issued in user currencies)
+using Cell = std::tuple<int, RunQueueBackend, bool>;
 
-TEST_P(SmpConformance, GlobalSharesAndLoadSpread) {
-  const auto [cpus, backend] = GetParam();
-  std::string label = std::to_string(cpus) + "cpu/";
+std::string CellName(const Cell& cell) {
+  const auto [cpus, backend, currencies] = cell;
+  std::string name = "c" + std::to_string(cpus);
   switch (backend) {
-    case RunQueueBackend::kList: label += "list"; break;
-    case RunQueueBackend::kTree: label += "tree"; break;
+    case RunQueueBackend::kList: name += "_list"; break;
+    case RunQueueBackend::kTree: name += "_tree"; break;
   }
-  RunSweep(cpus, backend, label);
+  return currencies ? name + "_currencies" : name;
 }
 
-std::vector<std::pair<int, RunQueueBackend>> AllCells() {
-  std::vector<std::pair<int, RunQueueBackend>> cells;
+class SmpConformance : public testing::TestWithParam<Cell> {};
+
+TEST_P(SmpConformance, GlobalSharesAndLoadSpread) {
+  const auto [cpus, backend, currencies] = GetParam();
+  RunSweep(cpus, backend, currencies, CellName(GetParam()));
+}
+
+std::vector<Cell> AllCells() {
+  std::vector<Cell> cells;
   for (const int cpus : {1, 4, 16, 64}) {
     for (const RunQueueBackend backend :
          {RunQueueBackend::kList, RunQueueBackend::kTree}) {
-      cells.emplace_back(cpus, backend);
+      cells.emplace_back(cpus, backend, false);
+      if (cpus == 4 || cpus == 16) {
+        cells.emplace_back(cpus, backend, true);
+      }
     }
   }
   return cells;
@@ -186,14 +228,7 @@ std::vector<std::pair<int, RunQueueBackend>> AllCells() {
 
 INSTANTIATE_TEST_SUITE_P(
     Cells, SmpConformance, testing::ValuesIn(AllCells()),
-    [](const auto& param_info) {
-      std::string name = "c" + std::to_string(param_info.param.first);
-      switch (param_info.param.second) {
-        case RunQueueBackend::kList: return name + "_list";
-        case RunQueueBackend::kTree: return name + "_tree";
-      }
-      return name + "_unknown";
-    });
+    [](const auto& param_info) { return CellName(param_info.param); });
 
 }  // namespace
 }  // namespace lottery

@@ -25,7 +25,7 @@ TEST(Hybrid, FixedBeatsLottery) {
   HybridScheduler sched;
   sched.AddThread(1, kT0);
   sched.AddThread(2, kT0);
-  sched.lottery().FundThread(1, sched.lottery().table().base(), 1000000);
+  sched.economy()->FundThread(1, sched.economy()->table().base(), 1000000);
   sched.SetFixedPriority(2, 5);
   sched.OnReady(1, kT0);
   sched.OnReady(2, kT0);
@@ -38,8 +38,8 @@ TEST(Hybrid, PromotionWhileReadyMovesBands) {
   HybridScheduler sched;
   sched.AddThread(1, kT0);
   sched.AddThread(2, kT0);
-  sched.lottery().FundThread(1, sched.lottery().table().base(), 100);
-  sched.lottery().FundThread(2, sched.lottery().table().base(), 100);
+  sched.economy()->FundThread(1, sched.economy()->table().base(), 100);
+  sched.economy()->FundThread(2, sched.economy()->table().base(), 100);
   sched.OnReady(1, kT0);
   sched.OnReady(2, kT0);
   sched.SetFixedPriority(1, 3);
@@ -59,9 +59,9 @@ TEST(Hybrid, LotteryShareUnaffectedByIdleFixedThread) {
   HybridScheduler sched;
   Kernel kernel(&sched, KOpts());
   const ThreadId a = kernel.Spawn("a", std::make_unique<ComputeTask>());
-  sched.lottery().FundThread(a, sched.lottery().table().base(), 300);
+  sched.economy()->FundThread(a, sched.economy()->table().base(), 300);
   const ThreadId b = kernel.Spawn("b", std::make_unique<ComputeTask>());
-  sched.lottery().FundThread(b, sched.lottery().table().base(), 100);
+  sched.economy()->FundThread(b, sched.economy()->table().base(), 100);
   const ThreadId driver = kernel.Spawn(
       "driver", std::make_unique<InteractiveTask>(SimDuration::Millis(2),
                                                   SimDuration::Millis(98)));
@@ -84,7 +84,7 @@ TEST(Hybrid, FixedThreadCanStarveLotteryWorld) {
   sched.SetFixedPriority(hog, 1);
   const ThreadId victim =
       kernel.Spawn("victim", std::make_unique<ComputeTask>());
-  sched.lottery().FundThread(victim, sched.lottery().table().base(), 1000);
+  sched.economy()->FundThread(victim, sched.economy()->table().base(), 1000);
   kernel.RunFor(SimDuration::Seconds(10));
   EXPECT_EQ(kernel.CpuTime(victim).nanos(), 0);
 }

@@ -158,6 +158,46 @@ TEST(SimRwLock, CurrencyLifecycle) {
   EXPECT_EQ(sched.table().FindCurrency("rwlock:tmp"), nullptr);
 }
 
+// Takes the read lock and exits while holding it.
+class ReadAndExit : public ThreadBody {
+ public:
+  explicit ReadAndExit(SimRwLock* lock) : lock_(lock) {}
+  NO_THREAD_SAFETY_ANALYSIS void Run(RunContext& ctx) override {
+    ctx.Consume(SimDuration::Millis(1));
+    if (lock_->AcquireRead(ctx)) {
+      ctx.ExitThread();
+    } else {
+      ctx.Block();
+    }
+  }
+
+ private:
+  SimRwLock* lock_;
+};
+
+TEST(SimRwLock, ReaderExitingWhileHoldingReleasesTheLock) {
+  LotteryScheduler sched;
+  Kernel kernel(&sched, KOpts());
+  SimRwLock lock(&kernel, "l");
+  const ThreadId reader =
+      kernel.Spawn("reader", std::make_unique<ReadAndExit>(&lock));
+  sched.FundThread(reader, sched.table().base(), 100);
+  kernel.RunFor(SimDuration::Seconds(1));
+  ASSERT_FALSE(kernel.Alive(reader));
+  EXPECT_EQ(lock.num_readers(), 0u);
+  // The dead reader's inheritance ticket went with its release, and the
+  // lock currency is back to just the (unfunded) writer ticket.
+  EXPECT_EQ(sched.table().FindCurrency("rwlock:l")->issued_amount(), 1000);
+
+  auto w = std::make_unique<RwTask>(&lock, true, SimDuration::Millis(13),
+                                    SimDuration::Millis(29));
+  RwTask* writer = w.get();
+  const ThreadId wt = kernel.Spawn("writer", std::move(w));
+  sched.FundThread(wt, sched.table().base(), 100);
+  kernel.RunFor(SimDuration::Seconds(5));
+  EXPECT_GT(writer->sections(), 10);
+}
+
 TEST(SimRwLock, ConcurrentReadersAllProgress) {
   LotteryScheduler::Options lopts;
   lopts.seed = 4;

@@ -58,7 +58,7 @@ class SchedulerFuzz : public ::testing::TestWithParam<FuzzCase> {};
 TEST_P(SchedulerFuzz, RandomProtocolSequences) {
   const FuzzCase param = GetParam();
   auto sched = MakeScheduler(param.policy, param.seed);
-  auto* lottery = dynamic_cast<LotteryScheduler*>(sched.get());
+  LotteryScheduler* lottery = sched->economy();
   auto* hybrid = dynamic_cast<HybridScheduler*>(sched.get());
   FastRand rng(param.seed);
   SimTime now = SimTime::Zero();
@@ -197,8 +197,8 @@ TEST(HybridEquivalence, NoFixedThreadsMatchesPureLottery) {
   for (ThreadId id = 1; id <= 4; ++id) {
     hybrid.AddThread(id, t0);
     pure.AddThread(id, t0);
-    hybrid.lottery().FundThread(id, hybrid.lottery().table().base(),
-                                static_cast<int64_t>(100 * id));
+    hybrid.economy()->FundThread(id, hybrid.economy()->table().base(),
+                                 static_cast<int64_t>(100 * id));
     pure.FundThread(id, pure.table().base(), static_cast<int64_t>(100 * id));
   }
   for (int round = 0; round < 2000; ++round) {

@@ -174,6 +174,41 @@ TEST(SimSemaphore, BeneficiaryInheritsWaiterFunding) {
   EXPECT_GT(producer_cpu.ToSecondsF(), 60.0);
 }
 
+// Runs briefly, then exits.
+class ExitSoon : public ThreadBody {
+ public:
+  void Run(RunContext& ctx) override {
+    ctx.Consume(SimDuration::Millis(1));
+    ctx.ExitThread();
+  }
+};
+
+TEST(SimSemaphore, DeadBeneficiaryKeepsTheInheritanceTicket) {
+  LotteryScheduler sched;
+  Kernel kernel(&sched, KOpts());
+  SimSemaphore sem(&kernel, "queue", 0);
+  const ThreadId first =
+      kernel.Spawn("first", std::make_unique<ExitSoon>());
+  sched.FundThread(first, sched.table().base(), 100);
+  sem.SetBeneficiary(first);
+  kernel.RunFor(SimDuration::Seconds(1));
+  ASSERT_FALSE(kernel.Alive(first));
+  // The inheritance ticket survives its beneficiary, detached.
+  EXPECT_EQ(sched.table().FindCurrency("sem:queue")->issued_amount(), 1000);
+
+  // A new beneficiary inherits a blocked consumer's funding through it.
+  auto producer = std::make_unique<Producer>(&sem, SimDuration::Seconds(10));
+  const ThreadId next = kernel.Spawn("next", std::move(producer));
+  sched.FundThread(next, sched.table().base(), 100);
+  sem.SetBeneficiary(next);
+  auto consumer = std::make_unique<Consumer>(&sem, SimDuration::Millis(1));
+  const ThreadId ctid = kernel.Spawn("consumer", std::move(consumer));
+  sched.FundThread(ctid, sched.table().base(), 900);
+  kernel.RunFor(SimDuration::Seconds(1));
+  ASSERT_EQ(sem.num_waiters(), 1u);
+  EXPECT_EQ(sched.ThreadValue(next).base_units(), 1000);
+}
+
 TEST(SimSemaphore, WeightedWakeupPrefersFundedWaiters) {
   LotteryScheduler::Options lopts;
   lopts.seed = 9;

@@ -5,7 +5,10 @@
 // as a ready-to-paste `faultctl` command line, so any CI hit reproduces
 // locally from the seed alone.
 //
-// Environment knobs:
+// A second sweep replays the same scenarios on partitioned SMP
+// (SmpScheduler with one tree queue per CPU, 1-4 CPUs).
+//
+// Environment knobs (both sweeps):
 //   LOTTERY_FUZZ_PLANS       number of random plans (default 500)
 //   LOTTERY_FUZZ_SEED        master seed (default 20260806)
 //   LOTTERY_FUZZ_REPRO_FILE  append failing repro commands to this file
@@ -63,7 +66,10 @@ chaos::Scenario Minimize(chaos::Scenario scenario) {
   return scenario;
 }
 
-TEST(SimFuzz, RandomFaultPlansHoldAllOracles) {
+// Runs the random plans and checks every oracle. With `smp`, each drawn
+// scenario runs on backend "smp" instead, at a CPU count taken from its
+// seed — the master stream, and so every scenario, stays the same.
+void Sweep(bool smp) {
   const uint64_t num_plans = EnvOr("LOTTERY_FUZZ_PLANS", 500);
   const uint64_t master_seed = EnvOr("LOTTERY_FUZZ_SEED", 20260806);
   const char* repro_path = std::getenv("LOTTERY_FUZZ_REPRO_FILE");
@@ -74,7 +80,11 @@ TEST(SimFuzz, RandomFaultPlansHoldAllOracles) {
 
   for (uint64_t i = 0; i < num_plans; ++i) {
     const uint64_t seed = master.Next() | 1;  // odd, never zero
-    const chaos::Scenario scenario = chaos::RandomScenario(master, seed);
+    chaos::Scenario scenario = chaos::RandomScenario(master, seed);
+    if (smp) {
+      scenario.backend = "smp";
+      scenario.num_cpus = 1 + static_cast<int>((seed >> 1) % 4);
+    }
     const chaos::ScenarioResult result = chaos::RunScenario(scenario);
     total_injections += result.injections;
 
@@ -116,9 +126,14 @@ TEST(SimFuzz, RandomFaultPlansHoldAllOracles) {
   // The sweep must actually exercise the fault machinery: with ~45% of the
   // classes armed per plan, injections number in the thousands.
   EXPECT_GT(total_injections, num_plans);
-  std::cout << "[ fuzz ] " << num_plans << " plans, " << total_injections
-            << " injections, " << failures << " failures\n";
+  std::cout << "[ fuzz ] " << (smp ? "smp: " : "") << num_plans << " plans, "
+            << total_injections << " injections, " << failures
+            << " failures\n";
 }
+
+TEST(SimFuzz, RandomFaultPlansHoldAllOracles) { Sweep(/*smp=*/false); }
+
+TEST(SimFuzz, RandomFaultPlansHoldAllOraclesOnSmp) { Sweep(/*smp=*/true); }
 
 }  // namespace
 }  // namespace lottery

@@ -1,7 +1,8 @@
 // Unit tests for the SMP balancing machinery in src/sched/smp/: the domain
-// topology, forced migration (funding, value, and compensation carried
-// across per-CPU currency tables), idle-pull stealing, and the periodic
-// ticket-weighted balance steal converging toward equal per-CPU totals.
+// topology, forced migration (a queued slot moving between per-CPU run
+// queues of the one economy, value and compensation intact), idle-pull
+// stealing, and the periodic ticket-weighted balance steal converging
+// toward equal per-CPU totals.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "src/core/currency.h"
 #include "src/obs/registry.h"
 #include "src/sched/smp/balance_domains.h"
 #include "src/sched/smp/smp_scheduler.h"
@@ -98,21 +100,29 @@ TEST(SmpMigrate, CarriesFundingValueAndCompensation) {
   const auto tids = Populate(sched, 2, {100, 100});
   const ThreadId mover = tids[0];  // homed on CPU 0
   ASSERT_EQ(sched.HomeCpu(mover), 0);
+  // Funding from a user currency, on top of the base grant: the move must
+  // keep it, since the thread's currency graph never leaves the economy.
+  CurrencyTable& table = sched.table();
+  Currency* user = table.CreateCurrency("alice");
+  table.Fund(user, table.CreateTicket(table.base(), 300));
+  sched.FundThread(mover, user, 50);
   // Grant a compensation boost as an under-consuming quantum would.
-  sched.cpu(0).client(mover)->SetCompensation(5, 1);
-  const uint64_t value_before = sched.cpu(0).ThreadValue(mover).raw_unsigned();
-  const int64_t funded_before = sched.FundedAmount(mover);
+  sched.client(mover)->SetCompensation(5, 1);
+  const uint64_t value_before = sched.ThreadValue(mover).raw_unsigned();
+  EXPECT_EQ(value_before, Funding::FromBase(5 * 400).raw_unsigned());
 
   sched.Migrate(mover, 1, SimTime::Zero());
 
   EXPECT_EQ(sched.HomeCpu(mover), 1);
-  EXPECT_EQ(sched.ThreadMigrations(mover), 1u);
-  EXPECT_EQ(sched.FundedAmount(mover), funded_before);
-  EXPECT_EQ(sched.cpu(1).ThreadValue(mover).raw_unsigned(), value_before);
-  EXPECT_EQ(sched.cpu(1).client(mover)->compensation_num(), 5);
-  EXPECT_EQ(sched.cpu(1).client(mover)->compensation_den(), 1);
-  EXPECT_FALSE(sched.cpu(0).HasThread(mover));
-  EXPECT_TRUE(sched.cpu(1).IsQueued(mover));
+  EXPECT_EQ(sched.migrations(), 1u);
+  EXPECT_EQ(sched.ThreadValue(mover).raw_unsigned(), value_before);
+  EXPECT_EQ(sched.client(mover)->compensation_num(), 5);
+  EXPECT_EQ(sched.client(mover)->compensation_den(), 1);
+  EXPECT_TRUE(sched.IsQueued(mover));
+  EXPECT_EQ(sched.QueuedCount(0), 0u);
+  EXPECT_EQ(sched.QueuedCount(1), 2u);
+  EXPECT_EQ(sched.RunnableTickets(1),
+            value_before + Funding::FromBase(100).raw_unsigned());
   sched.CheckIntegrity();
 }
 
@@ -152,7 +162,6 @@ TEST(SmpSteal, IdleCpuPullsFromNearestBusyDomain) {
   EXPECT_EQ(got, 1u);
   EXPECT_EQ(sched.steals(), 1u);
   EXPECT_EQ(sched.HomeCpu(1), 3);
-  EXPECT_EQ(sched.FundedAmount(1), 300);
   sched.CheckIntegrity();
 }
 
@@ -172,8 +181,8 @@ TEST(SmpBalance, PeriodicStealsEqualizeTicketValue) {
   SmpScheduler sched(o);
   // Round-robin homing puts the rich threads (even spawn order) on CPU 0
   // and the poor ones on CPU 1: totals start 4000 vs 40.
-  const auto tids = Populate(sched, 8, {1000, 10, 1000, 10,
-                                        1000, 10, 1000, 10});
+  Populate(sched, 8, {1000, 10, 1000, 10, 1000, 10, 1000, 10});
+  const uint64_t total = sched.RunnableTickets(0) + sched.RunnableTickets(1);
   const SimDuration quantum = SimDuration::Millis(10);
   SimTime now = SimTime::Zero();
   for (int round = 0; round < 300; ++round) {
@@ -190,17 +199,13 @@ TEST(SmpBalance, PeriodicStealsEqualizeTicketValue) {
   EXPECT_GT(sched.migrations(), 0u);
   // Every thread is queued again; per-CPU runnable totals must be near
   // equal — the balancer chased ticket value, not thread counts.
-  const uint64_t a = sched.cpu(0).RunnableTickets();
-  const uint64_t b = sched.cpu(1).RunnableTickets();
+  const uint64_t a = sched.RunnableTickets(0);
+  const uint64_t b = sched.RunnableTickets(1);
   const uint64_t diff = a > b ? a - b : b - a;
   EXPECT_LT(diff * 4, a + b)
       << "per-CPU totals " << a << " vs " << b << " still skewed";
-  // Global funding is conserved across however many migrations happened.
-  int64_t funded = 0;
-  for (const ThreadId tid : tids) {
-    funded += sched.FundedAmount(tid);
-  }
-  EXPECT_EQ(funded, 4 * 1000 + 4 * 10);
+  // Global value is conserved across however many migrations happened.
+  EXPECT_EQ(a + b, total);
 }
 
 TEST(SmpBalance, DeterministicAcrossIdenticalRuns) {

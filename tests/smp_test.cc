@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "src/core/lottery_scheduler.h"
 #include "src/sched/hybrid.h"
@@ -190,7 +191,7 @@ TEST(Smp, HybridSchedulerOnTwoCpus) {
   for (int i = 0; i < 3; ++i) {
     const ThreadId tid = kernel.Spawn("t" + std::to_string(i),
                                       std::make_unique<ComputeTask>());
-    sched.lottery().FundThread(tid, sched.lottery().table().base(), funds[i]);
+    sched.economy()->FundThread(tid, sched.economy()->table().base(), funds[i]);
     tids.push_back(tid);
   }
   kernel.RunFor(SimDuration::Seconds(120));
@@ -233,11 +234,11 @@ TEST(Smp, SingleCpuMatchesLegacyBehaviourExactly) {
 
 // --- Partitioned (SmpScheduler) property tests ------------------------------
 //
-// These drive the per-CPU partitioned facade through the real kernel and
-// assert the invariants that must hold no matter what the balancer does:
-// funding is conserved across migrations, no thread is ever lost or
-// double-enqueued (even under injected faults), and compensation ratios
-// ride along with a migrating thread.
+// These drive the partitioned facade through the real kernel and assert
+// the invariants that must hold no matter what the balancer does: funding
+// is conserved across migrations, no thread is ever lost or double-enqueued
+// (even under injected faults), and compensation ratios ride along with a
+// migrating thread.
 
 smp::SmpScheduler::Options PartOpts(int cpus, uint32_t seed,
                                     obs::Registry* reg) {
@@ -281,11 +282,8 @@ TEST(SmpPartitioned, FundingConservedUnderStealAndMigrationChurn) {
   for (int step = 0; step < 10; ++step) {
     kernel.RunFor(SimDuration::Seconds(3));
     sched.CheckIntegrity();
-    int64_t funded = 0;
-    for (const ThreadId tid : tids) {
-      funded += sched.FundedAmount(tid);
-    }
-    EXPECT_EQ(funded, granted) << "funding leaked by step " << step;
+    EXPECT_EQ(sched.table().base()->issued_amount(), granted)
+        << "funding leaked by step " << step;
   }
   // The mix must actually have exercised cross-CPU movement.
   EXPECT_GT(sched.steals() + sched.migrations(), 0u);
@@ -321,8 +319,8 @@ TEST(SmpPartitioned, NoThreadLostOrDuplicatedUnderFaultInjection) {
   }
   // Crashes retire threads (the kernel calls RemoveThread); wake faults
   // shake the ready/blocked transitions the balancer races against. The
-  // structural invariant — every live thread on exactly one CPU table,
-  // never queued while running — must survive all of it.
+  // structural invariant — every queued thread in exactly its home CPU's
+  // queue, never queued while running — must survive all of it.
   for (int step = 0; step < 15; ++step) {
     kernel.RunFor(SimDuration::Seconds(2));
     sched.CheckIntegrity();
@@ -331,7 +329,7 @@ TEST(SmpPartitioned, NoThreadLostOrDuplicatedUnderFaultInjection) {
         EXPECT_GE(sched.HomeCpu(tid), 0);
         EXPECT_LT(sched.HomeCpu(tid), 4);
       } else {
-        // Crashed threads must be fully forgotten by every per-CPU table.
+        // Crashed threads must be fully forgotten by the economy.
         EXPECT_THROW(sched.HomeCpu(tid), std::invalid_argument);
       }
     }
@@ -340,6 +338,58 @@ TEST(SmpPartitioned, NoThreadLostOrDuplicatedUnderFaultInjection) {
                 faults.injections(FaultClass::kSpuriousWakeup) +
                 faults.injections(FaultClass::kDelayedUnblock),
             0u);
+}
+
+// Owns the mutex from its first slice on and computes forever.
+class HoldForever : public ThreadBody {
+ public:
+  explicit HoldForever(SimMutex* mutex) : mutex_(mutex) {}
+  NO_THREAD_SAFETY_ANALYSIS void Run(RunContext& ctx) override {
+    if (!held_) {
+      held_ = mutex_->Acquire(ctx);
+      ASSERT_TRUE(held_);
+    }
+    mutex_->NoteHeldAcrossSlice(ctx.self());
+    ctx.Consume(ctx.remaining());
+  }
+
+ private:
+  SimMutex* mutex_;
+  bool held_ = false;
+};
+
+TEST(SmpPartitioned, MutexHolderInheritsWaiterFundingAcrossCpus) {
+  obs::Registry reg;
+  smp::SmpScheduler sched(PartOpts(4, 2718, &reg));
+  Kernel::Options ko = SmpOpts(4);
+  ko.quantum = SimDuration::Millis(10);
+  ko.metrics = &reg;
+  Kernel kernel(&sched, ko);
+  SimMutex mutex(&kernel, "m");
+  const ThreadId holder =
+      kernel.Spawn("holder", std::make_unique<HoldForever>(&mutex));
+  sched.FundThread(holder, 100);
+  kernel.RunFor(SimDuration::Millis(50));
+  ASSERT_EQ(mutex.owner(), holder);
+  // Compute load on every CPU, then a waiter homed on another CPU than
+  // the holder: round-robin placement puts spawn k on CPU k % 4.
+  for (int i = 0; i < 6; ++i) {
+    const ThreadId tid = kernel.Spawn("load" + std::to_string(i),
+                                      std::make_unique<ComputeTask>());
+    sched.FundThread(tid, 100);
+  }
+  MutexTask::Options mopts;
+  const ThreadId waiter = kernel.Spawn(
+      "waiter", std::make_unique<MutexTask>(&mutex, mopts));
+  sched.FundThread(waiter, 300);
+  EXPECT_NE(sched.HomeCpu(waiter), sched.HomeCpu(holder));
+  kernel.RunFor(SimDuration::Seconds(2));
+  ASSERT_EQ(mutex.num_waiters(), 1u);
+  // The blocked waiter's 300 flows through the mutex currency to the
+  // holder, wherever the balancer has put either of them.
+  EXPECT_EQ(sched.ThreadValue(holder).base_units(), 400);
+  EXPECT_GT(reg.counter("lottery.transfers")->value(), 0u);
+  sched.CheckIntegrity();
 }
 
 TEST(SmpPartitioned, CompensationSurvivesAMigrationChain) {
@@ -351,17 +401,17 @@ TEST(SmpPartitioned, CompensationSurvivesAMigrationChain) {
   // An interactive thread that consumed 1/7 of its quantum holds a 7:1
   // compensation boost; chain it across every CPU and the ratio (and the
   // thread's ticket value) must arrive intact each hop.
-  sched.cpu(0).client(1)->SetCompensation(7, 1);
-  const uint64_t value = sched.cpu(0).ThreadValue(1).raw_unsigned();
+  sched.client(1)->SetCompensation(7, 1);
+  const uint64_t value = sched.ThreadValue(1).raw_unsigned();
   for (int dst = 1; dst < 4; ++dst) {
     sched.Migrate(1, dst, SimTime::Zero());
-    EXPECT_EQ(sched.cpu(dst).client(1)->compensation_num(), 7);
-    EXPECT_EQ(sched.cpu(dst).client(1)->compensation_den(), 1);
-    EXPECT_EQ(sched.cpu(dst).ThreadValue(1).raw_unsigned(), value);
+    EXPECT_EQ(sched.client(1)->compensation_num(), 7);
+    EXPECT_EQ(sched.client(1)->compensation_den(), 1);
+    EXPECT_EQ(sched.ThreadValue(1).raw_unsigned(), value);
+    EXPECT_EQ(sched.RunnableTickets(dst), value);
     sched.CheckIntegrity();
   }
-  EXPECT_EQ(sched.ThreadMigrations(1), 3u);
-  EXPECT_EQ(sched.FundedAmount(1), 360);
+  EXPECT_EQ(sched.migrations(), 3u);
 }
 
 }  // namespace

@@ -26,7 +26,8 @@ int Run(int argc, char** argv) {
   const Flags flags(argc, argv);
   if (flags.GetBool("help", false)) {
     std::printf(
-        "usage: faultctl [--seed=N] [--backend=list|tree|stride] [--cpus=N]\n"
+        "usage: faultctl [--seed=N] [--backend=list|tree|stride|smp]\n"
+        "                [--cpus=N]\n"
         "                [--threads=N] [--horizon-us=N] [--quantum-us=N]\n"
         "                [--measured=A,B] [--plan='crash:p=0.01;...']\n"
         "                [--trace=PATH] [--verbose]\n"
