@@ -32,7 +32,11 @@ uint16_t SliceFlagOf(Disposition disposition) {
 
 RunContext::RunContext(Kernel* kernel, ThreadId self, SimTime start,
                        SimDuration budget)
-    : kernel_(kernel), self_(self), start_(start), budget_(budget) {}
+    : kernel_(kernel),
+      tracer_(kernel->tracer()),
+      self_(self),
+      start_(start),
+      budget_(budget) {}
 
 SimDuration RunContext::Consume(SimDuration want) {
   if (want.nanos() < 0) {
@@ -41,6 +45,39 @@ SimDuration RunContext::Consume(SimDuration want) {
   const SimDuration granted = want < remaining() ? want : remaining();
   used_ += granted;
   return granted;
+}
+
+int64_t RunContext::ConsumeUnits(SimDuration unit, SimDuration* partial) {
+  const int64_t cost = unit.nanos();
+  const int64_t done = partial->nanos();
+  if (cost <= 0 || done < 0 || done >= cost) {
+    throw std::invalid_argument("ConsumeUnits: need 0 <= partial < unit");
+  }
+  const int64_t left = remaining().nanos();
+  const int64_t to_first = cost - done;
+  int64_t at = now().nanos() + to_first;  // the first completion instant
+  used_ = budget_;
+  if (left < to_first) {
+    *partial += SimDuration::Nanos(left);
+    return 0;
+  }
+  const int64_t units = 1 + (left - to_first) / cost;
+  *partial = SimDuration::Nanos((left - to_first) % cost);
+  if (tracer_ != nullptr) {
+    // Completions fall every `cost` from `at`: report each window's run of
+    // them with one add.
+    for (int64_t pending = units; pending > 0;) {
+      if (at >= progress_edge_ns_) {
+        OpenProgressWindow(at, 0);
+      }
+      const int64_t in_window =
+          std::min(pending, (progress_edge_ns_ - 1 - at) / cost + 1);
+      progress_sum_ += in_window;
+      pending -= in_window;
+      at += in_window * cost;
+    }
+  }
+  return units;
 }
 
 void RunContext::Yield() {
@@ -76,10 +113,23 @@ void RunContext::ExitThread() {
   disposition_set_ = true;
 }
 
-void RunContext::AddProgress(int64_t delta) {
-  if (kernel_->tracer() != nullptr) {
-    kernel_->tracer()->AddProgress(self_, now(), delta);
+void RunContext::OpenProgressWindow(int64_t at_ns, int64_t delta) {
+  FlushProgress();
+  // The window holding at_ns is [k·w, (k+1)·w): an instant on an edge opens
+  // the next window, as in Tracer::AddProgress.
+  const int64_t window = tracer_->window().nanos();
+  progress_edge_ns_ = (at_ns / window + 1) * window;
+  progress_sum_ = delta;
+}
+
+void RunContext::FlushProgress() {
+  if (progress_edge_ns_ == 0) {
+    return;
   }
+  const SimTime window_start =
+      SimTime::FromNanos(progress_edge_ns_ - tracer_->window().nanos());
+  tracer_->AddProgress(self_, window_start, progress_sum_);
+  progress_edge_ns_ = 0;
 }
 
 Kernel::Kernel(Scheduler* scheduler, Options options, Tracer* tracer)
@@ -406,6 +456,9 @@ void Kernel::RunUntil(SimTime end) {
 
     RunContext ctx(this, tid, now_, options_.quantum);
     thread.body->Run(ctx);
+    // Before the outcome is applied: an exit, block, sleep or injected
+    // crash keeps every unit the slice reported.
+    ctx.FlushProgress();
     m_slice_us_->RecordSampled(
         static_cast<uint64_t>(ctx.used().nanos()) / 1000u);
 

@@ -4,11 +4,12 @@
 //
 // Threads are ThreadBody state machines. On dispatch, a body receives a
 // RunContext with a CPU budget (one scheduling quantum); it consumes
-// simulated CPU with Consume(), reports workload progress, and ends the
-// slice runnable (preempted/yield), sleeping, blocked on a kernel service
-// (mutex, RPC), or exited. The kernel charges exactly the consumed time,
-// notifies the policy Scheduler (lottery or any baseline), delivers timer
-// events, and advances the virtual clock. Everything is deterministic.
+// simulated CPU with Consume() (or ConsumeUnits()), reports workload
+// progress, and ends the slice runnable (preempted/yield), sleeping, blocked
+// on a kernel service (mutex, RPC), or exited. The kernel charges exactly the
+// consumed time, notifies the policy Scheduler (lottery or any baseline),
+// delivers timer events, and advances the virtual clock. Everything is
+// deterministic.
 
 #ifndef SRC_SIM_KERNEL_H_
 #define SRC_SIM_KERNEL_H_
@@ -95,21 +96,49 @@ class RunContext {
   // (truncated at the end of the slice).
   SimDuration Consume(SimDuration want);
 
+  // Consumes the rest of the slice as back-to-back units of work costing
+  // `unit` each, the first of which already has `*partial` (< unit) done.
+  // Reports one unit of progress at each completion instant, stores the
+  // unfinished remainder back into `*partial`, and returns the number of
+  // units completed. Closed form: O(tracer windows crossed), not O(units).
+  int64_t ConsumeUnits(SimDuration unit, SimDuration* partial);
+
   // Slice-ending requests. At most one; checked by the kernel.
   void Yield();
   void SleepFor(SimDuration duration);
   void Block();
   void ExitThread();
 
-  // Workload progress, forwarded to the kernel's Tracer (if any).
-  void AddProgress(int64_t delta);
+  // Workload progress at now(), for the kernel's Tracer (if any). Reports
+  // are summed per tracer window and handed over once per window the slice
+  // crosses (and once when the slice ends), so calling this once per unit
+  // of work costs an add and a compare.
+  void AddProgress(int64_t delta) {
+    if (tracer_ == nullptr) {
+      return;
+    }
+    const int64_t at_ns = now().nanos();
+    if (at_ns < progress_edge_ns_) {
+      progress_sum_ += delta;
+    } else {
+      OpenProgressWindow(at_ns, delta);
+    }
+  }
 
   Disposition disposition() const { return disposition_; }
   SimDuration sleep_duration() const { return sleep_; }
 
  private:
   friend class Kernel;
+
+  // Flushes the pending window and starts the one holding `at_ns`.
+  void OpenProgressWindow(int64_t at_ns, int64_t delta);
+  // Hands the pending window's sum to the Tracer. The kernel calls this once
+  // after the body returns, before the slice's outcome is applied.
+  void FlushProgress();
+
   Kernel* kernel_;
+  Tracer* tracer_;
   ThreadId self_;
   SimTime start_;
   SimDuration budget_;
@@ -117,6 +146,11 @@ class RunContext {
   Disposition disposition_ = Disposition::kPreempted;
   bool disposition_set_ = false;
   SimDuration sleep_{};
+  // Progress reported in the tracer window ending at progress_edge_ns_ and
+  // not yet handed to the Tracer. Edge 0 means none is pending (a real edge
+  // is at least one window past time zero).
+  int64_t progress_edge_ns_ = 0;
+  int64_t progress_sum_ = 0;
 };
 
 class Kernel {

@@ -11,22 +11,9 @@ UnitWorkTask::UnitWorkTask(SimDuration unit_cost) : unit_cost_(unit_cost) {
 }
 
 void UnitWorkTask::Run(RunContext& ctx) {
-  for (;;) {
-    const SimDuration need = unit_cost_ - partial_;
-    if (ctx.remaining() < need) {
-      partial_ += ctx.Consume(ctx.remaining());
-      break;
-    }
-    ctx.Consume(need);
-    partial_ = SimDuration{};
-    ++units_done_;
-    ctx.AddProgress(1);
-    OnUnit(ctx);
-    if (ctx.remaining().nanos() == 0) {
-      break;
-    }
-  }
-  OnSliceEnd(ctx);
+  const int64_t units = ctx.ConsumeUnits(unit_cost_, &partial_);
+  units_done_ += units;
+  OnSliceEnd(ctx, units);
 }
 
 void YieldingTask::Run(RunContext& ctx) {

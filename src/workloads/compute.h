@@ -5,7 +5,9 @@
 // relative iteration rates equal relative CPU shares. UnitWorkTask is the
 // shared chassis: a fixed CPU cost per work unit, with partial units carried
 // across slices; VideoViewer (video.h) and MonteCarloTask (montecarlo.h)
-// reuse it.
+// reuse it. A slice's units are finished in closed form
+// (RunContext::ConsumeUnits), each one still reported as progress at its
+// own completion instant, and subclasses see them as a count per slice.
 //
 // YieldingTask consumes a fixed fraction of each quantum then yields — the
 // Section 4.5 compensation-ticket scenario (thread B that uses 20 ms of
@@ -22,7 +24,7 @@
 namespace lottery {
 
 // Performs units of work, each costing `unit_cost` of CPU; one progress
-// tick per completed unit. Subclasses may hook unit/slice completion.
+// tick per completed unit. Subclasses may hook slice completion.
 class UnitWorkTask : public ThreadBody {
  public:
   explicit UnitWorkTask(SimDuration unit_cost);
@@ -32,10 +34,10 @@ class UnitWorkTask : public ThreadBody {
   int64_t units_done() const { return units_done_; }
 
  protected:
-  // Called after each completed unit (progress already reported).
-  virtual void OnUnit(RunContext& /*ctx*/) {}
-  // Called once per slice, just before the body returns.
-  virtual void OnSliceEnd(RunContext& /*ctx*/) {}
+  // Called once per slice, just before the body returns, with the `units`
+  // completed in the slice (already counted in units_done() and reported
+  // as progress).
+  virtual void OnSliceEnd(RunContext& /*ctx*/, int64_t /*units*/) {}
 
  private:
   SimDuration unit_cost_;

@@ -13,14 +13,6 @@ MonteCarloTask::MonteCarloTask(CurrencyTable* table, Ticket* funding_ticket,
       options_(options),
       sampler_(options.sampler_seed) {}
 
-void MonteCarloTask::OnUnit(RunContext& /*ctx*/) {
-  // One genuine Monte-Carlo sample of the integrand 4/(1+x^2) on [0,1].
-  const double x = sampler_.NextUnit();
-  const double f = 4.0 / (1.0 + x * x);
-  sum_ += f;
-  sum_sq_ += f * f;
-}
-
 double MonteCarloTask::estimate() const {
   const int64_t n = trials();
   return n > 0 ? sum_ / static_cast<double>(n) : 0.0;
@@ -54,7 +46,15 @@ int64_t MonteCarloTask::current_amount() const {
   return funding_ticket_ != nullptr ? funding_ticket_->amount() : 0;
 }
 
-void MonteCarloTask::OnSliceEnd(RunContext& /*ctx*/) {
+void MonteCarloTask::OnSliceEnd(RunContext& /*ctx*/, int64_t units) {
+  // One genuine Monte-Carlo sample of the integrand 4/(1+x^2) on [0,1] per
+  // trial finished in the slice, summed in completion order.
+  for (int64_t i = 0; i < units; ++i) {
+    const double x = sampler_.NextUnit();
+    const double f = 4.0 / (1.0 + x * x);
+    sum_ += f;
+    sum_sq_ += f * f;
+  }
   if (table_ == nullptr || funding_ticket_ == nullptr || trials() == 0) {
     return;
   }

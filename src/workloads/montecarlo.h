@@ -65,8 +65,7 @@ class MonteCarloTask : public UnitWorkTask {
   int64_t current_amount() const;
 
  protected:
-  void OnUnit(RunContext& ctx) override;
-  void OnSliceEnd(RunContext& ctx) override;
+  void OnSliceEnd(RunContext& ctx, int64_t units) override;
 
  private:
   CurrencyTable* table_;

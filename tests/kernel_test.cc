@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/sched/round_robin.h"
+#include "src/sim/fault.h"
 #include "src/workloads/compute.h"
 
 namespace lottery {
@@ -77,10 +78,117 @@ TEST(Kernel, ProgressReachesTracer) {
                ComputeTask::Options{SimDuration::Millis(1)}));
   kernel.RunFor(SimDuration::Seconds(2));
   // 1 ms per iteration, sole thread: 1000 iterations per second. A unit
-  // finishing exactly on a window edge is attributed to the next window.
+  // finishing exactly on a window edge is attributed to the next window,
+  // so the one finishing at t = 1 s opens window 1 and the last one, at
+  // t = 2 s, opens window 2.
   EXPECT_EQ(tracer.TotalProgress(a), 2000);
-  EXPECT_NEAR(static_cast<double>(tracer.WindowProgress(a, 0)), 1000.0, 1.0);
-  EXPECT_NEAR(static_cast<double>(tracer.WindowProgress(a, 1)), 1000.0, 1.0);
+  EXPECT_EQ(tracer.WindowProgress(a, 0), 999);
+  EXPECT_EQ(tracer.WindowProgress(a, 1), 1000);
+  EXPECT_EQ(tracer.WindowProgress(a, 2), 1);
+  EXPECT_EQ(tracer.num_windows(), 3u);
+}
+
+// How a progress-reporting slice ends.
+enum class Ending { kBlock, kSleep, kExit, kInjectedCrash };
+
+// One 10 ms slice that reports progress across eleven 1 ms tracer windows:
+// by hand at 0.5 ms, 1.5 ms and on the 2 ms edge, then as 1 ms units
+// (0.3 ms of the first one already done) finishing at 2.7, 3.7, ... 9.7 ms,
+// then a zero on the 10 ms edge where the slice ends, which still opens
+// window 10 as a direct Tracer::AddProgress would.
+class EdgeReporter : public ThreadBody {
+ public:
+  explicit EdgeReporter(Ending ending) : ending_(ending) {}
+  void Run(RunContext& ctx) override {
+    ctx.Consume(SimDuration::Micros(500));
+    ctx.AddProgress(1);
+    ctx.Consume(SimDuration::Micros(1000));
+    ctx.AddProgress(2);
+    ctx.Consume(SimDuration::Micros(500));
+    ctx.AddProgress(4);
+    partial_ = SimDuration::Micros(300);
+    units_ = ctx.ConsumeUnits(SimDuration::Millis(1), &partial_);
+    ctx.AddProgress(0);
+    switch (ending_) {
+      case Ending::kBlock:
+        ctx.Block();
+        break;
+      case Ending::kSleep:
+        ctx.SleepFor(SimDuration::Seconds(1));
+        break;
+      case Ending::kExit:
+        ctx.ExitThread();
+        break;
+      case Ending::kInjectedCrash:
+        break;  // preempted; the fault injector kills it at the slice end
+    }
+  }
+  int64_t units() const { return units_; }
+  SimDuration partial() const { return partial_; }
+
+ private:
+  Ending ending_;
+  int64_t units_ = 0;
+  SimDuration partial_{};
+};
+
+TEST(Kernel, ProgressSurvivesEverySliceEnding) {
+  for (const Ending ending : {Ending::kBlock, Ending::kSleep, Ending::kExit,
+                              Ending::kInjectedCrash}) {
+    SCOPED_TRACE(static_cast<int>(ending));
+    RoundRobinScheduler sched;
+    Tracer tracer(SimDuration::Millis(1));
+    FaultSpec crash;
+    crash.fault = FaultClass::kThreadCrash;
+    crash.at_nanos = 0;
+    FaultInjector faults(FaultPlan{{crash}}, 1);
+    Kernel::Options opts;
+    opts.quantum = SimDuration::Millis(10);
+    if (ending == Ending::kInjectedCrash) {
+      opts.faults = &faults;
+    }
+    Kernel kernel(&sched, opts, &tracer);
+    auto body = std::make_unique<EdgeReporter>(ending);
+    EdgeReporter* raw = body.get();
+    const ThreadId a = kernel.Spawn("edges", std::move(body));
+    kernel.RunFor(SimDuration::Millis(10));
+
+    EXPECT_EQ(kernel.CpuTime(a), SimDuration::Millis(10));
+    EXPECT_EQ(kernel.Dispatches(a), 1u);
+    const bool exits =
+        ending == Ending::kExit || ending == Ending::kInjectedCrash;
+    EXPECT_EQ(kernel.Alive(a), !exits);
+    EXPECT_EQ(raw->units(), 8);
+    EXPECT_EQ(raw->partial(), SimDuration::Micros(300));
+    const std::vector<int64_t> want = {1, 2, 5, 1, 1, 1, 1, 1, 1, 1, 0};
+    ASSERT_EQ(tracer.num_windows(), want.size());
+    for (size_t w = 0; w < want.size(); ++w) {
+      EXPECT_EQ(tracer.WindowProgress(a, w), want[w]) << "window " << w;
+    }
+    EXPECT_EQ(tracer.TotalProgress(a), 15);
+  }
+}
+
+TEST(RunContextTest, ConsumeUnitsRejectsBadUnits) {
+  RoundRobinScheduler sched;
+  Kernel kernel(&sched, DefaultOptions());
+  class BadUnits : public ThreadBody {
+   public:
+    void Run(RunContext& ctx) override {
+      SimDuration partial{};
+      EXPECT_THROW(ctx.ConsumeUnits(SimDuration::Nanos(0), &partial),
+                   std::invalid_argument);
+      partial = SimDuration::Millis(1);
+      EXPECT_THROW(ctx.ConsumeUnits(SimDuration::Millis(1), &partial),
+                   std::invalid_argument);
+      EXPECT_EQ(ctx.used().nanos(), 0);
+      ctx.Consume(ctx.remaining());
+      ctx.ExitThread();
+    }
+  };
+  kernel.Spawn("bad", std::make_unique<BadUnits>());
+  kernel.RunFor(SimDuration::Seconds(1));
+  EXPECT_EQ(kernel.num_live_threads(), 0u);
 }
 
 TEST(Kernel, SleepWakesAtTheRightTime) {

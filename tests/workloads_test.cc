@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/sched/round_robin.h"
+#include "src/util/fastrand.h"
 #include "src/workloads/compute.h"
 #include "src/workloads/deadline.h"
 #include "src/workloads/montecarlo.h"
@@ -48,6 +52,136 @@ TEST(ComputeTask, RejectsNonPositiveCost) {
   ComputeTask::Options opts;
   opts.iteration_cost = SimDuration::Nanos(0);
   EXPECT_THROW(ComputeTask{opts}, std::invalid_argument);
+}
+
+// The reference model for UnitWorkTask's closed form: a per-unit loop, one
+// Consume and one AddProgress per unit, with the partial unit carried
+// across slices.
+class PerUnitLoopTask : public ThreadBody {
+ public:
+  explicit PerUnitLoopTask(SimDuration unit_cost) : unit_cost_(unit_cost) {}
+
+  void Run(RunContext& ctx) override {
+    for (;;) {
+      const SimDuration need = unit_cost_ - partial_;
+      if (ctx.remaining() < need) {
+        partial_ += ctx.Consume(ctx.remaining());
+        return;
+      }
+      ctx.Consume(need);
+      partial_ = SimDuration{};
+      ++units_done_;
+      ctx.AddProgress(1);
+      if (ctx.remaining().nanos() == 0) {
+        return;
+      }
+    }
+  }
+
+  int64_t units_done() const { return units_done_; }
+
+ private:
+  SimDuration unit_cost_;
+  SimDuration partial_{};
+  int64_t units_done_ = 0;
+};
+
+// One world of the lockstep pair: a ComputeTask and a VideoViewer (or two
+// reference loops with the same unit cost) beside an InteractiveTask whose
+// short bursts start the others' slices off the quantum grid.
+struct UnitWorld {
+  UnitWorld(bool reference, SimDuration unit, SimDuration window, int cpus)
+      : sched(SchedOptions()),
+        tracer(window),
+        kernel(&sched, KernelOptions(cpus), &tracer) {
+    if (reference) {
+      auto a = std::make_unique<PerUnitLoopTask>(unit);
+      auto b = std::make_unique<PerUnitLoopTask>(unit);
+      ref_a = a.get();
+      ref_b = b.get();
+      tids.push_back(kernel.Spawn("a", std::move(a)));
+      tids.push_back(kernel.Spawn("b", std::move(b)));
+    } else {
+      auto a = std::make_unique<ComputeTask>(ComputeTask::Options{unit});
+      auto b = std::make_unique<VideoViewer>(VideoViewer::Options{unit});
+      compute = a.get();
+      viewer = b.get();
+      tids.push_back(kernel.Spawn("a", std::move(a)));
+      tids.push_back(kernel.Spawn("b", std::move(b)));
+    }
+    tids.push_back(kernel.Spawn(
+        "i", std::make_unique<InteractiveTask>(SimDuration::Micros(1300),
+                                               SimDuration::Micros(4100))));
+    const int64_t tickets[] = {300, 200, 100};
+    for (size_t i = 0; i < tids.size(); ++i) {
+      sched.FundThread(tids[i], sched.table().base(), tickets[i]);
+    }
+  }
+
+  static LotteryScheduler::Options SchedOptions() {
+    LotteryScheduler::Options o;
+    o.seed = 23;
+    return o;
+  }
+  static Kernel::Options KernelOptions(int cpus) {
+    Kernel::Options o;
+    o.quantum = SimDuration::Millis(10);
+    o.num_cpus = cpus;
+    return o;
+  }
+
+  int64_t UnitsA() const {
+    return compute != nullptr ? compute->units_done() : ref_a->units_done();
+  }
+  int64_t UnitsB() const {
+    return viewer != nullptr ? viewer->frames() : ref_b->units_done();
+  }
+
+  LotteryScheduler sched;
+  Tracer tracer;
+  Kernel kernel;
+  std::vector<ThreadId> tids;
+  ComputeTask* compute = nullptr;
+  VideoViewer* viewer = nullptr;
+  PerUnitLoopTask* ref_a = nullptr;
+  PerUnitLoopTask* ref_b = nullptr;
+};
+
+TEST(UnitWorkTask, MatchesPerUnitReferenceLoop) {
+  const SimDuration units[] = {SimDuration::Micros(40), SimDuration::Millis(3),
+                               SimDuration::Millis(10),
+                               SimDuration::Millis(23)};
+  const SimDuration windows[] = {SimDuration::Millis(1),
+                                 SimDuration::Millis(7),
+                                 SimDuration::Seconds(1)};
+  for (const int cpus : {1, 2}) {
+    for (const SimDuration unit : units) {
+      for (const SimDuration window : windows) {
+        SCOPED_TRACE("cpus=" + std::to_string(cpus) +
+                     " unit_ns=" + std::to_string(unit.nanos()) +
+                     " window_ns=" + std::to_string(window.nanos()));
+        UnitWorld closed(/*reference=*/false, unit, window, cpus);
+        UnitWorld ref(/*reference=*/true, unit, window, cpus);
+        for (int step = 0; step < 30; ++step) {
+          closed.kernel.RunFor(SimDuration::Millis(100));
+          ref.kernel.RunFor(SimDuration::Millis(100));
+        }
+        const std::vector<std::string> labels = {"a", "b", "i"};
+        EXPECT_EQ(closed.tracer.WindowsCsv(closed.tids, labels),
+                  ref.tracer.WindowsCsv(ref.tids, labels));
+        EXPECT_EQ(closed.tracer.num_windows(), ref.tracer.num_windows());
+        EXPECT_EQ(closed.UnitsA(), ref.UnitsA());
+        EXPECT_EQ(closed.UnitsB(), ref.UnitsB());
+        EXPECT_GT(closed.UnitsA(), 0);
+        for (size_t i = 0; i < closed.tids.size(); ++i) {
+          EXPECT_EQ(closed.kernel.CpuTime(closed.tids[i]),
+                    ref.kernel.CpuTime(ref.tids[i]));
+          EXPECT_EQ(closed.tracer.TotalProgress(closed.tids[i]),
+                    ref.tracer.TotalProgress(ref.tids[i]));
+        }
+      }
+    }
+  }
 }
 
 TEST(YieldingTask, UsesOnlyItsBurstPerQuantum) {
@@ -141,6 +275,51 @@ TEST(MonteCarloTask, InflationDecaysAsTrialsAccumulate) {
   // amount == scale / trials, clamped.
   EXPECT_EQ(raw->current_amount(), 1000000 / 5000);
   EXPECT_NEAR(raw->relative_error(), 1.0 / std::sqrt(5000.0), 1e-9);
+}
+
+TEST(MonteCarloTask, SamplesReplayInTrialOrder) {
+  // 3 ms trials in 10 ms quanta beside a competitor: trials straddle
+  // slices, and each slice draws its finished trials' samples in one go.
+  LotteryScheduler::Options lopts;
+  lopts.seed = 11;
+  LotteryScheduler lsched(lopts);
+  Kernel::Options kopts;
+  kopts.quantum = SimDuration::Millis(10);
+  Kernel kernel(&lsched, kopts);
+  MonteCarloTask::Options opts;
+  opts.trial_cost = SimDuration::Millis(3);
+  opts.error_model = MonteCarloTask::ErrorModel::kMeasured;
+  MonteCarloTask* mc = SpawnMonteCarlo(kernel, lsched, "mc", opts,
+                                       /*start_ready=*/true, nullptr);
+  const ThreadId rival = kernel.Spawn("rival", std::make_unique<ComputeTask>());
+  lsched.FundThread(rival, lsched.table().base(), 2000);
+  kernel.RunFor(SimDuration::Seconds(5));
+
+  const int64_t n = mc->trials();
+  ASSERT_GT(n, 100);
+  FastRand sampler(opts.sampler_seed);
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (int64_t i = 0; i < n; ++i) {
+    const double x = sampler.NextUnit();
+    const double f = 4.0 / (1.0 + x * x);
+    sum += f;
+    sum_sq += f * f;
+  }
+  const double dn = static_cast<double>(n);
+  const double mean = sum / dn;
+  const double se = std::sqrt(
+      std::max(0.0, (sum_sq - dn * mean * mean) / (dn - 1.0)) / dn);
+  EXPECT_EQ(mc->estimate(), mean);
+  EXPECT_EQ(mc->standard_error(), se);
+  const double err = se / std::abs(mean);
+  const int64_t amount = std::clamp(
+      static_cast<int64_t>(static_cast<double>(opts.inflation_scale) * err *
+                           err),
+      opts.min_amount, opts.max_amount);
+  EXPECT_GT(amount, opts.min_amount);
+  EXPECT_LT(amount, opts.max_amount);
+  EXPECT_EQ(mc->current_amount(), amount);
 }
 
 TEST(MonteCarloTask, EstimateConvergesToPi) {
