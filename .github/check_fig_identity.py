@@ -4,19 +4,28 @@
     python3 .github/check_fig_identity.py PARENT_BUILD CHANGE_BUILD
 
 PARENT_BUILD and CHANGE_BUILD are CMake build directories (the ones holding
-bench/fig4_relative_rate and friends). The script runs every figure bench
-and the seeded ablation benches from both at --seed=42, with the --seconds
-that CI passes wherever CI sets one, and compares each pair's stdout and
---json report byte for byte. The one line dropped before comparing is
-"Wrote JSON report to PATH", whose path differs between the two runs.
+bench/fig4_relative_rate and friends). The script runs, from both builds:
 
-Exits 0 when every bench matches. Exits 1 at the first bench whose outputs
+  * every figure bench and the seeded ablation benches at --seed=42, with
+    the --seconds that CI passes wherever CI sets one, comparing stdout and
+    the --json report byte for byte. The one line dropped before comparing
+    is "Wrote JSON report to PATH", whose path differs between the runs;
+  * the nine examples/, comparing stdout byte for byte (they are the only
+    in-kernel runs of the page cache and of the multi-resource disk path);
+  * bench_smp --seed=42 --seconds=20 (the only bench that runs the SMP
+    balancer's migrant lottery and its crossbar veto), comparing its
+    --json report with every key containing "_ns" dropped and its
+    --timeseries file byte for byte. Its stdout prints host-ns columns and
+    is not compared.
+
+Exits 0 when everything matches. Exits 1 at the first run whose outputs
 differ (or that fails to run in either build), naming it and printing the
 start of the difference. A change meant to alter only speed must pass this
 against its parent commit.
 """
 
 import difflib
+import json
 import os
 import subprocess
 import sys
@@ -43,16 +52,30 @@ BENCHES = [
     ("bench_responsiveness", []),
 ]
 
+EXAMPLES = [
+    "adaptive_rendering",
+    "client_server",
+    "currency_isolation",
+    "lotteryctl",
+    "memory_pressure",
+    "multi_resource",
+    "priority_inversion",
+    "quickstart",
+    "scheduler_shootout",
+]
+
+SMP_FLAGS = ["--seconds=20"]
+
 DROPPED_PREFIX = "Wrote JSON report to "
 
 
-def start(build, bench, flags, json_path):
-    binary = os.path.join(build, "bench", bench)
+def start(build, subdir, name, args):
+    binary = os.path.join(build, subdir, name)
     if not os.access(binary, os.X_OK):
         raise FileNotFoundError(binary)
-    cmd = [binary, "--seed=%d" % SEED] + flags + ["--json=" + json_path]
-    return subprocess.Popen(cmd, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, text=True)
+    return subprocess.Popen([binary] + args, stdin=subprocess.DEVNULL,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
 
 
 def finish(proc):
@@ -62,51 +85,104 @@ def finish(proc):
     return proc.returncode, "".join(kept), err
 
 
+def run_pair(label, builds, subdir, name, make_args):
+    """Runs one binary from both builds at once (each is single-threaded).
+
+    make_args(side) gives the arguments for side "parent" or "change".
+    Returns the two stdouts, or None after printing why the pair failed.
+    """
+    try:
+        procs = [start(build, subdir, name, make_args(side))
+                 for side, build in builds]
+    except FileNotFoundError as missing:
+        print("FAIL %s: no binary %s" % (label, missing))
+        return None
+    (p_code, p_out, p_err), (c_code, c_out, c_err) = map(finish, procs)
+    if p_code != 0 or c_code != 0:
+        print("FAIL %s: exit %d (parent) / %d (change)" %
+              (label, p_code, c_code))
+        sys.stdout.write(p_err[-2000:] + c_err[-2000:])
+        return None
+    return p_out, c_out
+
+
 def read(path):
     with open(path) as f:
         return f.read()
 
 
-def show_diff(label, parent, change):
+def without_ns(node):
+    """Drops every key containing "_ns" (host time), at any depth."""
+    if isinstance(node, dict):
+        return {k: without_ns(v) for k, v in node.items() if "_ns" not in k}
+    if isinstance(node, list):
+        return [without_ns(v) for v in node]
+    return node
+
+
+def same(label, what, parent, change):
+    if parent == change:
+        return True
+    print("FAIL %s: %s differs" % (label, what))
     diff = difflib.unified_diff(parent.splitlines(keepends=True),
                                 change.splitlines(keepends=True),
-                                "parent " + label, "change " + label)
-    sys.stdout.writelines(list(diff)[:40])
+                                "parent " + what, "change " + what)
+    for line in list(diff)[:40]:
+        # The timeseries file is one long line; show only its start.
+        print(line.rstrip("\n")[:200])
+    return False
 
 
 def main(argv):
     if len(argv) != 3:
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
-    parent_build, change_build = argv[1], argv[2]
+    builds = [("parent", argv[1]), ("change", argv[2])]
     with tempfile.TemporaryDirectory() as tmp:
+        def out(side, name):
+            return os.path.join(tmp, side + "_" + name)
+
         for bench, flags in BENCHES:
-            parent_json = os.path.join(tmp, "parent_" + bench + ".json")
-            change_json = os.path.join(tmp, "change_" + bench + ".json")
-            try:
-                # Both builds run at once; each bench is single-threaded.
-                procs = (start(parent_build, bench, flags, parent_json),
-                         start(change_build, bench, flags, change_json))
-            except FileNotFoundError as missing:
-                print("FAIL %s: no binary %s" % (bench, missing))
+            outs = run_pair(bench, builds, "bench", bench, lambda side: (
+                ["--seed=%d" % SEED] + flags +
+                ["--json=" + out(side, bench + ".json")]))
+            if outs is None or not same(bench, "stdout", *outs):
                 return 1
-            (p_code, p_out, p_err), (c_code, c_out, c_err) = map(finish, procs)
-            if p_code != 0 or c_code != 0:
-                print("FAIL %s: exit %d (parent) / %d (change)" %
-                      (bench, p_code, c_code))
-                sys.stdout.write(p_err[-2000:] + c_err[-2000:])
-                return 1
-            if p_out != c_out:
-                print("FAIL %s: stdout differs" % bench)
-                show_diff("stdout", p_out, c_out)
-                return 1
-            p_report, c_report = read(parent_json), read(change_json)
-            if p_report != c_report:
-                print("FAIL %s: --json report differs" % bench)
-                show_diff("json", p_report, c_report)
+            if not same(bench, "--json report",
+                        read(out("parent", bench + ".json")),
+                        read(out("change", bench + ".json"))):
                 return 1
             print("ok   %s %s" % (bench, " ".join(flags)))
-    print("all %d benches identical" % len(BENCHES))
+
+        for example in EXAMPLES:
+            outs = run_pair(example, builds, "examples", example,
+                            lambda side: [])
+            if outs is None or not same(example, "stdout", *outs):
+                return 1
+            print("ok   examples/%s" % example)
+
+        outs = run_pair("bench_smp", builds, "bench", "bench_smp",
+                        lambda side: (
+                            ["--seed=%d" % SEED] + SMP_FLAGS +
+                            ["--json=" + out(side, "smp.json"),
+                             "--timeseries=" + out(side, "smp_ts.json")]))
+        if outs is None:
+            return 1
+        def smp_report(side):
+            report = json.loads(read(out(side, "smp.json")))
+            return json.dumps(without_ns(report), indent=1)
+
+        if not same("bench_smp", "--json report without _ns keys",
+                    smp_report("parent"), smp_report("change")):
+            return 1
+        if not same("bench_smp", "--timeseries file",
+                    read(out("parent", "smp_ts.json")),
+                    read(out("change", "smp_ts.json"))):
+            return 1
+        print("ok   bench_smp %s (stdout skipped: host ns)" %
+              " ".join(SMP_FLAGS))
+    print("all %d benches, %d examples and bench_smp identical" %
+          (len(BENCHES), len(EXAMPLES)))
     return 0
 
 

@@ -6,10 +6,12 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "src/core/weighted_draw.h"
+
 namespace lottery {
 
 std::optional<size_t> DrawInverse(const std::vector<uint64_t>& weights,
-                                  FastRand& rng) {  // lotlint: stream(scheduler)
+                                  FastRand& rng) {  // lotlint: stream(caller)
   const size_t n = weights.size();
   if (n == 0) {
     return std::nullopt;
@@ -24,16 +26,9 @@ std::optional<size_t> DrawInverse(const std::vector<uint64_t>& weights,
     return static_cast<size_t>(rng.NextBelow(static_cast<uint32_t>(n)));
   }
   // Complementary weights sum to (n - 1) * total.
-  const uint64_t comp_total = (static_cast<uint64_t>(n) - 1) * total;
-  uint64_t value = rng.NextBelow64(comp_total);
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t comp = total - weights[i];
-    if (value < comp) {
-      return i;
-    }
-    value -= comp;
-  }
-  throw std::logic_error("DrawInverse: ran past complementary weights");
+  const auto loser = DrawWeighted(rng, weights.begin(), weights.end(),
+                                  [total](uint64_t w) { return total - w; });
+  return static_cast<size_t>(loser - weights.begin());
 }
 
 double InverseLossProbability(const std::vector<uint64_t>& weights, size_t i) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "src/core/weighted_draw.h"
+
 namespace lottery {
 
 ListLottery::~ListLottery() {
@@ -106,32 +108,28 @@ Client* ListLottery::Draw(FastRand& rng,  // lotlint: stream(scheduler)
   }
 
   // Accumulate until the winning value is covered (Figure 1).
-  uint64_t sum = 0;
   ++num_draws_;
-  for (size_t i = 0; i < order_.size(); ++i) {
-    Client* candidate = order_[i];
-    if (candidate == nullptr) {
-      continue;
-    }
-    ++total_scanned_;
-    sum += candidate->Value().raw_unsigned();
-    if (sum > winner_value) {
-      if (move_to_front_ && i > 0) {
-        // Identical semantics to list erase + push_front: the winner moves
-        // to the front, everything before it shifts back one slot.
-        std::rotate(order_.begin(),
-                    order_.begin() + static_cast<ptrdiff_t>(i),
-                    order_.begin() + static_cast<ptrdiff_t>(i) + 1);
-        for (size_t j = 0; j <= i; ++j) {
-          if (order_[j] != nullptr) {
-            members_[order_[j]].index = j;
-          }
+  const auto it = ResolveWeighted(
+      order_.begin(), order_.end(), winner_value, [this](Client* candidate) {
+        if (candidate == nullptr) {
+          return uint64_t{0};
         }
+        ++total_scanned_;
+        return candidate->Value().raw_unsigned();
+      });
+  Client* const winner = *it;
+  const size_t i = static_cast<size_t>(it - order_.begin());
+  if (move_to_front_ && i > 0) {
+    // Identical semantics to list erase + push_front: the winner moves to
+    // the front, everything before it shifts back one slot.
+    std::rotate(order_.begin(), it, it + 1);
+    for (size_t j = 0; j <= i; ++j) {
+      if (order_[j] != nullptr) {
+        members_[order_[j]].index = j;
       }
-      return candidate;
     }
   }
-  throw std::logic_error("ListLottery::Draw: ran past end of list");
+  return winner;
 }
 
 std::vector<Client*> ListLottery::ClientsInOrder() const {

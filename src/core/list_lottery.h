@@ -3,8 +3,11 @@
 // This mirrors Section 4.2 and Figure 1 and the prototype's actual run-queue
 // implementation: a winning value is drawn uniformly over [0, total funding),
 // then the client list is traversed accumulating each client's value in base
-// units until the running sum exceeds the winning value. Clients that win
-// often migrate to the front, shortening the average traversal.
+// units until the running sum exceeds the winning value. The traversal is
+// the walk every linear lottery shares (ResolveWeighted, weighted_draw.h);
+// only the draw of the value from the cached total is this class's own.
+// Clients that win often migrate to the front, shortening the average
+// traversal.
 //
 // Storage is an index-mapped vector rather than a linked list: Draw walks a
 // contiguous Client* array (cache-friendly), Remove tombstones in O(1) and

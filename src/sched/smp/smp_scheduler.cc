@@ -1,8 +1,10 @@
 #include "src/sched/smp/smp_scheduler.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
+#include "src/core/weighted_draw.h"
 #include "src/obs/etrace/trace_buffer.h"
 #include "src/util/invariant.h"
 
@@ -263,45 +265,30 @@ void SmpScheduler::TryBalanceSteal(int cpu, SimTime now) {
 ThreadId SmpScheduler::PickMigrant(
     const std::vector<std::pair<ThreadId, uint64_t>>& snap,
     uint64_t max_value) {
-  uint64_t total = 0;
-  uint32_t eligible = 0;
-  for (const auto& [tid, value] : snap) {
-    if (max_value != 0 && value > max_value) {
-      continue;
-    }
-    ++eligible;
-    total += value;
-  }
-  if (eligible == 0) {
-    return kInvalidThreadId;
-  }
-  if (total == 0) {
+  const auto eligible = [max_value](uint64_t value) {
+    return max_value == 0 || value <= max_value;
+  };
+  auto it = DrawWeighted(balance_rng_, snap.begin(), snap.end(),
+                         [&](const auto& entry) {
+                           return eligible(entry.second) ? entry.second
+                                                         : uint64_t{0};
+                         });
+  if (it == snap.end()) {
     // Every eligible thread is worth zero right now (funding revoked or
     // inactive): fall back to a uniform pick, mirroring the scheduler's
     // own zero-funding round-robin spirit.
-    uint32_t index = balance_rng_.NextBelow(eligible);
-    for (const auto& [tid, value] : snap) {
-      if (max_value != 0 && value > max_value) {
-        continue;
-      }
-      if (index == 0) {
-        return tid;
-      }
-      --index;
+    const auto count = std::count_if(
+        snap.begin(), snap.end(),
+        [&](const auto& entry) { return eligible(entry.second); });
+    if (count == 0) {
+      return kInvalidThreadId;
     }
-    return kInvalidThreadId;
+    it = ResolveWeighted(
+        snap.begin(), snap.end(),
+        balance_rng_.NextBelow(static_cast<uint32_t>(count)),
+        [&](const auto& entry) { return eligible(entry.second) ? 1u : 0u; });
   }
-  uint64_t draw = balance_rng_.NextBelow64(total);
-  for (const auto& [tid, value] : snap) {
-    if (max_value != 0 && value > max_value) {
-      continue;
-    }
-    if (draw < value) {
-      return tid;
-    }
-    draw -= value;
-  }
-  return kInvalidThreadId;
+  return it->first;
 }
 
 CrossbarSwitch::CircuitId SmpScheduler::CircuitFor(int src, int dst) {

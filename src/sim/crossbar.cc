@@ -1,6 +1,9 @@
 #include "src/sim/crossbar.h"
 
+#include <algorithm>
 #include <stdexcept>
+
+#include "src/core/weighted_draw.h"
 
 namespace lottery {
 
@@ -60,32 +63,25 @@ void CrossbarSwitch::RunSlot() {
       if (output_matched[static_cast<size_t>(out)]) {
         continue;
       }
-      uint64_t total = 0;
-      std::vector<size_t> eligible;
-      for (size_t i = 0; i < circuits_.size(); ++i) {
-        const Circuit& c = circuits_[i];
-        if (c.output == out && !c.cells.empty() &&
-            c.cells.front() <= now_ &&
-            !input_matched[static_cast<size_t>(c.input)]) {
-          eligible.push_back(i);
-          total += c.tickets;
-        }
-      }
-      if (eligible.empty()) {
+      const auto eligible = [&](const Circuit& c) {
+        return c.output == out && !c.cells.empty() &&
+               c.cells.front() <= now_ &&
+               !input_matched[static_cast<size_t>(c.input)];
+      };
+      const auto first =
+          std::find_if(circuits_.begin(), circuits_.end(), eligible);
+      if (first == circuits_.end()) {
         continue;
       }
-      size_t winner = eligible.front();
-      if (total > 0) {
-        uint64_t value = rng_->NextBelow64(total);
-        for (const size_t i : eligible) {
-          if (value < circuits_[i].tickets) {
-            winner = i;
-            break;
-          }
-          value -= circuits_[i].tickets;
-        }
+      auto it = DrawWeighted(*rng_, first, circuits_.end(),
+                             [&](const Circuit& c) {
+                               return eligible(c) ? c.tickets : uint64_t{0};
+                             });
+      if (it == circuits_.end()) {
+        it = first;  // all-zero tickets: the first eligible circuit
       }
-      proposals[circuits_[winner].input].push_back(winner);
+      proposals[it->input].push_back(
+          static_cast<size_t>(it - circuits_.begin()));
     }
 
     if (proposals.empty()) {
@@ -96,19 +92,11 @@ void CrossbarSwitch::RunSlot() {
     for (auto& [input, candidates] : proposals) {
       size_t winner = candidates.front();
       if (candidates.size() > 1) {
-        uint64_t total = 0;
-        for (const size_t i : candidates) {
-          total += circuits_[i].tickets;
-        }
-        if (total > 0) {
-          uint64_t value = rng_->NextBelow64(total);
-          for (const size_t i : candidates) {
-            if (value < circuits_[i].tickets) {
-              winner = i;
-              break;
-            }
-            value -= circuits_[i].tickets;
-          }
+        const auto it =
+            DrawWeighted(*rng_, candidates.begin(), candidates.end(),
+                         [this](size_t i) { return circuits_[i].tickets; });
+        if (it != candidates.end()) {
+          winner = *it;
         }
       }
       input_matched[static_cast<size_t>(input)] = true;

@@ -1,8 +1,10 @@
 #include "src/sim/disk.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
+#include "src/core/weighted_draw.h"
 #include "src/obs/etrace/trace_buffer.h"
 #include "src/sim/fault.h"
 
@@ -72,31 +74,24 @@ SimDuration DiskScheduler::ServiceTime(const Request& request) const {
 }
 
 std::optional<DiskScheduler::ClientId> DiskScheduler::PickClient() {
-  // Lottery over clients with a request submitted by `now_`.
-  std::vector<ClientId> ids;
-  std::vector<uint64_t> weights;
-  uint64_t total = 0;
-  for (const auto& [id, state] : clients_) {
-    if (!state.queue.empty() && state.queue.front().submitted <= now_) {
-      ids.push_back(id);
-      weights.push_back(state.tickets);
-      total += state.tickets;
-    }
-  }
-  if (ids.empty()) {
+  // Lottery over clients with a request submitted by `now_`; all-zero
+  // tickets fall back to the first such client.
+  const auto ready = [this](const ClientState& state) {
+    return !state.queue.empty() && state.queue.front().submitted <= now_;
+  };
+  const auto first =
+      std::find_if(clients_.begin(), clients_.end(),
+                   [&](const auto& entry) { return ready(entry.second); });
+  if (first == clients_.end()) {
     return std::nullopt;
   }
-  if (total == 0) {
-    return ids.front();
-  }
-  uint64_t value = rng_->NextBelow64(total);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (value < weights[i]) {
-      return ids[i];
-    }
-    value -= weights[i];
-  }
-  throw std::logic_error("DiskScheduler::PickClient: ran past weights");
+  const auto it = DrawWeighted(*rng_, first, clients_.end(),
+                               [&](const auto& entry) {
+                                 return ready(entry.second)
+                                            ? entry.second.tickets
+                                            : uint64_t{0};
+                               });
+  return it != clients_.end() ? it->first : first->first;
 }
 
 void DiskScheduler::AdvanceTo(SimTime deadline) {

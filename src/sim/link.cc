@@ -1,6 +1,9 @@
 #include "src/sim/link.h"
 
+#include <algorithm>
 #include <stdexcept>
+
+#include "src/core/weighted_draw.h"
 
 namespace lottery {
 
@@ -46,30 +49,24 @@ bool LinkScheduler::Enqueue(CircuitId circuit, SimTime when) {
 }
 
 std::optional<LinkScheduler::CircuitId> LinkScheduler::PickCircuit() {
-  std::vector<CircuitId> ids;
-  std::vector<uint64_t> weights;
-  uint64_t total = 0;
-  for (const auto& [id, state] : circuits_) {
-    if (!state.cells.empty() && state.cells.front() <= now_) {
-      ids.push_back(id);
-      weights.push_back(state.tickets);
-      total += state.tickets;
-    }
-  }
-  if (ids.empty()) {
+  // Lottery over circuits with a cell buffered by `now_`; all-zero tickets
+  // fall back to the first such circuit.
+  const auto ready = [this](const CircuitState& state) {
+    return !state.cells.empty() && state.cells.front() <= now_;
+  };
+  const auto first =
+      std::find_if(circuits_.begin(), circuits_.end(),
+                   [&](const auto& entry) { return ready(entry.second); });
+  if (first == circuits_.end()) {
     return std::nullopt;
   }
-  if (total == 0) {
-    return ids.front();
-  }
-  uint64_t value = rng_->NextBelow64(total);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (value < weights[i]) {
-      return ids[i];
-    }
-    value -= weights[i];
-  }
-  throw std::logic_error("LinkScheduler::PickCircuit: ran past weights");
+  const auto it = DrawWeighted(*rng_, first, circuits_.end(),
+                               [&](const auto& entry) {
+                                 return ready(entry.second)
+                                            ? entry.second.tickets
+                                            : uint64_t{0};
+                               });
+  return it != circuits_.end() ? it->first : first->first;
 }
 
 void LinkScheduler::AdvanceTo(SimTime deadline) {

@@ -1,7 +1,8 @@
 #include "src/sim/page_cache.h"
 
 #include <stdexcept>
-#include <vector>
+
+#include "src/core/weighted_draw.h"
 
 namespace lottery {
 
@@ -68,48 +69,39 @@ PageCache::AccessResult PageCache::Access(ClientId client, PageId page) {
 PageCache::ClientId PageCache::PickVictim() {
   // Weight_i = (T - t_i) * frames_i over clients holding frames; the
   // combined Section 6.2 criterion. If only one client holds frames it
-  // must lose; if the weights vanish (e.g. a lone ticket-holder owns all
-  // frames held by others == 0), fall back to frames-proportional.
-  std::vector<ClientId> ids;
-  std::vector<uint64_t> weights;
+  // must lose. With two or more holders the weights vanish only when every
+  // holder has zero tickets; the draw then weighs frames alone.
   uint64_t total_tickets = 0;
+  size_t holders = 0;
+  ClientId holder = 0;
   for (const auto& [id, state] : clients_) {
     if (!state.lru.empty()) {
       total_tickets += state.tickets;
+      ++holders;
+      holder = id;
     }
   }
-  uint64_t total_weight = 0;
-  for (const auto& [id, state] : clients_) {
-    if (state.lru.empty()) {
-      continue;
-    }
-    const uint64_t w = (total_tickets - state.tickets) * state.lru.size();
-    ids.push_back(id);
-    weights.push_back(w);
-    total_weight += w;
-  }
-  if (ids.empty()) {
+  if (holders == 0) {
     throw std::logic_error("PageCache::PickVictim: no frames held");
   }
-  if (ids.size() == 1 || total_weight == 0) {
-    // Single holder, or every holder has all the tickets: pick the one
-    // holding the most frames.
-    size_t best = 0;
-    for (size_t i = 1; i < ids.size(); ++i) {
-      if (clients_.at(ids[i]).lru.size() > clients_.at(ids[best]).lru.size()) {
-        best = i;
-      }
-    }
-    return ids[best];
+  if (holders == 1) {
+    return holder;
   }
-  uint64_t value = rng_->NextBelow64(total_weight);
-  for (size_t i = 0; i < ids.size(); ++i) {
-    if (value < weights[i]) {
-      return ids[i];
-    }
-    value -= weights[i];
+  const auto frames = [](const ClientState& state) {
+    return static_cast<uint64_t>(state.lru.size());
+  };
+  auto it = DrawWeighted(
+      *rng_, clients_.begin(), clients_.end(), [&](const auto& entry) {
+        const ClientState& state = entry.second;
+        return state.lru.empty()
+                   ? uint64_t{0}
+                   : (total_tickets - state.tickets) * frames(state);
+      });
+  if (it == clients_.end()) {
+    it = DrawWeighted(*rng_, clients_.begin(), clients_.end(),
+                      [&](const auto& entry) { return frames(entry.second); });
   }
-  throw std::logic_error("PageCache::PickVictim: ran past weights");
+  return it->first;
 }
 
 size_t PageCache::FramesHeld(ClientId client) const {

@@ -1,7 +1,10 @@
 #include "src/sim/rwlock.h"
 
 #include <algorithm>
+#include <ranges>
 #include <stdexcept>
+
+#include "src/core/weighted_draw.h"
 
 namespace lottery {
 
@@ -227,44 +230,37 @@ void SimRwLock::ReleaseWriteAt(ThreadId tid, SimTime now) {
 
 void SimRwLock::AdmitNext(ThreadId releaser, SimTime now) {
   // Weights are computed while the releasing holder still carries the lock
-  // currency's funding (transfers active through it).
-  std::vector<uint64_t> weights(waiters_.size());
+  // currency's funding (transfers active through it). This pass values
+  // every waiter in queue order, writers too, so the draw below reads
+  // cached values.
   uint64_t reader_total = 0;
-  uint64_t grand_total = 0;
-  for (size_t i = 0; i < waiters_.size(); ++i) {
-    weights[i] = WaiterWeight(waiters_[i]);
-    grand_total += weights[i];
-    if (!waiters_[i].is_writer) {
-      reader_total += weights[i];
+  for (const Waiter& waiter : waiters_) {
+    const uint64_t weight = WaiterWeight(waiter);
+    if (!waiter.is_writer) {
+      reader_total += weight;
     }
   }
 
-  // Choose: each writer individually vs. the reader group as one entrant.
-  bool admit_readers;
-  size_t writer_index = waiters_.size();
+  // Choose: the reader group as one entrant (entrant 0) against each writer
+  // individually (entrant i + 1 is waiters_[i]). All-zero weights, or no
+  // lottery scheduler, follow the oldest waiter's kind (FIFO).
+  const auto entrants = std::views::iota(size_t{0}, waiters_.size() + 1);
+  auto drawn = entrants.end();
   LotteryScheduler* ls = kernel_->lottery();
-  if (ls != nullptr && grand_total > 0) {
-    uint64_t value = ls->rng().NextBelow64(grand_total);
-    admit_readers = value < reader_total;
-    if (!admit_readers) {
-      value -= reader_total;
-      for (size_t i = 0; i < waiters_.size(); ++i) {
-        if (!waiters_[i].is_writer) {
-          continue;
-        }
-        if (value < weights[i]) {
-          writer_index = i;
-          break;
-        }
-        value -= weights[i];
-      }
-    }
-  } else {
-    // FIFO fallback: follow the oldest waiter's kind.
-    admit_readers = !waiters_.front().is_writer;
-    if (!admit_readers) {
-      writer_index = 0;
-    }
+  if (ls != nullptr) {
+    drawn = DrawWeighted(ls->rng(), entrants.begin(), entrants.end(),
+                         [&](size_t entrant) {
+                           if (entrant == 0) {
+                             return reader_total;
+                           }
+                           const Waiter& waiter = waiters_[entrant - 1];
+                           return waiter.is_writer ? WaiterWeight(waiter)
+                                                   : uint64_t{0};
+                         });
+  }
+  size_t entrant = waiters_.front().is_writer ? 1 : 0;
+  if (drawn != entrants.end()) {
+    entrant = *drawn;
   }
 
   // Tear down the releasing holder's inheritance now that the draw is done.
@@ -287,7 +283,7 @@ void SimRwLock::AdmitNext(ThreadId releaser, SimTime now) {
     writer_ = kInvalidThreadId;
   }
 
-  if (admit_readers) {
+  if (entrant == 0) {
     std::vector<Waiter> keep;
     for (Waiter& waiter : waiters_) {
       if (waiter.is_writer) {
@@ -302,15 +298,7 @@ void SimRwLock::AdmitNext(ThreadId releaser, SimTime now) {
     }
     waiters_ = std::move(keep);
   } else {
-    if (writer_index >= waiters_.size()) {
-      // No writer matched (all weights zero among writers): take the first.
-      for (size_t i = 0; i < waiters_.size(); ++i) {
-        if (waiters_[i].is_writer) {
-          writer_index = i;
-          break;
-        }
-      }
-    }
+    const size_t writer_index = entrant - 1;
     Waiter winner = std::move(waiters_[writer_index]);
     waiters_.erase(waiters_.begin() + static_cast<ptrdiff_t>(writer_index));
     winner.transfer.reset();

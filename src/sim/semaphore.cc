@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "src/core/weighted_draw.h"
+
 namespace lottery {
 
 SimSemaphore::SimSemaphore(Kernel* kernel, const std::string& name,
@@ -107,22 +109,12 @@ void SimSemaphore::Signal(RunContext& ctx) {
   size_t winner_index = 0;
   LotteryScheduler* ls = kernel_->lottery();
   if (ls != nullptr) {
-    uint64_t total = 0;
-    std::vector<uint64_t> weights(waiters_.size());
-    for (size_t i = 0; i < waiters_.size(); ++i) {
-      weights[i] =
-          ls->table().TicketValue(waiters_[i].transfer->ticket()).raw_unsigned();
-      total += weights[i];
-    }
-    if (total > 0) {
-      uint64_t value = ls->rng().NextBelow64(total);
-      for (size_t i = 0; i < weights.size(); ++i) {
-        if (value < weights[i]) {
-          winner_index = i;
-          break;
-        }
-        value -= weights[i];
-      }
+    const auto it = DrawWeighted(
+        ls->rng(), waiters_.begin(), waiters_.end(), [ls](const Waiter& w) {
+          return ls->table().TicketValue(w.transfer->ticket()).raw_unsigned();
+        });
+    if (it != waiters_.end()) {
+      winner_index = static_cast<size_t>(it - waiters_.begin());
     }
   }
   Waiter winner = std::move(waiters_[winner_index]);

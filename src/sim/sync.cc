@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "src/core/weighted_draw.h"
 #include "src/obs/etrace/trace_buffer.h"
 
 namespace lottery {
@@ -166,26 +167,16 @@ void SimMutex::ReleaseAndGrant(SimTime now) {
 
   // Pick the next owner. Lottery mode: weighted by each waiter's
   // transferred funding, measured while the inheritance ticket still funds
-  // the releasing owner (the transfers are active through it).
+  // the releasing owner (the transfers are active through it). All-zero
+  // weights, or no lottery scheduler, grant the oldest waiter.
   size_t winner_index = 0;
   if (ls != nullptr) {
-    std::vector<uint64_t> weights(waiters_.size());
-    uint64_t total = 0;
-    for (size_t i = 0; i < waiters_.size(); ++i) {
-      weights[i] =
-          ls->table().TicketValue(waiters_[i].transfer->ticket()).raw_unsigned();
-      total += weights[i];
-    }
-    if (total > 0) {
-      const uint64_t value = ls->rng().NextBelow64(total);
-      uint64_t sum = 0;
-      for (size_t i = 0; i < weights.size(); ++i) {
-        sum += weights[i];
-        if (sum > value) {
-          winner_index = i;
-          break;
-        }
-      }
+    const auto it = DrawWeighted(
+        ls->rng(), waiters_.begin(), waiters_.end(), [ls](const Waiter& w) {
+          return ls->table().TicketValue(w.transfer->ticket()).raw_unsigned();
+        });
+    if (it != waiters_.end()) {
+      winner_index = static_cast<size_t>(it - waiters_.begin());
     }
   }
 

@@ -276,13 +276,17 @@ TEST(LotlintRng, SmpBalanceStreamDiscipline) {
   // per-CPU dispatch sequences stay bit-identical under rebalance churn.
   // The fixture models the smp_scheduler idiom — annotated balance_rng_ /
   // xbar_rng_ draws pass; a migrant pick from an unannotated scratch RNG
-  // and an unseeded temporary are the leaks R1/R2 must flag.
+  // and an unseeded temporary are the leaks R1/R2 must flag. The shared
+  // walk's stream(caller) parameter makes R2 check the generator each call
+  // passes: balance_rng_ passes, scratch_rng_ is the same leak one call
+  // removed.
   const lotlint::Report report = lotlint::AnalyzeFile(
       "src/sched/smp/smp_steal.cc", ReadFixture("smp_balance_stream.cc.txt"));
   const std::multiset<std::pair<std::string, int>> expected = {
       {"R2-rng-stream", 29},  // scratch_rng_ draw has no stream annotation
       {"R1-rng-seed", 31},    // default-constructed FastRand temporary
       {"R2-rng-stream", 31},  // ...whose draw is unattributable
+      {"R2-rng-stream", 39},  // scratch_rng_ passed to DrawWeighted
   };
   EXPECT_EQ(RuleLines(report), expected);
   // stream(balance)/stream(device) are declarations, not waivers.

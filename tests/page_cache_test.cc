@@ -85,6 +85,32 @@ TEST(PageCache, FirstVictimProbabilityMatchesSectionSixTwo) {
   EXPECT_NEAR(static_cast<double>(poor_losses) / kTrials, 0.75, 0.03);
 }
 
+TEST(PageCache, ZeroTicketHoldersLoseInProportionToFrames) {
+  // Two holders with zero tickets zero every Section 6.2 weight, so the
+  // victim is drawn by frames held alone: the 75-frame client loses the
+  // first eviction with probability 3/4 (sigma ~0.007 over 4000 trials).
+  int big_losses = 0;
+  constexpr int kTrials = 4000;
+  FastRand rng(2024);
+  for (int trial = 0; trial < kTrials; ++trial) {
+    PageCache cache(100, &rng);
+    cache.RegisterClient(1, 0);
+    cache.RegisterClient(2, 0);
+    for (uint64_t p = 0; p < 75; ++p) {
+      cache.Access(1, p);
+    }
+    for (uint64_t p = 0; p < 25; ++p) {
+      cache.Access(2, 1000 + p);
+    }
+    const auto r = cache.Access(2, 999999);  // first eviction
+    ASSERT_TRUE(r.evicted);
+    if (r.victim_client == 1) {
+      ++big_losses;
+    }
+  }
+  EXPECT_NEAR(static_cast<double>(big_losses) / kTrials, 0.75, 0.03);
+}
+
 TEST(PageCache, MemoryShareEquilibriumFavorsFunding) {
   // With continuous fresh faults from both clients, the steady-state frame
   // split balances loss rates; the rich client ends with more frames.

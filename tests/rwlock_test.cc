@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/sched/round_robin.h"
 #include "src/workloads/compute.h"
@@ -18,12 +20,41 @@ Kernel::Options KOpts() {
   return o;
 }
 
+// Records whom each release admits: the watched threads that flip from
+// blocked to runnable across the call, joined by '+' (a reader group is
+// admitted at once).
+struct AdmissionLog {
+  Kernel* kernel = nullptr;
+  std::vector<ThreadId> watched;
+  std::vector<bool> runnable;
+  std::vector<std::string> admitted;
+
+  void Before() {
+    runnable.clear();
+    for (const ThreadId tid : watched) {
+      runnable.push_back(kernel->ThreadRunnable(tid));
+    }
+  }
+  void After() {
+    std::string entry;
+    for (size_t i = 0; i < watched.size(); ++i) {
+      if (!runnable[i] && kernel->ThreadRunnable(watched[i])) {
+        entry += (entry.empty() ? "" : "+") + kernel->ThreadName(watched[i]);
+      }
+    }
+    if (!entry.empty()) {
+      admitted.push_back(entry);
+    }
+  }
+};
+
 // Repeatedly: acquire (read or write), hold for `hold`, release, compute
 // for `gap`. Counts completed critical sections.
 class RwTask : public ThreadBody {
  public:
-  RwTask(SimRwLock* lock, bool writer, SimDuration hold, SimDuration gap)
-      : lock_(lock), writer_(writer), hold_(hold), gap_(gap) {}
+  RwTask(SimRwLock* lock, bool writer, SimDuration hold, SimDuration gap,
+         AdmissionLog* log = nullptr)
+      : lock_(lock), writer_(writer), hold_(hold), gap_(gap), log_(log) {}
 
   // Cross-slice state machine: the lock is held across Run invocations;
   // ownership is runtime-checked (AssertHeld/NoteHeldAcrossSlice) instead
@@ -58,10 +89,16 @@ class RwTask : public ThreadBody {
             NoteMineAcrossSlice(ctx);
             return;
           }
+          if (log_ != nullptr) {
+            log_->Before();
+          }
           if (writer_) {
             lock_->ReleaseWrite(ctx);
           } else {
             lock_->ReleaseRead(ctx);
+          }
+          if (log_ != nullptr) {
+            log_->After();
           }
           ++sections_;
           ctx.AddProgress(1);
@@ -106,6 +143,7 @@ class RwTask : public ThreadBody {
   bool writer_;
   SimDuration hold_;
   SimDuration gap_;
+  AdmissionLog* log_;
   Phase phase_ = Phase::kAcquire;
   bool waiting_ = false;
   SimDuration left_{};
@@ -289,6 +327,47 @@ TEST(SimRwLock, FundedWritersAdmittedMoreOften) {
       static_cast<double>(poor1->sections() + poor2->sections()) / 2.0;
   const double ratio = static_cast<double>(rich->sections()) / poor_avg;
   EXPECT_GT(ratio, 1.5);
+}
+
+TEST(SimRwLock, AdmissionDrawOrderIsPinned) {
+  // Two writers and three readers, all funded, contend for one lock, so
+  // releases draw the reader group against each waiting writer. No figure
+  // bench or perfbench workload replays this draw, so the exact admission
+  // order below pins its stream: a change meant to be byte-identical must
+  // leave it as it is.
+  LotteryScheduler::Options lopts;
+  lopts.seed = 17;
+  LotteryScheduler sched(lopts);
+  Kernel kernel(&sched, KOpts());
+  SimRwLock lock(&kernel, "l");
+  AdmissionLog log;
+  log.kernel = &kernel;
+  const struct {
+    const char* name;
+    bool writer;
+    int64_t tickets;
+  } tasks[] = {{"w300", true, 300},
+               {"r200", false, 200},
+               {"w100", true, 100},
+               {"r150", false, 150},
+               {"r50", false, 50}};
+  for (const auto& task : tasks) {
+    const ThreadId tid = kernel.Spawn(
+        task.name,
+        std::make_unique<RwTask>(&lock, task.writer, SimDuration::Millis(37),
+                                 SimDuration::Millis(3), &log));
+    sched.FundThread(tid, sched.table().base(), task.tickets);
+    log.watched.push_back(tid);
+  }
+  kernel.RunFor(SimDuration::Seconds(10));
+  ASSERT_GE(log.admitted.size(), 24u);
+  log.admitted.resize(24);
+  const std::vector<std::string> expected = {
+      "w300", "w100", "w300", "r200+r150+r50", "w100", "r200+r150+r50", "w300",
+      "r200+r150+r50", "w300", "r200+r150+r50", "w300", "r200+r150+r50",
+      "w300", "r200+r150+r50", "w300", "w100", "w300", "r200+r150+r50", "w300",
+      "r200+r150+r50", "r200+r150", "w300", "w100", "w300"};
+  EXPECT_EQ(log.admitted, expected);
 }
 
 }  // namespace

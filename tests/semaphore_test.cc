@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/sched/round_robin.h"
 #include "src/workloads/compute.h"
@@ -18,17 +20,47 @@ Kernel::Options KOpts() {
   return o;
 }
 
+// Records which thread each Signal wakes: the watched thread that flips
+// from blocked to runnable across the call.
+struct WakeLog {
+  Kernel* kernel = nullptr;
+  std::vector<ThreadId> watched;
+  std::vector<bool> runnable;
+  std::vector<std::string> woken;
+
+  void Before() {
+    runnable.clear();
+    for (const ThreadId tid : watched) {
+      runnable.push_back(kernel->ThreadRunnable(tid));
+    }
+  }
+  void After() {
+    for (size_t i = 0; i < watched.size(); ++i) {
+      if (!runnable[i] && kernel->ThreadRunnable(watched[i])) {
+        woken.push_back(kernel->ThreadName(watched[i]));
+      }
+    }
+  }
+};
+
 // Producer: computes `cost` then Signals, forever.
 class Producer : public ThreadBody {
  public:
-  Producer(SimSemaphore* sem, SimDuration cost) : sem_(sem), cost_(cost) {}
+  Producer(SimSemaphore* sem, SimDuration cost, WakeLog* log = nullptr)
+      : sem_(sem), cost_(cost), log_(log) {}
   void Run(RunContext& ctx) override {
     for (;;) {
       left_ -= ctx.Consume(left_ < ctx.remaining() ? left_ : ctx.remaining());
       if (left_.nanos() > 0) {
         return;
       }
+      if (log_ != nullptr) {
+        log_->Before();
+      }
       sem_->Signal(ctx);
+      if (log_ != nullptr) {
+        log_->After();
+      }
       ++produced_;
       left_ = cost_;
       if (ctx.remaining().nanos() == 0) {
@@ -41,6 +73,7 @@ class Producer : public ThreadBody {
  private:
   SimSemaphore* sem_;
   SimDuration cost_;
+  WakeLog* log_;
   SimDuration left_ = cost_;
   int64_t produced_ = 0;
 };
@@ -242,6 +275,40 @@ TEST(SimSemaphore, WeightedWakeupPrefersFundedWaiters) {
   // Items are handed out ~3:1 by the wakeup lottery.
   EXPECT_GT(ratio, 2.0);
   EXPECT_LT(ratio, 4.5);
+}
+
+TEST(SimSemaphore, WakeupDrawOrderIsPinned) {
+  // Four funded consumers wait on a slow producer, so each Signal draws
+  // among three or four waiters. No figure bench or perfbench workload
+  // replays this draw, so the exact wake order below pins its stream: a
+  // change meant to be byte-identical must leave it as it is.
+  LotteryScheduler::Options lopts;
+  lopts.seed = 21;
+  LotteryScheduler sched(lopts);
+  Kernel kernel(&sched, KOpts());
+  SimSemaphore sem(&kernel, "queue", 0);
+  WakeLog log;
+  log.kernel = &kernel;
+  const ThreadId ptid = kernel.Spawn(
+      "producer",
+      std::make_unique<Producer>(&sem, SimDuration::Millis(230), &log));
+  sched.FundThread(ptid, sched.table().base(), 1000);
+  sem.SetBeneficiary(ptid);
+  for (const int64_t tickets : {400, 300, 200, 100}) {
+    const ThreadId tid = kernel.Spawn(
+        "c" + std::to_string(tickets),
+        std::make_unique<Consumer>(&sem, SimDuration::Millis(1)));
+    sched.FundThread(tid, sched.table().base(), tickets);
+    log.watched.push_back(tid);
+  }
+  kernel.RunFor(SimDuration::Seconds(10));
+  ASSERT_GE(log.woken.size(), 24u);
+  log.woken.resize(24);
+  const std::vector<std::string> expected = {
+      "c400", "c400", "c400", "c400", "c400", "c400", "c100", "c400", "c200",
+      "c400", "c200", "c400", "c400", "c100", "c400", "c400", "c300", "c300",
+      "c400", "c300", "c100", "c100", "c400", "c400"};
+  EXPECT_EQ(log.woken, expected);
 }
 
 }  // namespace

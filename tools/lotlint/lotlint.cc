@@ -884,14 +884,49 @@ void RuleRngSeed(const Scan& scan, const std::set<std::string>& seeded,
   }
 }
 
-// name -> stream, per declaring file and globally (header decl, source use).
+// name -> stream, per declaring file and globally (header decl, source use);
+// plus the draw forwarders: function name -> position of the FastRand
+// parameter that carries the caller's stream.
 struct StreamRegistry {
   std::map<std::pair<std::string, std::string>, std::string> local;
   std::map<std::string, std::string> global;
+  std::map<std::string, size_t> forwarders;
 };
+
+// For a token inside a parameter list, the function's name and the
+// parameter's position; "" when `i` is not inside one.
+std::pair<std::string, size_t> EnclosingParameter(
+    const std::vector<Token>& toks, size_t i) {
+  size_t index = 0;
+  int depth = 0;  // (), [], {} closed on the way back
+  int angle = 0;  // template brackets closed on the way back
+  for (size_t k = i; k-- > 0;) {
+    const std::string& t = toks[k].text;
+    if (t == ")" || t == "]" || t == "}") {
+      ++depth;
+    } else if (t == ">" || t == ">>") {
+      angle += static_cast<int>(t.size());
+    } else if (t == "<" && angle > 0) {
+      --angle;
+    } else if (t == "(" || t == "[" || t == "{") {
+      if (depth-- > 0) continue;
+      if (t == "(" && k > 0 && toks[k - 1].kind == Token::kIdent) {
+        return {toks[k - 1].text, index};
+      }
+      return {"", 0};
+    } else if (t == ";" && depth == 0) {
+      return {"", 0};
+    } else if (t == "," && depth == 0 && angle == 0) {
+      ++index;
+    }
+  }
+  return {"", 0};
+}
 
 // A `// lotlint: stream(<name>)` annotation names the FastRand declared on
 // its own or the following line:   FastRand rng_;  // lotlint: stream(fault)
+// `stream(caller)` on a FastRand parameter makes its function a draw
+// forwarder: it draws on whatever stream each caller passes in.
 void CollectStreams(const Scan& scan, StreamRegistry* reg) {
   const auto& toks = scan.toks;
   for (const Annotation& a : scan.annotations) {
@@ -911,9 +946,39 @@ void CollectStreams(const Scan& scan, StreamRegistry* reg) {
         reg->local[{scan.path, toks[j].text}] = a.arg;
         reg->global[toks[j].text] = a.arg;
       }
+      if (a.arg == "caller") {
+        const auto [function, index] = EnclosingParameter(toks, i);
+        if (!function.empty()) reg->forwarders[function] = index;
+      }
       break;
     }
   }
+}
+
+// The token range [begin, end) of argument `index` of the call whose '('
+// sits at `open`; {0, 0} when the call has fewer arguments.
+std::pair<size_t, size_t> CallArgument(const std::vector<Token>& toks,
+                                       size_t open, size_t index) {
+  const size_t close = MatchingClose(toks, open);
+  if (close >= toks.size()) return {0, 0};
+  size_t begin = open + 1;
+  int depth = 0;
+  for (size_t k = begin; k <= close; ++k) {
+    const std::string& t = toks[k].text;
+    if (t == "(" || t == "[" || t == "{") ++depth;
+    if (t == ")" || t == "]" || t == "}") --depth;
+    if (k == close || (t == "," && depth == 0)) {
+      if (index-- == 0) return {begin, k};
+      begin = k + 1;
+    }
+  }
+  return {0, 0};
+}
+
+bool StreamNamed(const Scan& scan, const StreamRegistry& reg,
+                 const std::string& recv) {
+  return !recv.empty() && (reg.local.count({scan.path, recv}) > 0 ||
+                           reg.global.count(recv) > 0);
 }
 
 void RuleRngStream(const Scan& scan, const StreamRegistry& reg,
@@ -921,19 +986,31 @@ void RuleRngStream(const Scan& scan, const StreamRegistry& reg,
   if (!PathInAny(scan.path, kSimCoreDirs)) return;
   const auto& toks = scan.toks;
   for (size_t i = 2; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != Token::kIdent ||
-        DrawMethods().count(toks[i].text) == 0 ||
-        toks[i + 1].text != "(") {
+    if (toks[i].kind != Token::kIdent || toks[i + 1].text != "(") continue;
+    const auto forwarder = reg.forwarders.find(toks[i].text);
+    if (forwarder != reg.forwarders.end()) {
+      // A call to a draw forwarder draws on its generator argument. An
+      // argument naming FastRand is the forwarder's own parameter list.
+      const auto [begin, end] = CallArgument(toks, i + 1, forwarder->second);
+      bool declaration = false;
+      for (size_t k = begin; k < end; ++k) {
+        declaration = declaration || toks[k].text == "FastRand";
+      }
+      const std::string recv = ReceiverBefore(toks, end);
+      if (end == 0 || declaration || StreamNamed(scan, reg, recv)) continue;
+      Emit(scan, toks[i].line, "R2-rng-stream",
+           "generator '" + (recv.empty() ? "<expr>" : recv) +
+               "' passed to draw forwarder '" + toks[i].text +
+               "()' is not attributable to a named RNG stream: annotate "
+               "the FastRand declaration with '// lotlint: stream(<name>)'",
+           "stream-ok", out);
       continue;
     }
+    if (DrawMethods().count(toks[i].text) == 0) continue;
     const std::string& prev = toks[i - 1].text;
     if (prev != "." && prev != "->") continue;
     const std::string recv = ReceiverBefore(toks, i - 1);
-    if (!recv.empty() &&
-        (reg.local.count({scan.path, recv}) > 0 ||
-         reg.global.count(recv) > 0)) {
-      continue;
-    }
+    if (StreamNamed(scan, reg, recv)) continue;
     const std::string shown = recv.empty() ? "<expr>" : recv;
     Emit(scan, toks[i].line, "R2-rng-stream",
          "draw '" + shown + "." + toks[i].text +

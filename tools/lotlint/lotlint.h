@@ -58,6 +58,9 @@
 //                 .NextUnit) in src/core, src/sched, src/sim must resolve
 //                 its receiver to a declaration annotated with a named
 //                 stream:   FastRand rng_;  // lotlint: stream(scheduler)
+//                 A FastRand parameter annotated stream(caller) makes its
+//                 function a draw forwarder (DrawWeighted): each call's
+//                 generator argument must resolve the same way.
 //                 Waiver: stream-ok.
 //
 //   L1-lock-order static lock-acquisition graph. Within each function the
