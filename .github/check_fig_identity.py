@@ -8,8 +8,13 @@ bench/fig4_relative_rate and friends). The script runs, from both builds:
 
   * every figure bench and the seeded ablation benches at --seed=42, with
     the --seconds that CI passes wherever CI sets one, comparing stdout and
-    the --json report byte for byte. The one line dropped before comparing
-    is "Wrote JSON report to PATH", whose path differs between the runs;
+    the --json report byte for byte. fig5, fig7 and fig11 (the benches
+    that accept --trace) also write their structured trace, compared byte
+    for byte too; fig11's interleaves the mutex's acquire and grant events
+    with the currency and transfer events they cause. The lines dropped
+    from stdout before comparing are "Wrote JSON report to PATH" and
+    "(structured trace written to PATH, ...)", whose paths differ between
+    the runs;
   * the nine examples/, comparing stdout byte for byte (they are the only
     in-kernel runs of the page cache and of the multi-resource disk path);
   * bench_smp --seed=42 --seconds=20 (the only bench that runs the SMP
@@ -64,9 +69,13 @@ EXAMPLES = [
     "scheduler_shootout",
 ]
 
+# The benches that accept --trace=PATH (an etrace binary file).
+TRACED = {"fig5_fairness_over_time", "fig7_query_rates",
+          "fig11_mutex_waiting"}
+
 SMP_FLAGS = ["--seconds=20"]
 
-DROPPED_PREFIX = "Wrote JSON report to "
+DROPPED_PREFIXES = ("Wrote JSON report to ", "(structured trace written to ")
 
 
 def start(build, subdir, name, args):
@@ -81,7 +90,7 @@ def start(build, subdir, name, args):
 def finish(proc):
     out, err = proc.communicate()
     kept = [line for line in out.splitlines(keepends=True)
-            if not line.startswith(DROPPED_PREFIX)]
+            if not line.startswith(DROPPED_PREFIXES)]
     return proc.returncode, "".join(kept), err
 
 
@@ -106,8 +115,8 @@ def run_pair(label, builds, subdir, name, make_args):
     return p_out, c_out
 
 
-def read(path):
-    with open(path) as f:
+def read(path, mode="r"):
+    with open(path, mode) as f:
         return f.read()
 
 
@@ -124,6 +133,12 @@ def same(label, what, parent, change):
     if parent == change:
         return True
     print("FAIL %s: %s differs" % (label, what))
+    if isinstance(parent, bytes):
+        first = next((i for i, (p, c) in enumerate(zip(parent, change))
+                      if p != c), min(len(parent), len(change)))
+        print("  first differing byte at offset %d (sizes %d / %d)" %
+              (first, len(parent), len(change)))
+        return False
     diff = difflib.unified_diff(parent.splitlines(keepends=True),
                                 change.splitlines(keepends=True),
                                 "parent " + what, "change " + what)
@@ -143,16 +158,25 @@ def main(argv):
             return os.path.join(tmp, side + "_" + name)
 
         for bench, flags in BENCHES:
+            traced = bench in TRACED
             outs = run_pair(bench, builds, "bench", bench, lambda side: (
                 ["--seed=%d" % SEED] + flags +
-                ["--json=" + out(side, bench + ".json")]))
+                ["--json=" + out(side, bench + ".json")] +
+                (["--trace=" + out(side, bench + ".trace")] if traced
+                 else [])))
             if outs is None or not same(bench, "stdout", *outs):
                 return 1
             if not same(bench, "--json report",
                         read(out("parent", bench + ".json")),
                         read(out("change", bench + ".json"))):
                 return 1
-            print("ok   %s %s" % (bench, " ".join(flags)))
+            if traced and not same(
+                    bench, "--trace file",
+                    read(out("parent", bench + ".trace"), "rb"),
+                    read(out("change", bench + ".trace"), "rb")):
+                return 1
+            print("ok   %s %s%s" % (bench, " ".join(flags),
+                                    " (+ trace)" if traced else ""))
 
         for example in EXAMPLES:
             outs = run_pair(example, builds, "examples", example,
@@ -181,8 +205,8 @@ def main(argv):
             return 1
         print("ok   bench_smp %s (stdout skipped: host ns)" %
               " ".join(SMP_FLAGS))
-    print("all %d benches, %d examples and bench_smp identical" %
-          (len(BENCHES), len(EXAMPLES)))
+    print("all %d benches (%d traces), %d examples and bench_smp "
+          "identical" % (len(BENCHES), len(TRACED), len(EXAMPLES)))
     return 0
 
 

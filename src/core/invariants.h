@@ -2,15 +2,18 @@
 //
 // These are the runtime half of the project's determinism & invariant
 // contract (DESIGN.md "Determinism contract"; the static half is
-// tools/lotlint). Each Check* function walks a structure and LOT_ASSERTs
-// the properties the paper's accounting depends on:
+// tools/lotlint). Each Sweep* function walks a structure and appends one
+// line per violated property to a list, in every build:
 //
-//   * Ticket conservation — every currency's issued_amount equals the sum
-//     of its issued tickets' amounts, and active_amount equals the sum of
-//     the active ones; ticket attachment is exclusive (a ticket backs a
-//     currency XOR is held by a client XOR is unattached) and activation
-//     implies attachment. Transfers move tickets; they must never mint or
-//     destroy amount as a side effect.
+//   * Ticket conservation — every ticket amount is positive; every
+//     currency's issued_amount equals the sum of its issued tickets'
+//     amounts, and active_amount equals the sum of the active ones; ticket
+//     attachment is exclusive (a ticket backs a currency XOR is held by a
+//     client XOR is unattached) and activation implies attachment; a
+//     backing ticket is active exactly when the currency it funds has
+//     active amount, a held ticket exactly when its holder is active; a
+//     retired currency has no backing left. Transfers move tickets; they
+//     must never mint or destroy amount as a side effect.
 //   * Acyclicity — the funding graph (backing edges toward more primitive
 //     currencies) has no cycle, so value computation terminates and
 //     CurrencyTable::Fund's online check can be trusted.
@@ -18,15 +21,21 @@
 //     to [1, max_factor] (Section 4.5): num/den >= 1 and
 //     num <= den * max_factor.
 //
-// The sweeps are O(tickets + currencies); CurrencyTable mutators invoke
-// them through LOT_DCHECK_TABLE, which self-samples on large tables so
-// debug fuzz runs stay subquadratic. All of this compiles out unless
-// LOTTERY_INVARIANTS is defined (Debug builds define it by default).
+// The chaos harness (src/sim/chaos.cc) reports the sweeps' findings as its
+// oracles, so Release fuzz runs check the same properties. The Check*
+// forms LOT_ASSERT that a sweep found nothing; CurrencyTable mutators
+// invoke them through LOT_DCHECK_TABLE, which self-samples on large tables
+// so debug fuzz runs stay fast. The LOT_DCHECK_* macros compile out unless
+// LOTTERY_INVARIANTS is defined (Debug builds define it by default). The
+// conservation and compensation sweeps are linear, acyclicity is
+// O(n log n) in the currencies.
 
 #ifndef SRC_CORE_INVARIANTS_H_
 #define SRC_CORE_INVARIANTS_H_
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "src/util/invariant.h"
 
@@ -38,15 +47,24 @@ class CurrencyTable;
 namespace invariants {
 
 // Ticket/amount conservation over the whole table (see file comment).
-void CheckTicketConservation(const CurrencyTable& table);
+void SweepTicketConservation(const CurrencyTable& table,
+                             std::vector<std::string>* findings);
 
 // The funding graph has no cycle along backing edges.
-void CheckAcyclicity(const CurrencyTable& table);
+void SweepAcyclicity(const CurrencyTable& table,
+                     std::vector<std::string>* findings);
 
 // comp factor in [1, max_factor]; den > 0.
+void SweepCompensationBound(const Client& client, int64_t max_factor,
+                            std::vector<std::string>* findings);
+
+// The aborting forms: LOT_ASSERT that the sweep found nothing, with the
+// first finding as the message.
+void CheckTicketConservation(const CurrencyTable& table);
+void CheckAcyclicity(const CurrencyTable& table);
 void CheckCompensationBound(const Client& client, int64_t max_factor);
 
-// Conservation + acyclicity in one sweep.
+// Conservation + acyclicity in one call.
 void CheckTable(const CurrencyTable& table);
 
 // Sampled variant used at mutator exits: checks every call while the table

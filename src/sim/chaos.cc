@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "src/core/invariants.h"
 #include "src/core/lottery_scheduler.h"
 #include "src/obs/registry.h"
 #include "src/sched/smp/smp_scheduler.h"
@@ -370,7 +371,9 @@ class ServerCrashJanitor : public ThreadExitObserver {
 };
 
 // ---------------------------------------------------------------------------
-// Oracles
+// Oracles. Work conservation lives here; the economy's (ticket
+// conservation, acyclicity, compensation bounds) are the sweeps of
+// src/core/invariants.h.
 
 uint64_t Fnv1a(uint64_t hash, uint64_t value) {
   for (int byte = 0; byte < 8; ++byte) {
@@ -402,125 +405,6 @@ void CheckWorkConservation(const Kernel& kernel, const Scenario& scenario,
         << "ns vs elapsed capacity=" << elapsed_capacity << "ns (slack "
         << slack << "ns)";
     violations->push_back(out.str());
-  }
-}
-
-void CheckTicketConservation(CurrencyTable& table,
-                             std::vector<std::string>* violations) {
-  for (Currency* currency : table.Currencies()) {
-    int64_t issued_sum = 0;
-    int64_t active_sum = 0;
-    for (const Ticket* ticket : currency->issued()) {
-      if (ticket->denomination() != currency) {
-        violations->push_back("ticket conservation: issued ticket #" +
-                              std::to_string(ticket->id()) +
-                              " denomination mismatch in " + currency->name());
-      }
-      issued_sum += ticket->amount();
-      if (ticket->active()) {
-        active_sum += ticket->amount();
-      }
-    }
-    if (issued_sum != currency->issued_amount()) {
-      violations->push_back(
-          "ticket conservation: " + currency->name() + " issued sum " +
-          std::to_string(issued_sum) + " != recorded " +
-          std::to_string(currency->issued_amount()));
-    }
-    if (active_sum != currency->active_amount()) {
-      violations->push_back(
-          "ticket conservation: " + currency->name() + " active sum " +
-          std::to_string(active_sum) + " != recorded " +
-          std::to_string(currency->active_amount()));
-    }
-    for (const Ticket* ticket : currency->backing()) {
-      if (ticket->funds() != currency) {
-        violations->push_back("ticket conservation: backing ticket #" +
-                              std::to_string(ticket->id()) +
-                              " does not fund " + currency->name());
-      }
-    }
-    if (currency->retired() && !currency->backing().empty()) {
-      violations->push_back("ticket conservation: retired currency " +
-                            currency->name() + " still has backing");
-    }
-  }
-  for (const Ticket* ticket : table.Tickets()) {
-    if (ticket->funds() != nullptr && ticket->holder() != nullptr) {
-      violations->push_back("ticket conservation: ticket #" +
-                            std::to_string(ticket->id()) +
-                            " both backs a currency and is held");
-    }
-    if (ticket->active() && ticket->funds() == nullptr &&
-        ticket->holder() == nullptr) {
-      violations->push_back("ticket conservation: unattached ticket #" +
-                            std::to_string(ticket->id()) + " is active");
-    }
-  }
-}
-
-void CheckAcyclicity(CurrencyTable& table,
-                     std::vector<std::string>* violations) {
-  // DFS along backing edges (currency -> its backing tickets'
-  // denominations). Grey hit = cycle.
-  enum class Color { kWhite, kGrey, kBlack };
-  std::map<const Currency*, Color> color;
-  const std::vector<Currency*> all = table.Currencies();
-  for (const Currency* currency : all) {
-    color[currency] = Color::kWhite;
-  }
-  struct Frame {
-    const Currency* currency;
-    size_t next_edge;
-  };
-  for (const Currency* root : all) {
-    if (color[root] != Color::kWhite) {
-      continue;
-    }
-    std::vector<Frame> stack{{root, 0}};
-    color[root] = Color::kGrey;
-    while (!stack.empty()) {
-      Frame& frame = stack.back();
-      if (frame.next_edge >= frame.currency->backing().size()) {
-        color[frame.currency] = Color::kBlack;
-        stack.pop_back();
-        continue;
-      }
-      const Currency* next =
-          frame.currency->backing()[frame.next_edge++]->denomination();
-      if (color[next] == Color::kGrey) {
-        violations->push_back("acyclicity: funding cycle through " +
-                              next->name());
-        return;
-      }
-      if (color[next] == Color::kWhite) {
-        color[next] = Color::kGrey;
-        stack.push_back({next, 0});
-      }
-    }
-  }
-}
-
-void CheckCompensationBounds(Kernel& kernel, LotteryScheduler* ls,
-                             const std::vector<ThreadId>& tids,
-                             std::vector<std::string>* violations) {
-  if (ls == nullptr) {
-    return;
-  }
-  const int64_t max_factor = ls->compensation().options().max_factor;
-  for (const ThreadId tid : tids) {
-    if (!kernel.Alive(tid)) {
-      continue;
-    }
-    const Client* client = ls->client(tid);
-    const int64_t num = client->compensation_num();
-    const int64_t den = client->compensation_den();
-    if (den <= 0 || num < den || num > den * max_factor) {
-      std::ostringstream out;
-      out << "compensation bound: thread " << tid << " factor " << num << "/"
-          << den << " outside [1, " << max_factor << "]";
-      violations->push_back(out.str());
-    }
   }
 }
 
@@ -757,9 +641,16 @@ ScenarioResult RunScenario(const Scenario& scenario,
   // --- Oracles ---
   CheckWorkConservation(kernel, scenario, &result.violations);
   if (lottery != nullptr) {
-    CheckTicketConservation(lottery->table(), &result.violations);
-    CheckAcyclicity(lottery->table(), &result.violations);
-    CheckCompensationBounds(kernel, lottery.get(), tids, &result.violations);
+    invariants::SweepTicketConservation(lottery->table(), &result.violations);
+    invariants::SweepAcyclicity(lottery->table(), &result.violations);
+    const int64_t max_factor =
+        lottery->compensation().options().max_factor;
+    for (const ThreadId tid : tids) {
+      if (kernel.Alive(tid)) {
+        invariants::SweepCompensationBound(*lottery->client(tid), max_factor,
+                                           &result.violations);
+      }
+    }
   }
 
   // --- Trace fingerprint ---

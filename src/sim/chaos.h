@@ -13,8 +13,9 @@
 // description, runs a mixed workload (burners, sleepers, mutex users, an
 // RPC pair, disk users, self-exiting threads) under a fault plan, and
 // returns a trace hash plus the list of violated oracles — work
-// conservation, ticket conservation, currency-graph acyclicity, and the
-// compensation-factor bound.
+// conservation, and the economy sweeps of src/core/invariants.h: ticket
+// conservation, currency-graph acyclicity, and the compensation-factor
+// bound.
 
 #ifndef SRC_SIM_CHAOS_H_
 #define SRC_SIM_CHAOS_H_

@@ -12,63 +12,31 @@ SimRwLock::SimRwLock(Kernel* kernel, const std::string& name,
                      int64_t transfer_amount)
     : kernel_(kernel),
       name_(name),
-      transfer_amount_(transfer_amount),
       m_read_admissions_(kernel->metrics().counter("rwlock.read_admissions")),
       m_write_admissions_(
           kernel->metrics().counter("rwlock.write_admissions")),
-      m_wait_us_(kernel->metrics().histogram("rwlock.wait_us")) {
-  LotteryScheduler* ls = kernel_->lottery();
-  if (ls != nullptr) {
-    currency_ = ls->table().CreateCurrency("rwlock:" + name);
-    writer_inherit_ = ls->table().CreateTicket(currency_, transfer_amount_);
-  }
+      m_wait_us_(kernel->metrics().histogram("rwlock.wait_us")),
+      waiters_(kernel, "rwlock:" + name, transfer_amount, m_wait_us_,
+               "rwlock_wait:"),
+      writer_inherit_(waiters_.IssueTicket()) {
   kernel_->AddExitObserver(this);
 }
 
-SimRwLock::~SimRwLock() {
-  kernel_->RemoveExitObserver(this);
-  if (currency_ == nullptr) {
-    return;
-  }
-  CurrencyTable& table = kernel_->lottery()->table();
-  waiters_.clear();
-  for (auto& [tid, ticket] : reader_inherit_) {
-    table.DestroyTicket(ticket);
-  }
-  reader_inherit_.clear();
-  table.DestroyTicket(writer_inherit_);
-  table.DestroyCurrency(currency_);
-}
-
-uint64_t SimRwLock::WaiterWeight(const Waiter& waiter) const {
-  LotteryScheduler* ls = kernel_->lottery();
-  if (ls == nullptr || waiter.transfer == nullptr) {
-    return 0;
-  }
-  return ls->table().TicketValue(waiter.transfer->ticket()).raw_unsigned();
-}
+SimRwLock::~SimRwLock() { kernel_->RemoveExitObserver(this); }
 
 void SimRwLock::AdmitReader(ThreadId tid) {
   ++read_admissions_;
   m_read_admissions_->Inc();
-  LotteryScheduler* ls = kernel_->lottery();
-  if (ls != nullptr) {
-    Ticket* inherit = ls->table().CreateTicket(currency_, transfer_amount_);
-    ls->table().Fund(ls->thread_currency(tid), inherit);
-    reader_inherit_[tid] = inherit;
-  } else {
-    reader_inherit_[tid] = nullptr;
-  }
+  Ticket* inherit = waiters_.IssueTicket();
+  waiters_.Inherit(inherit, tid);
+  reader_inherit_[tid] = inherit;
 }
 
 void SimRwLock::AdmitWriter(ThreadId tid) {
   ++write_admissions_;
   m_write_admissions_->Inc();
   writer_ = tid;
-  LotteryScheduler* ls = kernel_->lottery();
-  if (ls != nullptr) {
-    ls->table().Fund(ls->thread_currency(tid), writer_inherit_);
-  }
+  waiters_.Inherit(writer_inherit_, tid);
 }
 
 size_t SimRwLock::num_readers() const {
@@ -130,22 +98,12 @@ bool SimRwLock::AcquireRead(RunContext& ctx) {
   }
   const bool writer_waiting =
       std::any_of(waiters_.begin(), waiters_.end(),
-                  [](const Waiter& w) { return w.is_writer; });
+                  [](const WaitQueue::Waiter& w) { return w.writer; });
   if (writer_ == kInvalidThreadId && !writer_waiting) {
     AdmitReader(tid);
     return true;
   }
-  Waiter waiter;
-  waiter.tid = tid;
-  waiter.is_writer = false;
-  waiter.since = ctx.now();
-  LotteryScheduler* ls = kernel_->lottery();
-  if (ls != nullptr) {
-    waiter.transfer = std::make_unique<TicketTransfer>(
-        &ls->table(), ls->thread_currency(tid), currency_, transfer_amount_);
-    ls->NoteTransfer();
-  }
-  waiters_.push_back(std::move(waiter));
+  waiters_.Park(tid, ctx.now());
   return false;
 }
 
@@ -159,17 +117,7 @@ bool SimRwLock::AcquireWrite(RunContext& ctx) {
     AdmitWriter(tid);
     return true;
   }
-  Waiter waiter;
-  waiter.tid = tid;
-  waiter.is_writer = true;
-  waiter.since = ctx.now();
-  LotteryScheduler* ls = kernel_->lottery();
-  if (ls != nullptr) {
-    waiter.transfer = std::make_unique<TicketTransfer>(
-        &ls->table(), ls->thread_currency(tid), currency_, transfer_amount_);
-    ls->NoteTransfer();
-  }
-  waiters_.push_back(std::move(waiter));
+  waiters_.Park(tid, ctx.now(), /*writer=*/true);
   return false;
 }
 
@@ -185,7 +133,7 @@ void SimRwLock::ReleaseWrite(RunContext& ctx) {
 
 void SimRwLock::OnThreadExit(ThreadId tid, SimTime when) {
   util::SeqGuard guard(seq_);
-  std::erase_if(waiters_, [tid](const Waiter& w) { return w.tid == tid; });
+  waiters_.Drop(tid);
   if (writer_ == tid) {
     ReleaseWriteAt(tid, when);
   } else if (reader_inherit_.count(tid) > 0) {
@@ -199,16 +147,13 @@ void SimRwLock::ReleaseReadAt(ThreadId tid, SimTime now) {
     throw std::logic_error("SimRwLock: ReleaseRead by non-reader of " +
                            name_);
   }
-  LotteryScheduler* ls = kernel_->lottery();
   // Decide admission before tearing down this reader's inheritance, while
   // waiter transfers are still active through it.
   if (reader_inherit_.size() == 1 && !waiters_.empty()) {
     AdmitNext(tid, now);  // destroys the releaser's inheritance internally
     return;
   }
-  if (ls != nullptr && it->second != nullptr) {
-    ls->table().DestroyTicket(it->second);
-  }
+  waiters_.DestroyTicket(it->second);
   reader_inherit_.erase(it);
 }
 
@@ -222,10 +167,7 @@ void SimRwLock::ReleaseWriteAt(ThreadId tid, SimTime now) {
     return;
   }
   writer_ = kInvalidThreadId;
-  LotteryScheduler* ls = kernel_->lottery();
-  if (ls != nullptr && writer_inherit_->funds() != nullptr) {
-    ls->table().Unfund(writer_inherit_);
-  }
+  waiters_.Inherit(writer_inherit_, kInvalidThreadId);
 }
 
 void SimRwLock::AdmitNext(ThreadId releaser, SimTime now) {
@@ -234,9 +176,9 @@ void SimRwLock::AdmitNext(ThreadId releaser, SimTime now) {
   // every waiter in queue order, writers too, so the draw below reads
   // cached values.
   uint64_t reader_total = 0;
-  for (const Waiter& waiter : waiters_) {
-    const uint64_t weight = WaiterWeight(waiter);
-    if (!waiter.is_writer) {
+  for (const WaitQueue::Waiter& waiter : waiters_) {
+    const uint64_t weight = waiters_.Weight(waiter);
+    if (!waiter.writer) {
       reader_total += weight;
     }
   }
@@ -248,64 +190,50 @@ void SimRwLock::AdmitNext(ThreadId releaser, SimTime now) {
   auto drawn = entrants.end();
   LotteryScheduler* ls = kernel_->lottery();
   if (ls != nullptr) {
+    // Read through a reference: clang's thread-safety analysis does not
+    // carry seq_ into the lambda's body.
+    const WaitQueue& queue = waiters_;
     drawn = DrawWeighted(ls->rng(), entrants.begin(), entrants.end(),
-                         [&](size_t entrant) {
+                         [&queue, reader_total](size_t entrant) {
                            if (entrant == 0) {
                              return reader_total;
                            }
-                           const Waiter& waiter = waiters_[entrant - 1];
-                           return waiter.is_writer ? WaiterWeight(waiter)
-                                                   : uint64_t{0};
+                           const WaitQueue::Waiter& waiter = queue[entrant - 1];
+                           return waiter.writer ? queue.Weight(waiter)
+                                                : uint64_t{0};
                          });
   }
-  size_t entrant = waiters_.front().is_writer ? 1 : 0;
+  size_t entrant = waiters_.front().writer ? 1 : 0;
   if (drawn != entrants.end()) {
     entrant = *drawn;
   }
 
   // Tear down the releasing holder's inheritance now that the draw is done.
-  if (ls != nullptr) {
-    if (writer_ == releaser) {
-      if (writer_inherit_->funds() != nullptr) {
-        ls->table().Unfund(writer_inherit_);
-      }
-    } else {
-      const auto it = reader_inherit_.find(releaser);
-      if (it != reader_inherit_.end() && it->second != nullptr) {
-        ls->table().DestroyTicket(it->second);
-        reader_inherit_.erase(it);
-      }
-    }
-  } else {
-    reader_inherit_.erase(releaser);
-  }
   if (writer_ == releaser) {
     writer_ = kInvalidThreadId;
+    waiters_.Inherit(writer_inherit_, kInvalidThreadId);
+  } else {
+    const auto it = reader_inherit_.find(releaser);
+    if (it != reader_inherit_.end()) {
+      waiters_.DestroyTicket(it->second);
+      reader_inherit_.erase(it);
+    }
   }
 
   if (entrant == 0) {
-    std::vector<Waiter> keep;
-    for (Waiter& waiter : waiters_) {
-      if (waiter.is_writer) {
-        keep.push_back(std::move(waiter));
+    for (size_t i = 0; i < waiters_.size();) {
+      if (waiters_[i].writer) {
+        ++i;
         continue;
       }
-      waiter.transfer.reset();
-      m_wait_us_->Record(
-          static_cast<uint64_t>((now - waiter.since).nanos()) / 1000u);
-      AdmitReader(waiter.tid);
-      kernel_->Wake(waiter.tid, now);
+      const ThreadId tid = waiters_.Take(i, now).tid;
+      AdmitReader(tid);
+      kernel_->Wake(tid, now);
     }
-    waiters_ = std::move(keep);
   } else {
-    const size_t writer_index = entrant - 1;
-    Waiter winner = std::move(waiters_[writer_index]);
-    waiters_.erase(waiters_.begin() + static_cast<ptrdiff_t>(writer_index));
-    winner.transfer.reset();
-    m_wait_us_->Record(
-        static_cast<uint64_t>((now - winner.since).nanos()) / 1000u);
-    AdmitWriter(winner.tid);
-    kernel_->Wake(winner.tid, now);
+    const ThreadId tid = waiters_.Take(entrant - 1, now).tid;
+    AdmitWriter(tid);
+    kernel_->Wake(tid, now);
   }
 }
 

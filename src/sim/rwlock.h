@@ -1,12 +1,11 @@
 // Lottery-scheduled reader-writer lock.
 //
-// Extends the Section 6.1 mutex design to shared/exclusive acquisition.
-// The lock has its own currency; blocked threads transfer their funding
-// into it, and each current holder (the writer, or every active reader)
-// carries an inheritance ticket issued in the lock currency — so waiter
-// funding flows to whoever must finish before the waiters can proceed,
-// splitting evenly among concurrent readers by the ordinary Section 4.4
-// share arithmetic.
+// Extends the Section 6.1 mutex design to shared/exclusive acquisition on
+// the same WaitQueue (wait_queue.h). The lock keeps only its admission
+// rule: the writer or the reader group, each holder carrying one of the
+// queue's inheritance tickets, so waiter funding flows to whoever must
+// finish before the waiters can proceed, split evenly among concurrent
+// readers by the ordinary Section 4.4 share arithmetic.
 //
 // When the lock empties, the next admission is decided by a lottery between
 // each waiting writer and the *group* of waiting readers (weights are the
@@ -20,23 +19,20 @@
 // Under non-lottery schedulers the lock degrades to FIFO-ish admission
 // (readers batch, writers in arrival order).
 //
-// The lock observes thread exits: a dead waiter leaves the queue (its
-// transfer rolls back), and a holder that dies — voluntarily or through an
-// injected crash — releases the lock exactly as ReleaseRead/ReleaseWrite
-// would, admitting waiters, before its currency is destroyed.
+// A holder that dies — voluntarily or through an injected crash — releases
+// the lock exactly as ReleaseRead/ReleaseWrite would, admitting waiters,
+// before its currency is destroyed.
 
 #ifndef SRC_SIM_RWLOCK_H_
 #define SRC_SIM_RWLOCK_H_
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "src/core/transfer.h"
 #include "src/obs/registry.h"
 #include "src/sim/kernel.h"
+#include "src/sim/wait_queue.h"
 #include "src/util/thread_safety.h"
 
 namespace lottery {
@@ -80,14 +76,6 @@ class CAPABILITY("rwlock") SimRwLock : public ThreadExitObserver {
   void OnThreadExit(ThreadId tid, SimTime when) override;
 
  private:
-  struct Waiter {
-    ThreadId tid;
-    bool is_writer;
-    std::unique_ptr<TicketTransfer> transfer;
-    SimTime since;
-  };
-
-  uint64_t WaiterWeight(const Waiter& waiter) const;
   void AdmitReader(ThreadId tid) REQUIRES(seq_);
   void AdmitWriter(ThreadId tid) REQUIRES(seq_);
   // The release paths shared by ReleaseRead/ReleaseWrite and OnThreadExit.
@@ -98,24 +86,24 @@ class CAPABILITY("rwlock") SimRwLock : public ThreadExitObserver {
 
   Kernel* kernel_;
   std::string name_;
-  int64_t transfer_amount_;
-  // Serialization domain for admission state — the lock word, waiter list
-  // and inheritance tickets an SMP kernel would protect with a spinlock.
-  mutable util::Seq seq_;
-  ThreadId writer_ GUARDED_BY(seq_) = kInvalidThreadId;
-  std::vector<Waiter> waiters_ GUARDED_BY(seq_);
-  uint64_t read_admissions_ GUARDED_BY(seq_) = 0;
-  uint64_t write_admissions_ GUARDED_BY(seq_) = 0;
-
-  Currency* currency_ = nullptr;
-  Ticket* writer_inherit_ = nullptr;  // funds the writer while write-held
-  std::map<ThreadId, Ticket*> reader_inherit_
-      GUARDED_BY(seq_);  // one per active reader
 
   // Obs hooks (from the kernel's registry).
   obs::Counter* m_read_admissions_;
   obs::Counter* m_write_admissions_;
   obs::LatencyHistogram* m_wait_us_;
+
+  // Serialization domain for admission state — the lock word, waiter
+  // queue and inheritance tickets an SMP kernel would protect with a
+  // spinlock.
+  mutable util::Seq seq_;
+  ThreadId writer_ GUARDED_BY(seq_) = kInvalidThreadId;
+  WaitQueue waiters_ GUARDED_BY(seq_);
+  uint64_t read_admissions_ GUARDED_BY(seq_) = 0;
+  uint64_t write_admissions_ GUARDED_BY(seq_) = 0;
+  // Funds the writer while write-held (null without a lottery scheduler).
+  Ticket* writer_inherit_;
+  // The reader group: one inheritance ticket per active reader.
+  std::map<ThreadId, Ticket*> reader_inherit_ GUARDED_BY(seq_);
 };
 
 }  // namespace lottery

@@ -2,61 +2,45 @@
 
 #include <stdexcept>
 
-#include "src/core/weighted_draw.h"
-
 namespace lottery {
+
+namespace {
+
+int64_t ValidPermits(int64_t permits) {
+  if (permits < 0) {
+    throw std::invalid_argument("SimSemaphore: negative initial permits");
+  }
+  return permits;
+}
+
+}  // namespace
 
 SimSemaphore::SimSemaphore(Kernel* kernel, const std::string& name,
                            int64_t initial_permits, int64_t transfer_amount)
     : kernel_(kernel),
-      name_(name),
-      transfer_amount_(transfer_amount),
-      permits_(initial_permits),
       m_waits_(kernel->metrics().counter("semaphore.waits")),
-      m_wait_us_(kernel->metrics().histogram("semaphore.wait_us")) {
-  if (initial_permits < 0) {
-    throw std::invalid_argument("SimSemaphore: negative initial permits");
-  }
-  LotteryScheduler* ls = kernel_->lottery();
-  if (ls != nullptr) {
-    currency_ = ls->table().CreateCurrency("sem:" + name);
-    inheritance_ticket_ = ls->table().CreateTicket(currency_,
-                                                   transfer_amount_);
-  }
+      m_wait_us_(kernel->metrics().histogram("semaphore.wait_us")),
+      permits_(ValidPermits(initial_permits)),
+      waiters_(kernel, "sem:" + name, transfer_amount, m_wait_us_,
+               "sem_wait:"),
+      inheritance_ticket_(waiters_.IssueTicket()) {
   kernel_->AddExitObserver(this);
 }
 
-SimSemaphore::~SimSemaphore() {
-  kernel_->RemoveExitObserver(this);
-  if (currency_ != nullptr) {
-    CurrencyTable& table = kernel_->lottery()->table();
-    waiters_.clear();  // destroys outstanding transfers
-    table.DestroyTicket(inheritance_ticket_);
-    table.DestroyCurrency(currency_);
-  }
-}
+SimSemaphore::~SimSemaphore() { kernel_->RemoveExitObserver(this); }
 
 void SimSemaphore::SetBeneficiary(ThreadId tid) {
-  LotteryScheduler* ls = kernel_->lottery();
-  if (ls == nullptr) {
-    return;
-  }
-  if (inheritance_ticket_->funds() != nullptr) {
-    ls->table().Unfund(inheritance_ticket_);
-  }
+  util::SeqGuard guard(seq_);
+  waiters_.Inherit(inheritance_ticket_, tid);
   beneficiary_ = tid;
-  if (tid != kInvalidThreadId) {
-    ls->table().Fund(ls->thread_currency(tid), inheritance_ticket_);
-  }
 }
 
 void SimSemaphore::OnThreadExit(ThreadId tid, SimTime /*when*/) {
-  {
-    util::SeqGuard guard(seq_);
-    std::erase_if(waiters_, [tid](const Waiter& w) { return w.tid == tid; });
-  }
+  util::SeqGuard guard(seq_);
+  waiters_.Drop(tid);
   if (tid == beneficiary_) {
-    SetBeneficiary(kInvalidThreadId);
+    waiters_.Inherit(inheritance_ticket_, kInvalidThreadId);
+    beneficiary_ = kInvalidThreadId;
   }
 }
 
@@ -83,17 +67,7 @@ bool SimSemaphore::Wait(RunContext& ctx) {
     --permits_;
     return true;
   }
-  Waiter waiter;
-  waiter.tid = ctx.self();
-  waiter.since = ctx.now();
-  LotteryScheduler* ls = kernel_->lottery();
-  if (ls != nullptr) {
-    waiter.transfer = std::make_unique<TicketTransfer>(
-        &ls->table(), ls->thread_currency(ctx.self()), currency_,
-        transfer_amount_);
-    ls->NoteTransfer();
-  }
-  waiters_.push_back(std::move(waiter));
+  waiters_.Park(ctx.self(), ctx.now());
   return false;
 }
 
@@ -103,31 +77,11 @@ void SimSemaphore::Signal(RunContext& ctx) {
     ++permits_;
     return;
   }
-  // Weighted wakeup: the transferred funding is visible (active) when the
-  // inheritance ticket routes it to a runnable beneficiary; otherwise all
-  // weights are zero and the draw degrades to FIFO.
-  size_t winner_index = 0;
-  LotteryScheduler* ls = kernel_->lottery();
-  if (ls != nullptr) {
-    const auto it = DrawWeighted(
-        ls->rng(), waiters_.begin(), waiters_.end(), [ls](const Waiter& w) {
-          return ls->table().TicketValue(w.transfer->ticket()).raw_unsigned();
-        });
-    if (it != waiters_.end()) {
-      winner_index = static_cast<size_t>(it - waiters_.begin());
-    }
-  }
-  Waiter winner = std::move(waiters_[winner_index]);
-  waiters_.erase(waiters_.begin() + static_cast<ptrdiff_t>(winner_index));
-  winner.transfer.reset();
-  m_wait_us_->Record(
-      static_cast<uint64_t>((ctx.now() - winner.since).nanos()) / 1000u);
-  if (kernel_->tracer() != nullptr) {
-    kernel_->tracer()->RecordSample(
-        "sem_wait:" + kernel_->ThreadName(winner.tid), ctx.now(),
-        (ctx.now() - winner.since).ToSecondsF());
-  }
-  kernel_->Wake(winner.tid, ctx.now());
+  // The transferred funding is visible (active) when the inheritance
+  // ticket routes it to a runnable beneficiary; otherwise every weight is
+  // zero and the oldest waiter wakes.
+  const ThreadId tid = waiters_.Take(waiters_.Draw(), ctx.now()).tid;
+  kernel_->Wake(tid, ctx.now());
 }
 
 }  // namespace lottery

@@ -3,9 +3,9 @@
 // Section 6 argues that "a lottery can be used to allocate resources
 // wherever queueing is necessary for resource access"; Section 6.1 works
 // the mutex case. A counting semaphore generalizes it to producer/consumer
-// structures: threads blocked in Wait() transfer their funding into the
-// semaphore currency, and Signal() holds a lottery among the waiters
-// weighted by that funding.
+// structures on the same WaitQueue (wait_queue.h), keeping only its
+// permits and its beneficiary: Signal() wakes the waiter the queue's
+// lottery picks.
 //
 // Funding inheritance needs a target: a mutex inherits to its owner, but a
 // semaphore's "owner" is whoever will produce the next permit. The
@@ -14,25 +14,21 @@
 // so the blocked consumers' resource rights speed up exactly the thread
 // that can unblock them — the same dependency-following logic as the
 // paper's RPC transfers. Without a beneficiary, waiter funding is parked
-// (inactive) and Signal falls back to FIFO wakeups.
+// (inactive) and Signal falls back to FIFO wakeups. A dead beneficiary is
+// detached, its inheritance ticket unfunded before the thread's currency
+// goes.
 //
 // Under non-lottery schedulers the semaphore is plain FIFO.
-//
-// The semaphore observes thread exits: a dead waiter leaves the queue (its
-// transfer rolls back), and a dead beneficiary is detached, its
-// inheritance ticket unfunded before the thread's currency is destroyed.
 
 #ifndef SRC_SIM_SEMAPHORE_H_
 #define SRC_SIM_SEMAPHORE_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "src/core/transfer.h"
 #include "src/obs/registry.h"
 #include "src/sim/kernel.h"
+#include "src/sim/wait_queue.h"
 #include "src/util/thread_safety.h"
 
 namespace lottery {
@@ -69,28 +65,20 @@ class SimSemaphore : public ThreadExitObserver {
   void OnThreadExit(ThreadId tid, SimTime when) override;
 
  private:
-  struct Waiter {
-    ThreadId tid;
-    std::unique_ptr<TicketTransfer> transfer;
-    SimTime since;
-  };
-
   Kernel* kernel_;
-  std::string name_;
-  int64_t transfer_amount_;
-  // Serialization domain for the permit count and waiter list.
-  mutable util::Seq seq_;
-  int64_t permits_ GUARDED_BY(seq_);
-  std::vector<Waiter> waiters_ GUARDED_BY(seq_);
-  uint64_t total_waits_ GUARDED_BY(seq_) = 0;
-
-  Currency* currency_ = nullptr;
-  Ticket* inheritance_ticket_ = nullptr;
-  ThreadId beneficiary_ = kInvalidThreadId;
 
   // Obs hooks (from the kernel's registry).
   obs::Counter* m_waits_;
   obs::LatencyHistogram* m_wait_us_;
+
+  // Serialization domain for the permit count, beneficiary and waiters.
+  mutable util::Seq seq_;
+  int64_t permits_ GUARDED_BY(seq_);
+  ThreadId beneficiary_ GUARDED_BY(seq_) = kInvalidThreadId;
+  WaitQueue waiters_ GUARDED_BY(seq_);
+  uint64_t total_waits_ GUARDED_BY(seq_) = 0;
+  // Funds the beneficiary (null when the policy scheduler is not lottery).
+  Ticket* inheritance_ticket_;
 };
 
 }  // namespace lottery

@@ -1,12 +1,9 @@
-// Lottery-scheduled mutex (Section 6.1, Figure 10).
-//
-// The mutex has its own currency and an inheritance ticket issued in that
-// currency. Threads blocked on the mutex transfer their funding into the
-// mutex currency; the inheritance ticket funds the current owner's thread
-// currency, so the owner runs with its own funding *plus* all waiters'
-// funding — solving priority inversion the same way the paper does. On
-// release, a lottery among the waiters (weighted by their transferred
-// funding) picks the next owner.
+// Lottery-scheduled mutex (Section 6.1, Figures 10 and 11), built on the
+// shared WaitQueue (wait_queue.h). The mutex keeps only its admission
+// rule, one owner: the queue's one inheritance ticket funds that owner,
+// which therefore runs with its own funding plus all waiters' funding (the
+// paper's answer to priority inversion), and on release the queue's
+// lottery picks the next owner.
 //
 // Under a non-lottery scheduler the same object degrades to a plain FIFO
 // mutex (no transfers), so every baseline can run the identical workload.
@@ -15,13 +12,11 @@
 #define SRC_SIM_SYNC_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "src/core/transfer.h"
 #include "src/obs/registry.h"
 #include "src/sim/kernel.h"
+#include "src/sim/wait_queue.h"
 #include "src/util/thread_safety.h"
 
 namespace lottery {
@@ -79,12 +74,6 @@ class CAPABILITY("mutex") SimMutex : public ThreadExitObserver {
   void OnThreadExit(ThreadId tid, SimTime when) override;
 
  private:
-  struct Waiter {
-    ThreadId tid;
-    std::unique_ptr<TicketTransfer> transfer;  // null under non-lottery
-    SimTime since;
-  };
-
   void GrantTo(ThreadId tid) REQUIRES(seq_);
   // The release path shared by Release and OnThreadExit: drops or re-grants
   // the inheritance ticket and wakes the lottery-picked next owner.
@@ -92,26 +81,24 @@ class CAPABILITY("mutex") SimMutex : public ThreadExitObserver {
 
   Kernel* kernel_;
   std::string name_;
-  int64_t transfer_amount_;
-  // Serialization domain for the waiter list and ownership word: the state
-  // an SMP kernel would protect with a spinlock. Every public entry point
-  // enters it; Debug builds assert the domain is never re-entered.
-  mutable util::Seq seq_;
-  ThreadId owner_ GUARDED_BY(seq_) = kInvalidThreadId;
-  std::vector<Waiter> waiters_ GUARDED_BY(seq_);
-  uint64_t acquisitions_ GUARDED_BY(seq_) = 0;
-
-  // Lottery-mode machinery (null when the policy scheduler is not lottery).
-  Currency* currency_ = nullptr;
-  Ticket* inheritance_ticket_ = nullptr;
-  // Interned mutex name for trace events (0 when tracing is off).
-  uint32_t trace_name_ = 0;
 
   // Obs hooks (from the kernel's registry): grants, contended acquires, and
   // the Figure 11 waiting-time histogram in microseconds of simulated time.
   obs::Counter* m_acquisitions_;
   obs::Counter* m_contended_;
   obs::LatencyHistogram* m_wait_us_;
+
+  // Serialization domain for the waiter queue and ownership word: the state
+  // an SMP kernel would protect with a spinlock. Every public entry point
+  // enters it; Debug builds assert the domain is never re-entered.
+  mutable util::Seq seq_;
+  ThreadId owner_ GUARDED_BY(seq_) = kInvalidThreadId;
+  WaitQueue waiters_ GUARDED_BY(seq_);
+  uint64_t acquisitions_ GUARDED_BY(seq_) = 0;
+  // Funds the owner (null when the policy scheduler is not lottery).
+  Ticket* inheritance_ticket_;
+  // Interned mutex name for trace events (0 when tracing is off).
+  uint32_t trace_name_ = 0;
 };
 
 }  // namespace lottery

@@ -224,39 +224,4 @@ ProportionInterval BinomialConfidence(int64_t successes, int64_t trials,
                             std::min(1.0, center + margin)};
 }
 
-LinearFit FitLine(const std::vector<double>& xs,
-                  const std::vector<double>& ys) {
-  if (xs.size() != ys.size() || xs.size() < 2) {
-    throw std::invalid_argument("FitLine: need >= 2 paired points");
-  }
-  const double n = static_cast<double>(xs.size());
-  double sx = 0.0, sy = 0.0, sxx = 0.0, sxy = 0.0, syy = 0.0;
-  for (size_t i = 0; i < xs.size(); ++i) {
-    sx += xs[i];
-    sy += ys[i];
-    sxx += xs[i] * xs[i];
-    sxy += xs[i] * ys[i];
-    syy += ys[i] * ys[i];
-  }
-  const double denom = n * sxx - sx * sx;
-  if (denom == 0.0) {
-    throw std::invalid_argument("FitLine: degenerate x values");
-  }
-  LinearFit fit{};
-  fit.slope = (n * sxy - sx * sy) / denom;
-  fit.intercept = (sy - fit.slope * sx) / n;
-  const double sst = syy - sy * sy / n;
-  if (sst > 0.0) {
-    double sse = 0.0;
-    for (size_t i = 0; i < xs.size(); ++i) {
-      const double e = ys[i] - (fit.intercept + fit.slope * xs[i]);
-      sse += e * e;
-    }
-    fit.r2 = 1.0 - sse / sst;
-  } else {
-    fit.r2 = 1.0;
-  }
-  return fit;
-}
-
 }  // namespace lottery

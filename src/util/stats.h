@@ -105,15 +105,6 @@ struct ProportionInterval {
 ProportionInterval BinomialConfidence(int64_t successes, int64_t trials,
                                       double confidence);
 
-// Least-squares slope/intercept of y on x. Requires xs.size() == ys.size()
-// and at least two distinct x values.
-struct LinearFit {
-  double slope;
-  double intercept;
-  double r2;  // coefficient of determination
-};
-LinearFit FitLine(const std::vector<double>& xs, const std::vector<double>& ys);
-
 }  // namespace lottery
 
 #endif  // SRC_UTIL_STATS_H_

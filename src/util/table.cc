@@ -53,21 +53,6 @@ std::string TextTable::ToString() const {
   return out.str();
 }
 
-std::string TextTable::ToCsv() const {
-  std::ostringstream out;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      out << (c == 0 ? "" : ",") << row[c];
-    }
-    out << "\n";
-  };
-  emit(header_);
-  for (const auto& row : rows_) {
-    emit(row);
-  }
-  return out.str();
-}
-
 std::string FormatDouble(double value, int digits) {
   std::ostringstream out;
   out << std::fixed << std::setprecision(digits) << value;
@@ -85,12 +70,5 @@ std::string FormatRatio(const std::vector<double>& parts, int digits) {
   }
   return out.str();
 }
-
-namespace table_internal {
-std::string Stringify(const std::string& v) { return v; }
-std::string Stringify(const char* v) { return v; }
-std::string Stringify(double v) { return FormatDouble(v, 3); }
-std::string Stringify(float v) { return FormatDouble(v, 3); }
-}  // namespace table_internal
 
 }  // namespace lottery

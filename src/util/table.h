@@ -1,8 +1,7 @@
-// Plain-text table and CSV rendering for the experiment harnesses.
+// Plain-text table rendering for the experiment harnesses.
 //
 // Every bench binary prints the rows/series of the paper figure or table it
-// regenerates; TextTable keeps that output aligned and diffable, and the CSV
-// form makes it easy to re-plot.
+// regenerates; TextTable keeps that output aligned and diffable.
 
 #ifndef SRC_UTIL_TABLE_H_
 #define SRC_UTIL_TABLE_H_
@@ -23,15 +22,10 @@ class TextTable {
   explicit TextTable(std::vector<std::string> header);
 
   void AddRow(std::vector<std::string> cells);
-  // Convenience: formats arbitrary streamable values into a row.
-  template <typename... Ts>
-  void AddValues(const Ts&... values);
 
   size_t num_rows() const { return rows_.size(); }
   void Print(std::ostream& out) const;
   std::string ToString() const;
-  // Same data, comma-separated with header.
-  std::string ToCsv() const;
 
  private:
   std::vector<std::string> header_;
@@ -43,22 +37,6 @@ std::string FormatDouble(double value, int digits = 2);
 
 // Formats a ratio like "2.97 : 1" from parts normalized by the last part.
 std::string FormatRatio(const std::vector<double>& parts, int digits = 2);
-
-namespace table_internal {
-std::string Stringify(const std::string& v);
-std::string Stringify(const char* v);
-std::string Stringify(double v);
-std::string Stringify(float v);
-template <typename T>
-std::string Stringify(const T& v) {
-  return std::to_string(v);
-}
-}  // namespace table_internal
-
-template <typename... Ts>
-void TextTable::AddValues(const Ts&... values) {
-  AddRow({table_internal::Stringify(values)...});
-}
 
 }  // namespace lottery
 

@@ -706,10 +706,8 @@ TEST(TreeBackendSteadyState, BlockWakeAfterArrivalBurstCostsNoSyncs) {
   if (!obs::kObsEnabled) {
     GTEST_SKIP() << "obs hooks compiled out";
   }
-  // Large enough that the burst dwarfs the steady state's marks; larger
-  // bursts cost minutes in invariant builds, whose sampled table sweeps
-  // are quadratic in the number of currencies.
-  constexpr ThreadId kThreads = 1024;
+  // Large enough that the burst dwarfs the steady state's marks.
+  constexpr ThreadId kThreads = 4096;
   TreeRig rig(kThreads);
   // Half the population sleeps; each dispatch's winner blocks and the
   // longest sleeper wakes, so the queue holds half of it throughout.

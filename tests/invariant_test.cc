@@ -3,10 +3,12 @@
 //
 // Death tests corrupt private state through InvariantTestPeer — bypassing
 // the CurrencyTable API, which refuses to create these states — and prove
-// the conservation / acyclicity / compensation-bound sweeps abort with a
-// precise message. A pass-through test then runs a fig4-style workload and
-// proves the same sweeps stay silent on legal mutations (while actually
-// executing: InvariantChecksRun() must advance).
+// the conservation / acyclicity / compensation-bound checks abort with a
+// precise message. The sweep tests forge the same states and read the
+// findings the sweeps report in every build (the chaos harness's oracles).
+// A pass-through test then runs a fig4-style workload and proves the
+// checks stay silent on legal mutations (while actually executing:
+// InvariantChecksRun() must advance).
 //
 // All of it is compiled against whatever LOTTERY_INVARIANTS resolved to:
 // in Release (checks compiled out) the death tests skip and the
@@ -15,6 +17,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "src/core/client.h"
 #include "src/core/currency.h"
@@ -37,6 +41,7 @@ class InvariantTestPeer {
     t->funds_ = target;
     target->backing_.push_back(t);
   }
+  static void MarkRetired(Currency* c) { c->retired_ = true; }
 };
 
 namespace {
@@ -105,6 +110,62 @@ TEST(InvariantDeath, LegalStatePassesAllSweeps) {
   client.SetCompensation(20, 10);
   invariants::CheckTable(table);
   invariants::CheckCompensationBound(client, 10);
+}
+
+// The sweeps report every violated property, one line each, in every
+// build.
+TEST(InvariantSweep, ConservationReportsEachViolatedProperty) {
+  CurrencyTable table;
+  Currency* team = table.CreateCurrency("team");
+  table.Fund(team, table.CreateTicket(table.base(), 200));
+  table.CreateTicket(team, 100);
+  std::vector<std::string> findings;
+  invariants::SweepTicketConservation(table, &findings);
+  EXPECT_TRUE(findings.empty());
+
+  InvariantTestPeer::InflateIssuedAmount(team, 7);
+  InvariantTestPeer::MarkRetired(team);  // retired, yet still backed
+  invariants::SweepTicketConservation(table, &findings);
+  ASSERT_EQ(findings.size(), 2u);
+  EXPECT_EQ(findings[0],
+            "ticket conservation: issued_amount 107 != sum 100 in team");
+  EXPECT_EQ(findings[1],
+            "ticket conservation: retired currency team still has backing");
+}
+
+TEST(InvariantSweep, AcyclicityReportsTheCycle) {
+  CurrencyTable table;
+  Currency* a = table.CreateCurrency("a");
+  Currency* b = table.CreateCurrency("b");
+  table.Fund(b, table.CreateTicket(a, 100));
+  Ticket* b_to_a = table.CreateTicket(b, 100);
+  std::vector<std::string> findings;
+  invariants::SweepAcyclicity(table, &findings);
+  EXPECT_TRUE(findings.empty());
+
+  InvariantTestPeer::SpliceBackingEdge(a, b_to_a);
+  invariants::SweepAcyclicity(table, &findings);
+  ASSERT_EQ(findings.size(), 1u);
+  EXPECT_EQ(findings[0], "acyclicity: currency graph cycle through a");
+}
+
+TEST(InvariantSweep, CompensationReportsBothBounds) {
+  CurrencyTable table;
+  Client client(&table, "victim");
+  std::vector<std::string> findings;
+  client.SetCompensation(40, 10);
+  invariants::SweepCompensationBound(client, 4, &findings);
+  EXPECT_TRUE(findings.empty());
+
+  client.SetCompensation(50, 10);
+  invariants::SweepCompensationBound(client, 4, &findings);
+  client.SetCompensation(5, 10);
+  invariants::SweepCompensationBound(client, 4, &findings);
+  ASSERT_EQ(findings.size(), 2u);
+  EXPECT_EQ(findings[0],
+            "compensation: factor 50/10 exceeds q/f cap 4 for victim");
+  EXPECT_EQ(findings[1],
+            "compensation: factor 5/10 is deflationary (< 1) for victim");
 }
 
 // Fig4-style pass-through: a 3:2:1 funded lottery with blocking and a

@@ -186,16 +186,6 @@ TEST(SimRwLock, ReadersShareWritersExclude) {
   EXPECT_EQ(kernel.num_live_threads(), 0u);
 }
 
-TEST(SimRwLock, CurrencyLifecycle) {
-  LotteryScheduler sched;
-  Kernel kernel(&sched, KOpts());
-  {
-    SimRwLock lock(&kernel, "tmp");
-    EXPECT_NE(sched.table().FindCurrency("rwlock:tmp"), nullptr);
-  }
-  EXPECT_EQ(sched.table().FindCurrency("rwlock:tmp"), nullptr);
-}
-
 // Takes the read lock and exits while holding it.
 class ReadAndExit : public ThreadBody {
  public:

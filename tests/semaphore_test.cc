@@ -162,16 +162,6 @@ TEST(SimSemaphore, FifoProducerConsumerUnderRoundRobin) {
               static_cast<double>(p->produced()), 20.0);
 }
 
-TEST(SimSemaphore, CreatesAndRetiresCurrency) {
-  LotteryScheduler sched;
-  Kernel kernel(&sched, KOpts());
-  {
-    SimSemaphore sem(&kernel, "tmp", 0);
-    EXPECT_NE(sched.table().FindCurrency("sem:tmp"), nullptr);
-  }
-  EXPECT_EQ(sched.table().FindCurrency("sem:tmp"), nullptr);
-}
-
 TEST(SimSemaphore, BeneficiaryInheritsWaiterFunding) {
   LotteryScheduler::Options lopts;
   lopts.seed = 3;

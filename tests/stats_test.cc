@@ -182,29 +182,5 @@ TEST(BinomialConfidence, RejectsBadInput) {
   EXPECT_THROW(BinomialConfidence(5, 10, 1.0), std::invalid_argument);
 }
 
-TEST(FitLine, ExactLine) {
-  const auto fit = FitLine({1.0, 2.0, 3.0, 4.0}, {3.0, 5.0, 7.0, 9.0});
-  EXPECT_NEAR(fit.slope, 2.0, 1e-12);
-  EXPECT_NEAR(fit.intercept, 1.0, 1e-12);
-  EXPECT_NEAR(fit.r2, 1.0, 1e-12);
-}
-
-TEST(FitLine, NoisyLineStillCloseAndR2Sane) {
-  std::vector<double> xs, ys;
-  for (int i = 0; i < 50; ++i) {
-    xs.push_back(i);
-    ys.push_back(3.0 * i + ((i % 2 == 0) ? 0.5 : -0.5));
-  }
-  const auto fit = FitLine(xs, ys);
-  EXPECT_NEAR(fit.slope, 3.0, 0.01);
-  EXPECT_GT(fit.r2, 0.999);
-}
-
-TEST(FitLine, RejectsDegenerateInput) {
-  EXPECT_THROW(FitLine({1.0}, {1.0}), std::invalid_argument);
-  EXPECT_THROW(FitLine({2.0, 2.0}, {1.0, 3.0}), std::invalid_argument);
-  EXPECT_THROW(FitLine({1.0, 2.0}, {1.0}), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace lottery

@@ -88,68 +88,6 @@ class LotteryMutexTest : public ::testing::Test {
   std::unique_ptr<Kernel> kernel_;
 };
 
-TEST_F(LotteryMutexTest, CreatesMutexCurrency) {
-  SimMutex mutex(kernel_.get(), "lock1");
-  EXPECT_NE(sched_->table().FindCurrency("mutex:lock1"), nullptr);
-}
-
-TEST_F(LotteryMutexTest, DestructorRetiresCurrency) {
-  {
-    SimMutex mutex(kernel_.get(), "tmp");
-  }
-  EXPECT_EQ(sched_->table().FindCurrency("mutex:tmp"), nullptr);
-}
-
-TEST_F(LotteryMutexTest, OwnerInheritsWaiterFunding) {
-  // Figure 10: owner executes with own funding plus all waiters' funding.
-  SimMutex mutex(kernel_.get(), "m");
-
-  class HoldForever : public ThreadBody {
-   public:
-    explicit HoldForever(SimMutex* m) : m_(m) {}
-    void Run(RunContext& ctx) override {
-      if (!held_) {
-        EXPECT_TRUE(m_->Acquire(ctx));
-        held_ = true;
-      }
-      m_->AssertHeld(ctx.self());
-      ctx.Consume(ctx.remaining());
-      m_->NoteHeldAcrossSlice(ctx.self());  // held into the next slice
-    }
-    SimMutex* m_;
-    bool held_ = false;
-  };
-  class WantLock : public ThreadBody {
-   public:
-    explicit WantLock(SimMutex* m) : m_(m) {}
-    void Run(RunContext& ctx) override {
-      ctx.Consume(SimDuration::Millis(1));
-      if (!m_->Acquire(ctx)) {
-        ctx.Block();
-        return;
-      }
-      m_->Release(ctx);
-      ctx.ExitThread();
-    }
-    SimMutex* m_;
-  };
-
-  // Spawn the owner alone first so it deterministically takes the lock.
-  const ThreadId owner =
-      SpawnFunded("owner", 100, std::make_unique<HoldForever>(&mutex));
-  kernel_->RunFor(SimDuration::Millis(200));
-  ASSERT_EQ(mutex.owner(), owner);
-  const ThreadId waiter =
-      SpawnFunded("waiter", 900, std::make_unique<WantLock>(&mutex));
-  kernel_->RunFor(SimDuration::Seconds(2));
-  ASSERT_EQ(mutex.owner(), owner);
-  EXPECT_EQ(mutex.num_waiters(), 1u);
-  // Owner is runnable and holds the lock; waiter is blocked. Owner's value
-  // = its 100 + waiter's 900 routed through the mutex currency.
-  EXPECT_EQ(sched_->ThreadValue(owner).base_units(), 1000);
-  (void)waiter;
-}
-
 TEST_F(LotteryMutexTest, AcquisitionRatioTracksFunding) {
   // Figure 11's setup, scaled down: two groups of four threads with 2:1
   // funding competing for one mutex; acquisition counts should approach
@@ -180,20 +118,6 @@ TEST_F(LotteryMutexTest, AcquisitionRatioTracksFunding) {
       static_cast<double>(a_cycles) / static_cast<double>(b_cycles);
   EXPECT_GT(ratio, 1.4);
   EXPECT_LT(ratio, 2.4);
-}
-
-TEST_F(LotteryMutexTest, WaitTimesRecordedInTracer) {
-  SimMutex mutex(kernel_.get(), "m");
-  MutexTask::Options opts;
-  // Hold+compute must not divide the quantum evenly, or cycles align with
-  // quantum boundaries and the lock is (deterministically) never contended.
-  opts.hold = SimDuration::Millis(30);
-  opts.compute = SimDuration::Millis(30);
-  SpawnFunded("A", 100, std::make_unique<MutexTask>(&mutex, opts));
-  SpawnFunded("B", 100, std::make_unique<MutexTask>(&mutex, opts));
-  kernel_->RunFor(SimDuration::Seconds(30));
-  EXPECT_TRUE(tracer_->HasSeries("mutex_wait:A") ||
-              tracer_->HasSeries("mutex_wait:B"));
 }
 
 TEST_F(LotteryMutexTest, RecursiveAcquireThrows) {

@@ -81,19 +81,6 @@ TEST(TextTable, AlignsColumns) {
   EXPECT_NE(s.find("longer-name"), std::string::npos);
 }
 
-TEST(TextTable, AddValuesFormatsMixedTypes) {
-  TextTable t({"s", "i", "d"});
-  t.AddValues("row", 42, 2.5);
-  const std::string csv = t.ToCsv();
-  EXPECT_NE(csv.find("row,42,2.500"), std::string::npos);
-}
-
-TEST(TextTable, CsvRoundTrip) {
-  TextTable t({"a", "b"});
-  t.AddRow({"1", "2"});
-  EXPECT_EQ(t.ToCsv(), "a,b\n1,2\n");
-}
-
 TEST(FormatHelpers, FormatDouble) {
   EXPECT_EQ(FormatDouble(3.14159, 2), "3.14");
   EXPECT_EQ(FormatDouble(2.0, 0), "2");
