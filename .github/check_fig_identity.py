@@ -17,6 +17,11 @@ bench/fig4_relative_rate and friends). The script runs, from both builds:
     the runs;
   * the nine examples/, comparing stdout byte for byte (they are the only
     in-kernel runs of the page cache and of the multi-resource disk path);
+  * tracectl record --seed=42 --backend=tree --snapshots and
+    tracectl record --seed=42 --backend=list, comparing the trace files
+    byte for byte (the tree leg is the only cross-build run of a
+    tree-backend trace; its stdout names the output path and is not
+    compared);
   * bench_smp --seed=42 --seconds=20 (the only bench that runs the SMP
     balancer's migrant lottery and its crossbar veto), comparing its
     --json report with every key containing "_ns" dropped and its
@@ -72,6 +77,12 @@ EXAMPLES = [
 # The benches that accept --trace=PATH (an etrace binary file).
 TRACED = {"fig5_fairness_over_time", "fig7_query_rates",
           "fig11_mutex_waiting"}
+
+# tracectl record legs: (name, flags). Each writes one etrace file.
+TRACECTL = [
+    ("tree_snapshots", ["--backend=tree", "--snapshots"]),
+    ("list", ["--backend=list"]),
+]
 
 SMP_FLAGS = ["--seconds=20"]
 
@@ -185,6 +196,19 @@ def main(argv):
                 return 1
             print("ok   examples/%s" % example)
 
+        for name, flags in TRACECTL:
+            label = "tracectl record " + " ".join(flags)
+            trace = name + ".etrace"
+            outs = run_pair(label, builds, os.path.join("tools", "tracectl"),
+                            "tracectl", lambda side: (
+                                ["record", "--seed=%d" % SEED] + flags +
+                                ["--out=" + out(side, trace)]))
+            if outs is None or not same(
+                    label, "trace file", read(out("parent", trace), "rb"),
+                    read(out("change", trace), "rb")):
+                return 1
+            print("ok   %s" % label)
+
         outs = run_pair("bench_smp", builds, "bench", "bench_smp",
                         lambda side: (
                             ["--seed=%d" % SEED] + SMP_FLAGS +
@@ -205,8 +229,9 @@ def main(argv):
             return 1
         print("ok   bench_smp %s (stdout skipped: host ns)" %
               " ".join(SMP_FLAGS))
-    print("all %d benches (%d traces), %d examples and bench_smp "
-          "identical" % (len(BENCHES), len(TRACED), len(EXAMPLES)))
+    print("all %d benches (%d traces), %d examples, %d tracectl traces and "
+          "bench_smp identical" % (len(BENCHES), len(TRACED), len(EXAMPLES),
+                                   len(TRACECTL)))
     return 0
 
 

@@ -51,21 +51,16 @@ void BM_FastRandBelow64(benchmark::State& state) {
 BENCHMARK(BM_FastRandBelow64);
 
 // Fixture data for list lotteries: n clients, skewed weights (the first
-// client holds ~half the tickets, as in a typical interactive mix).
+// client holds ~half the tickets, as in a typical interactive mix), pushed
+// as the raw base-unit values a scheduler would sync into the list.
 struct ListRig {
   ListRig(size_t n, bool move_to_front) : lottery(move_to_front) {
-    clients.reserve(n);
     for (size_t i = 0; i < n; ++i) {
-      clients.push_back(std::make_unique<Client>(&table, "c"));
       const int64_t amount =
           (i == 0) ? static_cast<int64_t>(n) * 10 : 10;
-      clients.back()->HoldTicket(table.CreateTicket(table.base(), amount));
-      clients.back()->SetActive(true);
-      lottery.Add(clients.back().get());
+      lottery.Add(Funding::FromBase(amount).raw_unsigned());
     }
   }
-  CurrencyTable table;
-  std::vector<std::unique_ptr<Client>> clients;
   ListLottery lottery;
 };
 
@@ -136,8 +131,9 @@ void BM_CurrencyConversionDepth3(benchmark::State& state) {
   client.HoldTicket(held);
   client.SetActive(true);
   for (auto _ : state) {
-    // Epoch bump forces a fresh conversion each iteration (otherwise the
-    // memoized value is returned and this measures a cache hit).
+    // Changing the amount dirties the client, forcing a fresh conversion
+    // each iteration (otherwise the memoized value is returned and this
+    // measures a cache hit).
     table.SetAmount(held, 100 + static_cast<int64_t>(state.iterations() % 2));
     benchmark::DoNotOptimize(client.Value());
   }
@@ -204,8 +200,8 @@ BENCHMARK(BM_ActivationCascade);
 // quantum early (earning a compensation ticket, Section 4.5), and requeue
 // it. Every dispatch therefore exercises the dirty-propagation path: the
 // compensation mutation invalidates exactly one client, and the requeue
-// folds its fresh value back in, so the tree backend should see zero full
-// resyncs and the list backend one cached-total delta per dispatch.
+// pushes its fresh value into its slot, so neither backend re-pushes a
+// queued slot and the tree should see zero full resyncs.
 struct ChurnRig {
   ChurnRig(size_t n, RunQueueBackend backend, uint32_t seed) {
     LotteryScheduler::Options sopts;

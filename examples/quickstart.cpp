@@ -1,14 +1,17 @@
 // Quickstart: the Figure 1 lottery, then a minimal scheduled simulation.
 //
 // Part 1 rebuilds the paper's Figure 1 by hand: five clients holding
-// 10/2/5/1/2 of 20 tickets compete in a list-based lottery; we draw many
-// times and show the win frequencies converging to the ticket shares.
+// 10/2/5/1/2 of 20 tickets compete in a list-based lottery (each client's
+// base-unit value is pushed into the list as its slot's weight, as the
+// scheduler does); we draw many times and show the win frequencies
+// converging to the ticket shares.
 //
 // Part 2 runs the smallest end-to-end experiment: two compute tasks with a
 // 2:1 allocation on the simulated kernel for 30 seconds.
 
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/core/client.h"
@@ -27,23 +30,25 @@ int main() {
   ListLottery lotto;
   const int64_t amounts[] = {10, 2, 5, 1, 2};
   std::vector<std::unique_ptr<Client>> clients;
+  std::vector<size_t> slots;
   for (int i = 0; i < 5; ++i) {
     clients.push_back(
         std::make_unique<Client>(&table, "client" + std::to_string(i + 1)));
     clients.back()->HoldTicket(table.CreateTicket(table.base(), amounts[i]));
     clients.back()->SetActive(true);
-    lotto.Add(clients.back().get());
+    slots.push_back(lotto.Add(clients.back()->Value().raw_unsigned()));
   }
+  const Funding total = Funding::FromRaw(static_cast<int64_t>(lotto.total()));
   std::printf("total tickets: %lld\n",
-              static_cast<long long>(lotto.Total().base_units()));
+              static_cast<long long>(total.base_units()));
 
   FastRand rng(20260707);
   std::vector<int> wins(5, 0);
   constexpr int kDraws = 100000;
   for (int i = 0; i < kDraws; ++i) {
-    Client* winner = lotto.Draw(rng);
+    const std::optional<size_t> winner = lotto.Draw(rng);
     for (size_t c = 0; c < clients.size(); ++c) {
-      if (clients[c].get() == winner) {
+      if (slots[c] == winner) {
         ++wins[c];
       }
     }

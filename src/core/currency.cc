@@ -207,7 +207,6 @@ Currency* CurrencyTable::CreateCurrency(const std::string& name,
   }
   TraceCurrency(trace_, etrace::EventType::kCurrencyCreate,
                 currency->trace_name_);
-  BumpEpoch();
   LOT_DCHECK_TABLE(*this);
   return currency;
 }
@@ -236,7 +235,6 @@ void CurrencyTable::DestroyCurrency(Currency* currency) {
                 currency->trace_name_);
   UnlinkCurrency(currency);
   currency_pool_.Delete(currency);
-  BumpEpoch();
   LOT_DCHECK_TABLE(*this);
 }
 
@@ -258,7 +256,6 @@ void CurrencyTable::RetireCurrency(Currency* currency) {
   currency->retired_ = true;
   TraceCurrency(trace_, etrace::EventType::kCurrencyRetire,
                 currency->trace_name_);
-  BumpEpoch();
   LOT_DCHECK_TABLE(*this);
 }
 
@@ -281,7 +278,6 @@ Ticket* CurrencyTable::CreateTicket(Currency* denomination, int64_t amount,
   LinkTicket(ticket);
   denomination->issued_.push_back(ticket);
   denomination->issued_amount_ += amount;
-  BumpEpoch();
   LOT_DCHECK_TABLE(*this);
   return ticket;
 }
@@ -307,7 +303,6 @@ void CurrencyTable::DestroyTicket(Ticket* ticket) {
     // already empty, so this is a plain erase).
     DestroyCurrency(denom);
   }
-  BumpEpoch();
   LOT_DCHECK_TABLE(*this);
 }
 
@@ -330,7 +325,6 @@ void CurrencyTable::SetAmount(Ticket* ticket, int64_t amount) {
     AddActiveAmount(ticket->denomination_, delta);
     MarkTicketDirty(ticket);
   }
-  BumpEpoch();
   LOT_DCHECK_TABLE(*this);
 }
 
@@ -362,7 +356,6 @@ void CurrencyTable::Fund(Currency* target, Ticket* ticket) {
   TraceCurrency(trace_, etrace::EventType::kFund, target->trace_name_,
                 static_cast<uint64_t>(ticket->amount_), 0,
                 static_cast<uint32_t>(ticket->id_));
-  BumpEpoch();
   LOT_DCHECK_TABLE(*this);
 }
 
@@ -380,7 +373,6 @@ void CurrencyTable::Unfund(Ticket* ticket) {
   TraceCurrency(trace_, etrace::EventType::kUnfund, target->trace_name_,
                 static_cast<uint64_t>(ticket->amount_), 0,
                 static_cast<uint32_t>(ticket->id_));
-  BumpEpoch();
   LOT_DCHECK_TABLE(*this);
 }
 
@@ -462,7 +454,6 @@ void CurrencyTable::ActivateTicket(Ticket* ticket) {
   // an explicit mark (a base ticket flipping active changes its value from
   // zero to face value even though the base itself never reprices).
   MarkTicketDirty(ticket);
-  BumpEpoch();
 }
 
 void CurrencyTable::DeactivateTicket(Ticket* ticket) {
@@ -472,7 +463,6 @@ void CurrencyTable::DeactivateTicket(Ticket* ticket) {
   ticket->active_ = false;
   AddActiveAmount(ticket->denomination_, -ticket->amount_);
   MarkTicketDirty(ticket);
-  BumpEpoch();
 }
 
 void CurrencyTable::AddActiveAmount(Currency* currency, int64_t delta) {

@@ -20,8 +20,8 @@
 // marking only the currencies and clients whose value can actually change
 // (see DESIGN.md "Incremental pricing"). Registered ValueObservers hear
 // about every client whose value may have changed, which is how the
-// scheduler's tree backend and ListLottery's cached total stay in sync
-// without repricing the whole graph.
+// scheduler keeps its run queues' slot weights in sync, under either
+// backend, without repricing the whole graph.
 
 #ifndef SRC_CORE_CURRENCY_H_
 #define SRC_CORE_CURRENCY_H_
@@ -216,11 +216,6 @@ class CurrencyTable {
   // with no active issued amount has rate 0.
   double ExchangeRate(const Currency* currency) const;  // lotlint: float-ok
 
-  // Mutation epoch; bumps on any change that can affect values. Purely
-  // informational (tests and introspection); caching is driven by the
-  // per-node dirty bits, not by this counter.
-  uint64_t epoch() const { return epoch_; }
-
   // --- Change notification --------------------------------------------------
 
   // Registers/unregisters an observer notified whenever a client's value may
@@ -262,8 +257,6 @@ class CurrencyTable {
   void ActivateTicket(Ticket* ticket);
   void DeactivateTicket(Ticket* ticket);
   void AddActiveAmount(Currency* currency, int64_t delta);
-
-  void BumpEpoch() { ++epoch_; }
 
   // --- Dirty propagation (see DESIGN.md "Incremental pricing") -------------
   //
@@ -319,7 +312,6 @@ class CurrencyTable {
   std::unordered_map<std::string, Currency*> currency_by_name_;
   Currency* base_;
   std::string superuser_ = "root";
-  uint64_t epoch_ = 1;
   uint64_t next_ticket_id_ = 1;
   std::vector<ValueObserver*> observers_;
 

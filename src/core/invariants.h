@@ -76,21 +76,16 @@ void CheckTableSampled(const CurrencyTable& table);
 }  // namespace lottery
 
 #if LOT_INVARIANTS_ENABLED
-// Full-table sweep at a CurrencyTable mutator exit (sampled on big tables).
+// Full-table sweep at a mutator exit (the table's own, the scheduler's and
+// a transfer's), sampled on big tables.
 #define LOT_DCHECK_TABLE(table) \
   ::lottery::invariants::CheckTableSampled(table)
-// Unsampled conservation sweep, for transfer endpoints and tests.
-#define LOT_DCHECK_TICKET_CONSERVATION(table) \
-  ::lottery::invariants::CheckTicketConservation(table)
 // Compensation factor bound for one client.
 #define LOT_DCHECK_COMPENSATION(client, max_factor) \
   ::lottery::invariants::CheckCompensationBound((client), (max_factor))
 #else
 #define LOT_DCHECK_TABLE(table) \
   do {                          \
-  } while (false)
-#define LOT_DCHECK_TICKET_CONSERVATION(table) \
-  do {                                        \
   } while (false)
 #define LOT_DCHECK_COMPENSATION(client, max_factor) \
   do {                                              \

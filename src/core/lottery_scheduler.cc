@@ -35,17 +35,12 @@ LotteryScheduler::LotteryScheduler(Options options,
       tree_draw_ns_(metrics_->histogram("lottery.tree_draw_ns")) {
   for (size_t i = 0; i < queue_seeds.size(); ++i) {
     queues_[i].rng.Seed(queue_seeds[i]);
+    queues_[i].use_tree = options_.backend == RunQueueBackend::kTree;
   }
-  if (options_.backend != RunQueueBackend::kList) {
-    // The list backend needs no scheduler-side tracking: each queue's list
-    // observes the table itself for its cached total.
-    table_.AddObserver(this);
-  }
+  table_.AddObserver(this);
 }
 
-LotteryScheduler::~LotteryScheduler() {
-  table_.RemoveObserver(this);  // no-op under the list backend
-}
+LotteryScheduler::~LotteryScheduler() { table_.RemoveObserver(this); }
 
 void LotteryScheduler::OnClientValueDirty(Client* client) {
   const auto it = by_client_.find(client);
@@ -114,8 +109,8 @@ void LotteryScheduler::AddThreadOn(ThreadId id, int queue) {
     throw std::invalid_argument("LotteryScheduler::AddThread: duplicate id");
   }
   RunQueue& q = QueueAt(queue);
-  if (options_.backend == RunQueueBackend::kList &&
-      options_.list_max_threads != 0 && q.homed >= options_.list_max_threads) {
+  if (!q.use_tree && options_.list_max_threads != 0 &&
+      q.homed >= options_.list_max_threads) {
     // The list's O(n) draw is ~280x the tree's at 10k clients
     // (bench_draw_overhead baselines); past the threshold it is a
     // misconfiguration, not a trade-off.
@@ -167,43 +162,35 @@ void LotteryScheduler::RemoveThread(ThreadId id, SimTime /*now*/) {
 
 void LotteryScheduler::Enqueue(ThreadState& state) {
   RunQueue& q = queues_[state.queue];
-  if (options_.backend == RunQueueBackend::kList) {
-    q.list.Add(state.client.get());
+  util::SeqGuard guard(q.seq);
+  const uint64_t weight = state.client->Value().raw_unsigned();
+  state.slot = q.Add(weight);
+  if (state.slot >= q.slot_owner.size()) {
+    q.slot_owner.resize(state.slot + 1, nullptr);
+  }
+  q.slot_owner[state.slot] = &state;
+  // The slot was seeded with the current value; any pending dirty mark
+  // (e.g. from the unblock activation) is already folded in. Its dirty
+  // list entry stays behind, stale, until the next sync.
+  state.dirty = false;
+  if (q.restore_pending && state.slot == q.restore_slot &&
+      weight == q.restore_weight) {
+    // The previous winner re-entered at its old slot with its old weight:
+    // the queue is back to the state any live batch was formed against,
+    // and the steady-state cycle stays "clean".
+    q.restore_pending = false;
   } else {
-    util::SeqGuard guard(q.seq);
-    const uint64_t weight = state.client->Value().raw_unsigned();
-    state.tree_slot = q.tree.Add(weight);
-    if (state.tree_slot >= q.slot_owner.size()) {
-      q.slot_owner.resize(state.tree_slot + 1, nullptr);
-    }
-    q.slot_owner[state.tree_slot] = &state;
-    // The slot was seeded with the current value; any pending dirty mark
-    // (e.g. from the unblock activation) is already folded in. Its dirty
-    // list entry stays behind, stale, until the next sync.
-    state.dirty = false;
-    if (q.restore_pending && state.tree_slot == q.restore_slot &&
-        weight == q.restore_weight) {
-      // The previous winner re-entered at its old slot with its old
-      // weight: the queue is back to the state any live batch was formed
-      // against, and the steady-state cycle stays "clean".
-      q.restore_pending = false;
-    } else {
-      NoteDisturbance(q);
-    }
+    NoteDisturbance(q);
   }
   state.in_queue = true;
 }
 
 void LotteryScheduler::Dequeue(ThreadState& state) {
   RunQueue& q = queues_[state.queue];
-  if (options_.backend == RunQueueBackend::kList) {
-    q.list.Remove(state.client.get());
-  } else {
-    util::SeqGuard guard(q.seq);
-    q.tree.Remove(state.tree_slot);
-    q.slot_owner[state.tree_slot] = nullptr;
-    NoteDisturbance(q);
-  }
+  util::SeqGuard guard(q.seq);
+  q.Remove(state.slot);
+  q.slot_owner[state.slot] = nullptr;
+  NoteDisturbance(q);
   state.in_queue = false;
 }
 
@@ -244,7 +231,7 @@ void LotteryScheduler::MoveQueued(ThreadId id, int queue) {
   Enqueue(state);
 }
 
-void LotteryScheduler::SyncTreeWeights(RunQueue& q) {
+void LotteryScheduler::SyncWeights(RunQueue& q) {
   if (q.dirty.empty()) {
     return;
   }
@@ -258,16 +245,19 @@ void LotteryScheduler::SyncTreeWeights(RunQueue& q) {
     }
   }
   q.dirty.resize(marked);
-  if (marked > q.tree.size()) {
-    // More dirty threads than queued slots: one bulk pass is cheaper than
-    // per-client updates (and covers the first sync after mass arrivals).
+  if (q.use_tree && marked > q.size()) {
+    // More dirty threads than queued slots: one bulk pass over the queue
+    // beats filtering and sorting the marks (and covers the first sync
+    // after mass arrivals). Tree only: the pass reprices in slot order, so
+    // on list queues, where it would fire too (fig7, fig11, fig_db_disk,
+    // bench_sensitivity), it would reorder their kReprice events, and the
+    // list's O(1) slot updates gain little from it.
     full_syncs_->Inc();
     for (ThreadState* state : q.slot_owner) {
       if (state == nullptr) {
         continue;
       }
-      q.tree.SetWeight(state->tree_slot,
-                       state->client->Value().raw_unsigned());
+      q.SetWeight(state->slot, state->client->Value().raw_unsigned());
     }
   } else {
     // Threads not competing get a fresh weight from OnReady later. The
@@ -282,17 +272,25 @@ void LotteryScheduler::SyncTreeWeights(RunQueue& q) {
                 return a->id < b->id;
               });
     for (ThreadState* state : q.dirty) {
-      q.tree.SetWeight(state->tree_slot,
-                       state->client->Value().raw_unsigned());
-      leaf_updates_->Inc();
+      q.SetWeight(state->slot, state->client->Value().raw_unsigned());
+    }
+    if (q.use_tree) {
+      leaf_updates_->Inc(q.dirty.size());
     }
   }
   q.dirty.clear();
 }
 
-ThreadId LotteryScheduler::PickNextFromTree(RunQueue& q) {
+// lotlint: invariant-ok — PickFrom carries the checks.
+ThreadId LotteryScheduler::PickNext(SimTime now) { return PickFrom(0, now); }
+
+ThreadId LotteryScheduler::PickFrom(int queue, SimTime now) {
+  // Advance the trace's sim-time cursor: everything recorded from here to
+  // the dispatch (decisions, reprices, transfer churn) stamps this instant.
+  etrace::SetNow(options_.trace, now.nanos());
+  RunQueue& q = QueueAt(queue);
   util::SeqGuard guard(q.seq);
-  if (q.tree.empty()) {
+  if (q.size() == 0) {
     return kInvalidThreadId;
   }
   ++num_lotteries_;
@@ -305,26 +303,25 @@ ThreadId LotteryScheduler::PickNextFromTree(RunQueue& q) {
     q.clean_streak = 0;
     q.pick_clean = true;
   }
-  // Sample the wall-clock sync/draw split on the histogram cadence; the
-  // clock reads would otherwise dominate a tree dispatch.
-  const bool timed = obs::kObsEnabled && (timing_tick_++ % 16 == 0);
+  // Sample the tree's wall-clock sync/draw split on the histogram cadence;
+  // the clock reads would otherwise dominate a tree dispatch.
+  const uint64_t tick = timing_tick_++;
+  const bool timed = obs::kObsEnabled && q.use_tree && tick % 16 == 0;
   std::chrono::steady_clock::time_point t0;  // lotlint: wallclock-ok
   if (timed) {
     t0 = std::chrono::steady_clock::now();  // lotlint: wallclock-ok
   }
-  SyncTreeWeights(q);
+  SyncWeights(q);
 #if LOT_INVARIANTS_ENABLED
-  // Sampled O(n) sweep: the partial-sum total must equal the sum of the
+  // Sampled O(n) sweep: the maintained total must equal the sum of the
   // live slots' weights, or incremental SetWeight updates have drifted.
-  if (timing_tick_ % 64 == 1) {
+  if (tick % 64 == 0) {
     uint64_t weight_sum = 0;
-    for (ThreadState* s : q.slot_owner) {
-      if (s != nullptr) {
-        weight_sum += q.tree.Weight(s->tree_slot);
-      }
-    }
-    LOT_ASSERT(weight_sum == q.tree.total(),
-               "tree lottery: partial sums out of sync with slot weights");
+    q.ForEachQueued([&weight_sum](const ThreadState&, uint64_t weight) {
+      weight_sum += weight;
+    });
+    LOT_ASSERT(weight_sum == q.total(),
+               "run queue: total out of sync with slot weights");
   }
 #endif
   std::chrono::steady_clock::time_point t1;  // lotlint: wallclock-ok
@@ -335,23 +332,19 @@ ThreadId LotteryScheduler::PickNextFromTree(RunQueue& q) {
             .count()));
   }
   // Candidate snapshot (verbose, opt-in): weights as the draw below sees
-  // them, in slot order — the prefix order SlotForValue resolves against,
-  // so each winner is re-derivable from (snapshot, random value).
+  // them, in draw order, so each winner is re-derivable from (snapshot,
+  // random value) by a prefix scan.
   if (etrace::On(options_.trace, etrace::kCatLotterySnapshot)) {
     uint32_t index = 0;
-    for (size_t slot = 0; slot < q.slot_owner.size(); ++slot) {
-      ThreadState* state = q.slot_owner[slot];
-      if (state == nullptr) {
-        continue;
-      }
+    q.ForEachQueued([this, &index](const ThreadState& state, uint64_t weight) {
       etrace::Event e;
       e.t_ns = options_.trace->now();
-      e.a = state->id;
+      e.a = state.id;
       e.b = index++;
-      e.v1 = q.tree.Weight(slot);
+      e.v1 = weight;
       e.type = static_cast<uint16_t>(etrace::EventType::kCandidate);
       options_.trace->Append(e);
-    }
+    });
   }
   ThreadState* winner = nullptr;
   uint64_t drawn_value = 0;
@@ -374,39 +367,45 @@ ThreadId LotteryScheduler::PickNextFromTree(RunQueue& q) {
       FlushBatch(q);
     }
   }
+  const uint64_t scanned_before = q.list.total_scanned();
   if (!batched) {
-    drawn = q.tree.Draw(q.rng, &drawn_value);
+    drawn = q.Draw(&drawn_value);
   }
-  draw_cost_->RecordSampled(batched ? 1 : q.tree.draw_depth());
+  // Draw cost in the structure's own units: list entries scanned, tree
+  // levels descended (1 for a batch hit).
+  uint64_t cost = q.list.total_scanned() - scanned_before;
+  if (q.use_tree) {
+    cost = batched ? 1 : q.tree.draw_depth();
+  }
+  draw_cost_->RecordSampled(cost);
   if (drawn.has_value()) {
     winner = q.slot_owner[*drawn];
   } else {
-    // All ready clients have zero funding; pick arbitrarily so no one
-    // starves (uniform over the zero-funded set across draws).
-    size_t index = static_cast<size_t>(
-        q.rng.NextBelow(static_cast<uint32_t>(q.tree.size())));
-    drawn_value = index;  // decision event: index into live slots
-    for (ThreadState* state : q.slot_owner) {
-      if (state == nullptr) {
-        continue;
+    // All ready clients have zero funding; pick without a lottery so no
+    // one starves. The list takes its front (the requeue appends, rotating
+    // the list round-robin); the tree picks uniformly over its live slots.
+    size_t index = q.use_tree ? static_cast<size_t>(q.rng.NextBelow(
+                                    static_cast<uint32_t>(q.size())))
+                              : 0;
+    drawn_value = index;  // decision event: index into the candidates
+    q.ForEachQueued([&winner, &index](ThreadState& state, uint64_t) {
+      if (winner == nullptr && index-- == 0) {
+        winner = &state;
       }
-      if (index-- == 0) {
-        winner = state;
-        break;
-      }
-    }
+    });
     ++num_zero_fallbacks_;
     zero_fallbacks_->Inc();
   }
-  LOT_ASSERT(winner != nullptr, "tree draw returned no winner");
+  LOT_ASSERT(winner != nullptr, "run queue draw returned no winner");
+  const uint64_t winner_weight = q.Weight(winner->slot);
   if (etrace::On(options_.trace, etrace::kCatLottery)) {
     etrace::Event e;
     e.t_ns = options_.trace->now();
     e.a = winner->id;
     e.v1 = drawn_value;
-    e.v2 = q.tree.total();
-    e.v3 = q.tree.Weight(winner->tree_slot);
-    uint16_t flags = etrace::kDecisionTree;
+    e.v2 = q.total();
+    e.v3 = winner_weight;
+    uint16_t flags = q.use_tree ? etrace::kDecisionTree : uint16_t{0};
     if (!drawn.has_value()) {
       flags |= etrace::kDecisionFallback;
     }
@@ -421,21 +420,26 @@ ThreadId LotteryScheduler::PickNextFromTree(RunQueue& q) {
   // exact queue state is what future draws see once the winner re-enters
   // unchanged, and any deviation (tracked via q.restore_pending / dirty
   // marks) flushes the entries unserved.
-  if (options_.batch_window >= 2 && !q.HasLiveBatch() &&
+  if (q.use_tree && options_.batch_window >= 2 && !q.HasLiveBatch() &&
       q.clean_streak >= kBatchStreakMin && drawn.has_value()) {
-    FormBatch(q, q.tree.total());
+    FormBatch(q, q.total());
   }
-  const uint64_t removed_weight = q.tree.Weight(winner->tree_slot);
-  q.tree.Remove(winner->tree_slot);
-  q.slot_owner[winner->tree_slot] = nullptr;
+  q.Remove(winner->slot);
+  q.slot_owner[winner->slot] = nullptr;
   winner->in_queue = false;
   // Track the winner's expected re-entry whether or not a batch is live:
   // the matching OnReady is the one queue change that keeps the
   // steady-state cycle "clean" (and a live batch valid).
   q.restore_pending = true;
-  q.restore_slot = winner->tree_slot;
-  q.restore_weight = removed_weight;
-  compensation_.OnQuantumStart(winner->client.get());
+  q.restore_slot = winner->slot;
+  q.restore_weight = winner_weight;
+  // The thread starts its next quantum: any compensation ticket expires
+  // (Section 4.5). Its tickets stay active while it runs.
+  Client* const client = winner->client.get();
+  compensation_.OnQuantumStart(client);
+  LOT_ASSERT(!client->has_compensation(),
+             "quantum start left a live compensation factor on " +
+                 client->name());
   if (timed) {
     const auto t2 = std::chrono::steady_clock::now();  // lotlint: wallclock-ok
     tree_draw_ns_->Record(static_cast<uint64_t>(
@@ -443,86 +447,6 @@ ThreadId LotteryScheduler::PickNextFromTree(RunQueue& q) {
             .count()));
   }
   return winner->id;
-}
-
-// lotlint: invariant-ok — PickFrom carries the checks.
-ThreadId LotteryScheduler::PickNext(SimTime now) { return PickFrom(0, now); }
-
-ThreadId LotteryScheduler::PickFrom(int queue, SimTime now) {
-  // Advance the trace's sim-time cursor: everything recorded from here to
-  // the dispatch (decisions, reprices, transfer churn) stamps this instant.
-  etrace::SetNow(options_.trace, now.nanos());
-  RunQueue& q = QueueAt(queue);
-  if (options_.backend != RunQueueBackend::kList) {
-    return PickNextFromTree(q);
-  }
-  ListLottery& list = q.list;
-  if (list.empty()) {
-    return kInvalidThreadId;
-  }
-  ++num_lotteries_;
-  draws_->Inc();
-  // Candidate snapshot (verbose, opt-in) in list order, captured before the
-  // draw's move-to-front mutates it: the winner is the first candidate
-  // whose running value sum exceeds the drawn random value.
-  if (etrace::On(options_.trace, etrace::kCatLotterySnapshot)) {
-    uint32_t index = 0;
-    for (Client* candidate : list.raw_order()) {
-      if (candidate == nullptr) {
-        continue;
-      }
-      const auto cit = by_client_.find(candidate);
-      etrace::Event e;
-      e.t_ns = options_.trace->now();
-      e.a = cit != by_client_.end() ? cit->second->id : kInvalidThreadId;
-      e.b = index++;
-      e.v1 = candidate->Value().raw_unsigned();
-      e.type = static_cast<uint16_t>(etrace::EventType::kCandidate);
-      options_.trace->Append(e);
-    }
-  }
-  const uint64_t scanned_before = list.total_scanned();
-  uint64_t drawn_value = 0;
-  Client* winner = list.Draw(q.rng, &drawn_value);
-  draw_cost_->RecordSampled(list.total_scanned() - scanned_before);
-  bool fallback = false;
-  if (winner == nullptr) {
-    // Every ready client currently has zero funding (e.g. all their backing
-    // is deactivated). Degrade to round-robin so no one starves: take the
-    // front; the requeue path appends, rotating the list.
-    winner = list.Front();
-    fallback = true;
-    ++num_zero_fallbacks_;
-    zero_fallbacks_->Inc();
-  }
-  // Total/value reads below are cache hits (the draw just refreshed them);
-  // capture before Remove() deducts the winner from the cached total.
-  if (etrace::On(options_.trace, etrace::kCatLottery)) {
-    etrace::Event e;
-    e.t_ns = options_.trace->now();
-    e.v1 = drawn_value;
-    e.v2 = list.Total().raw_unsigned();
-    e.v3 = winner->Value().raw_unsigned();
-    e.flags = fallback ? etrace::kDecisionFallback : uint16_t{0};
-    e.type = static_cast<uint16_t>(etrace::EventType::kDecision);
-    const auto wit = by_client_.find(winner);
-    e.a = wit != by_client_.end() ? wit->second->id : kInvalidThreadId;
-    options_.trace->Append(e);
-  }
-  list.Remove(winner);
-  const auto it = by_client_.find(winner);
-  if (it == by_client_.end()) {
-    throw std::logic_error("LotteryScheduler::PickNext: orphan client");
-  }
-  ThreadState& state = *it->second;
-  state.in_queue = false;
-  // The thread starts its next quantum: any compensation ticket expires
-  // (Section 4.5). Its tickets stay active while it runs.
-  compensation_.OnQuantumStart(winner);
-  LOT_ASSERT(!winner->has_compensation(),
-             "quantum start left a live compensation factor on " +
-                 winner->name());
-  return state.id;
 }
 
 void LotteryScheduler::OnQuantumEnd(ThreadId id, SimDuration used,
@@ -553,7 +477,7 @@ Ticket* LotteryScheduler::FundThread(ThreadId id, Currency* denomination,
   ThreadState& state = StateOf(id);
   Ticket* ticket = table_.CreateTicket(denomination, amount, principal);
   table_.Fund(state.currency, ticket);
-  LOT_DCHECK_TICKET_CONSERVATION(table_);
+  LOT_DCHECK_TABLE(table_);
   return ticket;
 }
 
@@ -591,44 +515,27 @@ int LotteryScheduler::QueueOf(ThreadId id) const {
 
 size_t LotteryScheduler::QueuedCount(int queue) const {
   const RunQueue& q = queues_[static_cast<size_t>(queue)];
-  if (options_.backend == RunQueueBackend::kList) {
-    return q.list.size();
-  }
   util::SeqGuard guard(q.seq);
-  return q.tree.size();
+  return q.size();
 }
 
 uint64_t LotteryScheduler::RunnableTickets(int queue) {
   RunQueue& q = QueueAt(queue);
-  if (options_.backend == RunQueueBackend::kList) {
-    return q.list.Total().raw_unsigned();
-  }
   util::SeqGuard guard(q.seq);
-  SyncTreeWeights(q);
-  return q.tree.total();
+  SyncWeights(q);
+  return q.total();
 }
 
 std::vector<std::pair<ThreadId, uint64_t>> LotteryScheduler::QueuedSnapshot(
     int queue) {
   RunQueue& q = QueueAt(queue);
-  std::vector<std::pair<ThreadId, uint64_t>> out;
-  if (options_.backend == RunQueueBackend::kList) {
-    for (Client* client : q.list.ClientsInOrder()) {
-      out.emplace_back(by_client_.at(client)->id,
-                       client->Value().raw_unsigned());
-    }
-    return out;
-  }
   util::SeqGuard guard(q.seq);
-  SyncTreeWeights(q);
-  out.reserve(q.tree.size());
-  // Slot order: small dense indices, stable between structural changes.
-  for (ThreadState* state : q.slot_owner) {
-    if (state == nullptr) {
-      continue;
-    }
-    out.emplace_back(state->id, q.tree.Weight(state->tree_slot));
-  }
+  SyncWeights(q);
+  std::vector<std::pair<ThreadId, uint64_t>> out;
+  out.reserve(q.size());
+  q.ForEachQueued([&out](const ThreadState& state, uint64_t weight) {
+    out.emplace_back(state.id, weight);
+  });
   return out;
 }
 
@@ -648,9 +555,8 @@ void LotteryScheduler::CheckQueues() const {
     ++queued;
     const RunQueue& q = queues_[state.queue];
     util::SeqGuard guard(q.seq);
-    if (options_.backend == RunQueueBackend::kList
-            ? !q.list.Contains(state.client.get())
-            : q.slot_owner[state.tree_slot] != &state) {
+    if (state.slot >= q.slot_owner.size() ||
+        q.slot_owner[state.slot] != &state) {
       throw std::logic_error("LotteryScheduler: queued thread " +
                              std::to_string(id) + " not in its home queue");
     }

@@ -4,22 +4,28 @@
 // Structure mirrors the Mach prototype (Section 4): every thread gets its
 // own currency plus a self ticket issued in it; experiments fund thread
 // currencies with tickets denominated in user/task currencies, forming the
-// currency graph of Figure 3. The run queue is the paper's list-based
-// lottery with move-to-front; compensation tickets are granted on
-// under-consumed quanta and cleared when the thread next starts a quantum;
-// blocked threads deactivate, which is what gives ticket transfers their
-// semantics.
+// currency graph of Figure 3. The run queue draws through the paper's
+// list-based lottery (Figure 1) or its tree of partial ticket sums;
+// compensation tickets are granted on under-consumed quanta and cleared
+// when the thread next starts a quantum; blocked threads deactivate, which
+// is what gives ticket transfers their semantics.
 //
 // The scheduler is one ticket economy (the currency table, compensation,
 // and each thread's client, currency and self ticket) over one or more run
 // queues. A plain scheduler has one; smp::SmpScheduler derives from this
 // class with one queue per CPU, so transfers and inheritance cross CPUs.
+//
+// Both draw structures hold flat slot weights. The scheduler observes the
+// currency table, keeps one dirty list per queue of the threads whose value
+// may have changed, and re-pushes exactly those values before each draw
+// (DESIGN.md "Incremental pricing"): one value sync for either backend.
 
 #ifndef SRC_CORE_LOTTERY_SCHEDULER_H_
 #define SRC_CORE_LOTTERY_SCHEDULER_H_
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -37,9 +43,10 @@
 
 namespace lottery {
 
-// How the run queue picks winners. kList is the prototype's list with
-// move-to-front (Section 4.2, Figure 1); kTree is the same section's "tree
-// of partial ticket sums", O(lg n) per draw once client values are synced.
+// How the run queue picks winners. kList is the prototype's list walk
+// (Section 4.2, Figure 1), O(n) per draw; kTree is the same section's "tree
+// of partial ticket sums", O(lg n) per draw. Both draw over the same synced
+// client values, so only the draw structure differs.
 enum class RunQueueBackend { kList, kTree };
 
 class LotteryScheduler : public Scheduler, private ValueObserver {
@@ -124,12 +131,12 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   // Number of queued (ready, undispatched) threads.
   size_t QueuedCount(int queue = 0) const;
   // Total runnable ticket value across the run queue, in raw Funding units.
-  // Incremental: the list backend returns its cached Total(); the tree
-  // backend flushes only the clients the currency table marked dirty since
-  // the last sync (the same dirty-propagation pass a dispatch would run).
+  // Incremental: flushes only the clients the currency table marked dirty
+  // since the last sync (the same pass a dispatch runs first).
   uint64_t RunnableTickets(int queue = 0);
-  // (thread, raw value) of every queued thread, in deterministic queue
-  // order — the candidate set for the balancer's steal lottery.
+  // (thread, raw value) of every queued thread, in draw order (the list's
+  // order, or slot order for the tree): the candidate set for the
+  // balancer's steal lottery. Syncs like RunnableTickets.
   std::vector<std::pair<ThreadId, uint64_t>> QueuedSnapshot(int queue = 0);
 
   // Queue 0's dispatch stream, which the kernel services' draws share.
@@ -181,9 +188,9 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
     Currency* currency = nullptr;
     Ticket* self_ticket = nullptr;
     bool in_queue = false;
-    size_t tree_slot = 0;  // valid while in_queue under the tree backend
-    // Tree backend: value changed since the last sync and not yet folded
-    // into the tree; listed in its queue's dirty list.
+    size_t slot = 0;  // draw-structure slot, valid while in_queue
+    // Value changed since the last sync and not yet pushed into the draw
+    // structure; listed in its queue's dirty list.
     bool dirty = false;
   };
 
@@ -201,36 +208,42 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   };
 
   // The per-CPU half of the scheduler: everything a dispatch touches that
-  // is not the economy. Only the backend's half is used.
+  // is not the economy.
   struct RunQueue {
     FastRand rng;  // lotlint: stream(scheduler)
-    ListLottery list;
-    // Serialization domain for the tree and its slot-to-owner map: the
-    // state a real SMP kernel would put behind a per-queue lock.
-    // PickNextFromTree holds it for the whole pick; enqueue/dequeue enter
-    // it around their tree mutations.
+    // Serialization domain for the draw structure and its slot-to-owner
+    // map: the state a real SMP kernel would put behind a per-queue lock.
+    // PickFrom holds it for the whole pick; enqueue, dequeue and the queue
+    // views enter it around their own accesses.
     mutable util::Seq seq;
+    // The draw structure, chosen once from Options::backend; the other one
+    // stays empty. Both hold flat slot weights under one contract, so the
+    // slot operations below are the one place that tells them apart. The
+    // list is built without move-to-front: the winner leaves the queue the
+    // moment it is drawn, so rotating it to the front would be dead work.
+    bool use_tree = false;
+    ListLottery list GUARDED_BY(seq){/*move_to_front=*/false};
     TreeLottery tree GUARDED_BY(seq);
     // Slot -> owning thread state, nullptr for free slots. Slots are small
-    // dense indices recycled by TreeLottery, and unordered_map nodes give
-    // ThreadState a stable address, so a flat vector of pointers makes
+    // dense indices recycled by the draw structure, and unordered_map nodes
+    // give ThreadState a stable address, so a flat vector of pointers makes
     // winner resolution a single indexed load (a hash map here shows up at
     // 10k clients in bench_draw_overhead's churn rig).
     std::vector<ThreadState*> slot_owner GUARDED_BY(seq);
-    // Threads homed here marked dirty since the last sync, the ListLottery
-    // idiom: a mark sets ThreadState::dirty and appends, enqueueing clears
-    // the bit (the entry stays, stale), and the sync skips unset bits and
-    // clear()s the vector — O(marked). A hash set would cost O(largest set
-    // ever held) per reset: clear() zeroes every bucket, and the arrival
-    // burst of a large population grows the bucket array to the whole
-    // population.
+    // Threads homed here marked dirty since the last sync: a mark sets
+    // ThreadState::dirty and appends, enqueueing clears the bit (the entry
+    // stays, stale), and the sync skips unset bits and clear()s the vector
+    // — O(marked). A hash set would cost O(largest set ever held) per
+    // reset: clear() zeroes every bucket, and the arrival burst of a large
+    // population grows the bucket array to the whole population.
     std::vector<ThreadState*> dirty;
     size_t homed = 0;  // threads homed here (the list_max_threads count)
-    // Batching state. The steady-state dispatch cycle is pick (winner
-    // leaves the queue) -> quantum -> OnReady (winner re-enters at the same
-    // recycled slot with the same weight); restore_* tracks whether the
-    // queue has returned to the exact state a live batch was formed
-    // against, and pick_clean whether anything else moved between picks.
+    // Batching state (batches form under the tree only). The steady-state
+    // dispatch cycle is pick (winner leaves the queue) -> quantum ->
+    // OnReady (winner re-enters at the same recycled slot with the same
+    // weight); restore_* tracks whether the queue has returned to the exact
+    // state a live batch was formed against, and pick_clean whether
+    // anything else moved between picks.
     std::vector<BatchEntry> batch;
     size_t batch_next = 0;
     uint32_t clean_streak = 0;
@@ -240,6 +253,56 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
     uint64_t restore_weight = 0;
 
     bool HasLiveBatch() const { return batch_next < batch.size(); }
+
+    // The draw structure's slot contract.
+    size_t Add(uint64_t weight) REQUIRES(seq) {
+      return use_tree ? tree.Add(weight) : list.Add(weight);
+    }
+    void Remove(size_t slot) REQUIRES(seq) {
+      if (use_tree) {
+        tree.Remove(slot);
+      } else {
+        list.Remove(slot);
+      }
+    }
+    void SetWeight(size_t slot, uint64_t weight) REQUIRES(seq) {
+      if (use_tree) {
+        tree.SetWeight(slot, weight);
+      } else {
+        list.SetWeight(slot, weight);
+      }
+    }
+    uint64_t Weight(size_t slot) const REQUIRES(seq) {
+      return use_tree ? tree.Weight(slot) : list.Weight(slot);
+    }
+    uint64_t total() const REQUIRES(seq) {
+      return use_tree ? tree.total() : list.total();
+    }
+    size_t size() const REQUIRES(seq) {
+      return use_tree ? tree.size() : list.size();
+    }
+    std::optional<size_t> Draw(uint64_t* drawn_value) REQUIRES(seq) {
+      return use_tree ? tree.Draw(rng, drawn_value)
+                      : list.Draw(rng, drawn_value);
+    }
+    // Calls fn(state, weight) for each queued thread in draw order: the
+    // list's order, or slot order for the tree (the prefix order its
+    // descent resolves against).
+    template <typename Fn>
+    void ForEachQueued(Fn&& fn) const REQUIRES(seq) {
+      if (use_tree) {
+        for (ThreadState* state : slot_owner) {
+          if (state != nullptr) {
+            fn(*state, tree.Weight(state->slot));
+          }
+        }
+      } else {
+        const std::vector<ThreadState*>& owners = slot_owner;
+        list.ForEach([&owners, &fn](size_t slot, uint64_t weight) {
+          fn(*owners[slot], weight);
+        });
+      }
+    }
   };
 
   // Consecutive mutation-free picks required before forming a batch, so
@@ -254,13 +317,12 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   // Enters / leaves the thread's home queue (in_queue must be clear / set).
   void Enqueue(ThreadState& state);
   void Dequeue(ThreadState& state);
-  // Tree backend: re-push into the partial-sum weights the values of
-  // exactly the clients the currency table reported dirty since the last
-  // sync — O(dirty · lg n) instead of O(n · lg n) per dispatch. Falls back
-  // to one full resync (tree.full_syncs) when more threads are dirty than
-  // queued.
-  void SyncTreeWeights(RunQueue& q) REQUIRES(q.seq);
-  ThreadId PickNextFromTree(RunQueue& q);
+  // Re-pushes into the draw structure the values of exactly the queued
+  // threads the currency table reported dirty since the last sync, in
+  // thread-id order: O(dirty) slot updates per dispatch instead of
+  // repricing the whole queue. The tree falls back to one full resync
+  // (tree.full_syncs) when more threads are marked than queued.
+  void SyncWeights(RunQueue& q) REQUIRES(q.seq);
 
   // Speculative batching (tree backend only).
   void FlushBatch(RunQueue& q);
@@ -276,8 +338,7 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   }
   void FormBatch(RunQueue& q, uint64_t total) REQUIRES(q.seq);
 
-  // ValueObserver (registered with table_ under the tree backend only; the
-  // list backend's queues observe the table themselves).
+  // ValueObserver: marks the client's thread dirty on its home queue.
   void OnClientValueDirty(Client* client) override;
 
   Options options_;

@@ -34,7 +34,7 @@ TicketTransfer::TicketTransfer(CurrencyTable* table, Currency* source,
   }
   TraceTransfer(table_, etrace::EventType::kTransferStart, ticket_, target);
   // A transfer moves claim on `source`'s value; it must not mint amount.
-  LOT_DCHECK_TICKET_CONSERVATION(*table_);
+  LOT_DCHECK_TABLE(*table_);
 }
 
 TicketTransfer::~TicketTransfer() { Release(); }
@@ -66,7 +66,7 @@ void TicketTransfer::Retarget(Currency* new_target) {
   table_->Fund(new_target, ticket_);
   TraceTransfer(table_, etrace::EventType::kTransferRetarget, ticket_,
                 new_target);
-  LOT_DCHECK_TICKET_CONSERVATION(*table_);
+  LOT_DCHECK_TABLE(*table_);
 }
 
 void TicketTransfer::Release() {
@@ -75,7 +75,7 @@ void TicketTransfer::Release() {
                   ticket_->funds());
     table_->DestroyTicket(ticket_);
     ticket_ = nullptr;
-    LOT_DCHECK_TICKET_CONSERVATION(*table_);
+    LOT_DCHECK_TABLE(*table_);
   }
 }
 

@@ -15,10 +15,11 @@
 //    and both grandchildren pairs of any node are contiguous, so each
 //    level's candidates are prefetched one line at a time.
 //
-// Unlike ListLottery, which prices clients through the currency graph on
-// every draw (as the Mach prototype did), TreeLottery manages flat weights
-// pushed by its owner. The LotteryScheduler can run on either backend; the
-// bench bench_draw_overhead compares their costs.
+// Like ListLottery, TreeLottery manages flat weights pushed by its owner
+// under the same slot contract (Add/Remove/SetWeight/Weight/total/size/
+// Draw); only the search differs. The LotteryScheduler can run on either
+// backend, syncing client values into the slots the same way; the bench
+// bench_draw_overhead compares their costs.
 
 #ifndef SRC_CORE_TREE_LOTTERY_H_
 #define SRC_CORE_TREE_LOTTERY_H_

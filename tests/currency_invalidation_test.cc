@@ -597,18 +597,19 @@ TEST(TreeBackendSteadyState, InflationOnQueuedThreadUpdatesOneLeaf) {
   EXPECT_EQ(reg.counter("tree.full_syncs")->value(), 0u);
 }
 
-// --- Scheduler dirty list: marks that never reach a leaf --------------------
+// --- Scheduler dirty list: marks that never reach a slot --------------------
 
-// A tree backend with `n` base-funded threads (100 tickets each) queued, the
-// arrival burst already synced.
-struct TreeRig {
+// A scheduler on `backend` with `n` base-funded threads (100 tickets each)
+// queued, the arrival burst already synced.
+struct QueueRig {
   obs::Registry reg;
   std::unique_ptr<LotteryScheduler> sched;
   std::vector<Ticket*> funding;  // funding[id - 1]
 
-  explicit TreeRig(ThreadId n) {
+  explicit QueueRig(ThreadId n,
+                    RunQueueBackend backend = RunQueueBackend::kTree) {
     LotteryScheduler::Options opts;
-    opts.backend = RunQueueBackend::kTree;
+    opts.backend = backend;
     opts.metrics = &reg;
     opts.seed = 42;
     sched = std::make_unique<LotteryScheduler>(opts);
@@ -635,8 +636,8 @@ struct TreeRig {
   }
 };
 
-// Every queued weight the tree draws from equals the client's current value.
-void ExpectTreeMatchesClients(LotteryScheduler& sched) {
+// Every queued weight the queue draws from equals the client's current value.
+void ExpectQueueMatchesClients(LotteryScheduler& sched) {
   for (const auto& [id, weight] : sched.QueuedSnapshot()) {
     EXPECT_EQ(weight, sched.ThreadValue(id).raw_unsigned()) << "thread " << id;
   }
@@ -646,7 +647,7 @@ TEST(TreeBackendSteadyState, MarkBlockWakeBeforeAPickCostsNoLeafUpdate) {
   if (!obs::kObsEnabled) {
     GTEST_SKIP() << "obs hooks compiled out";
   }
-  TreeRig rig(16);
+  QueueRig rig(16);
   rig.reg.Reset();
   ASSERT_TRUE(rig.sched->IsQueued(5));
   // Marked while queued, then blocked and woken: OnReady seeds the slot with
@@ -657,14 +658,14 @@ TEST(TreeBackendSteadyState, MarkBlockWakeBeforeAPickCostsNoLeafUpdate) {
   (void)rig.sched->PickNext(SimTime::Zero());
   EXPECT_EQ(rig.Count("tree.leaf_updates"), 0u);
   EXPECT_EQ(rig.Count("tree.full_syncs"), 0u);
-  ExpectTreeMatchesClients(*rig.sched);
+  ExpectQueueMatchesClients(*rig.sched);
 }
 
 TEST(TreeBackendSteadyState, MarksOnThreadsNotYetReadyCountTowardAFullSync) {
   if (!obs::kObsEnabled) {
     GTEST_SKIP() << "obs hooks compiled out";
   }
-  TreeRig rig(4);
+  QueueRig rig(4);
   rig.reg.Reset();
   // Added but not readied: taking its self ticket marks each new client.
   for (ThreadId id = 5; id <= 12; ++id) {
@@ -676,8 +677,12 @@ TEST(TreeBackendSteadyState, MarksOnThreadsNotYetReadyCountTowardAFullSync) {
   EXPECT_EQ(rig.Count("tree.leaf_updates"), 0u);
 }
 
-TEST(TreeBackendSteadyState, RemovingAThreadWithAPendingMarkKeepsPicksRight) {
-  TreeRig rig(16);
+// Under either backend: a thread removed with a mark still pending (queued
+// or not) leaves no stale weight behind.
+class QueueDirtyMarks : public ::testing::TestWithParam<RunQueueBackend> {};
+
+TEST_P(QueueDirtyMarks, RemovingAThreadWithAPendingMarkKeepsPicksRight) {
+  QueueRig rig(16, GetParam());
   // Queued: inflate thread 3, then remove it before any sync.
   ASSERT_TRUE(rig.sched->IsQueued(3));
   rig.sched->table().SetAmount(rig.funding[2], 900);
@@ -693,14 +698,22 @@ TEST(TreeBackendSteadyState, RemovingAThreadWithAPendingMarkKeepsPicksRight) {
   rig.sched->RemoveThread(exiting, SimTime::Zero());
 
   EXPECT_EQ(rig.sched->QueuedCount(), 14u);
-  ExpectTreeMatchesClients(*rig.sched);
+  ExpectQueueMatchesClients(*rig.sched);
   for (int i = 0; i < 200; ++i) {
     const ThreadId id = rig.Cycle();
     ASSERT_NE(id, 3u);
     ASSERT_NE(id, exiting);
   }
-  ExpectTreeMatchesClients(*rig.sched);
+  ExpectQueueMatchesClients(*rig.sched);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, QueueDirtyMarks,
+    ::testing::Values(RunQueueBackend::kList, RunQueueBackend::kTree),
+    [](const auto& param_info) {
+      return std::string(param_info.param == RunQueueBackend::kList ? "List"
+                                                                    : "Tree");
+    });
 
 TEST(TreeBackendSteadyState, BlockWakeAfterArrivalBurstCostsNoSyncs) {
   if (!obs::kObsEnabled) {
@@ -708,7 +721,7 @@ TEST(TreeBackendSteadyState, BlockWakeAfterArrivalBurstCostsNoSyncs) {
   }
   // Large enough that the burst dwarfs the steady state's marks.
   constexpr ThreadId kThreads = 4096;
-  TreeRig rig(kThreads);
+  QueueRig rig(kThreads);
   // Half the population sleeps; each dispatch's winner blocks and the
   // longest sleeper wakes, so the queue holds half of it throughout.
   std::vector<ThreadId> asleep;
@@ -731,7 +744,7 @@ TEST(TreeBackendSteadyState, BlockWakeAfterArrivalBurstCostsNoSyncs) {
   EXPECT_EQ(rig.Count("tree.full_syncs"), 0u);
   EXPECT_EQ(rig.Count("tree.leaf_updates"), 0u);
   EXPECT_EQ(rig.sched->QueuedCount(), kThreads / 2);
-  ExpectTreeMatchesClients(*rig.sched);
+  ExpectQueueMatchesClients(*rig.sched);
 }
 
 }  // namespace

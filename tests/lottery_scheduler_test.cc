@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <string>
+#include <vector>
 
+#include "src/obs/etrace/trace_buffer.h"
 #include "src/obs/histogram.h"
 #include "src/obs/registry.h"
 
@@ -260,6 +264,190 @@ TEST(LotteryScheduler, ListBackendUnlimitedWhenDisabled) {
   sched.OnReady(3, SimTime::Zero());
   EXPECT_EQ(sched.PickNext(SimTime::Zero()), 3u);
 }
+
+// --- Value sync: the queue's weights follow the currency graph -------------
+//
+// Both backends draw over slot weights the scheduler re-pushes from the
+// currency table's dirty marks. After each mutation, RunnableTickets() must
+// equal a brute-force sum of the queued threads' current values, and the
+// next pick's drawn value (its etrace decision event) must resolve to the
+// recorded winner by a prefix scan of QueuedSnapshot(), taken just before.
+
+class QueueValueSync : public ::testing::TestWithParam<RunQueueBackend> {
+ protected:
+  QueueValueSync() : trace_(1 << 16, etrace::kCatLottery) {
+    LotteryScheduler::Options opts;
+    opts.backend = GetParam();
+    opts.seed = 42;
+    opts.metrics = &metrics_;
+    opts.trace = &trace_;
+    sched_ = std::make_unique<LotteryScheduler>(opts);
+  }
+
+  void SetUp() override {
+    if (!obs::kObsEnabled) {
+      GTEST_SKIP() << "obs hooks compiled out (no decision events)";
+    }
+  }
+
+  CurrencyTable& table() { return sched_->table(); }
+
+  // Adds a ready thread funded with `amount` tickets in `denomination`
+  // (base when null); returns the funding ticket.
+  Ticket* AddFunded(ThreadId id, int64_t amount,
+                    Currency* denomination = nullptr) {
+    sched_->AddThread(id, kT0);
+    Ticket* ticket = sched_->FundThread(
+        id, denomination != nullptr ? denomination : table().base(), amount);
+    sched_->OnReady(id, kT0);
+    ids_.push_back(id);
+    return ticket;
+  }
+
+  // Checks both properties, then requeues the pick's winner after a full
+  // quantum (no compensation), so the queue holds the same threads again.
+  void ExpectQueueFollowsValues() {
+    uint64_t brute = 0;
+    for (const ThreadId id : ids_) {
+      if (sched_->IsQueued(id)) {
+        brute += sched_->client(id)->Value().raw_unsigned();
+      }
+    }
+    ASSERT_EQ(sched_->RunnableTickets(), brute);
+
+    const auto snapshot = sched_->QueuedSnapshot();
+    const ThreadId winner = sched_->PickNext(kT0);
+    ASSERT_NE(winner, kInvalidThreadId);
+    ASSERT_GT(trace_.size(), 0u);
+    const etrace::Event& decision = trace_.At(trace_.size() - 1);
+    ASSERT_EQ(decision.type,
+              static_cast<uint16_t>(etrace::EventType::kDecision));
+    EXPECT_EQ(decision.a, winner);
+    EXPECT_EQ(decision.v2, brute);
+    ThreadId derived = kInvalidThreadId;
+    uint64_t sum = 0;
+    for (const auto& [id, weight] : snapshot) {
+      sum += weight;
+      if (sum > decision.v1) {
+        derived = id;
+        break;
+      }
+    }
+    EXPECT_EQ(derived, winner) << "drawn value " << decision.v1;
+    sched_->OnQuantumEnd(winner, kQuantum, kQuantum, kT0);
+    sched_->OnReady(winner, kT0);
+  }
+
+  uint64_t Units(int64_t base) const {
+    return Funding::FromBase(base).raw_unsigned();
+  }
+
+  obs::Registry metrics_;
+  etrace::TraceBuffer trace_;
+  std::unique_ptr<LotteryScheduler> sched_;
+  std::vector<ThreadId> ids_;
+};
+
+TEST_P(QueueValueSync, InflationDeactivationCompensationAndRequeue) {
+  Ticket* a = AddFunded(1, 10);
+  AddFunded(2, 30);
+  EXPECT_EQ(sched_->RunnableTickets(), Units(40));
+  ExpectQueueFollowsValues();
+  table().SetAmount(a, 25);  // inflation
+  EXPECT_EQ(sched_->RunnableTickets(), Units(55));
+  ExpectQueueFollowsValues();
+  sched_->client(2)->SetActive(false);  // queued but worth zero
+  EXPECT_EQ(sched_->RunnableTickets(), Units(25));
+  ExpectQueueFollowsValues();
+  sched_->client(2)->SetActive(true);
+  EXPECT_EQ(sched_->RunnableTickets(), Units(55));
+  ExpectQueueFollowsValues();
+  sched_->client(1)->SetCompensation(2, 1);  // queued, compensated
+  EXPECT_EQ(sched_->RunnableTickets(), Units(80));
+  ExpectQueueFollowsValues();
+  sched_->client(1)->ClearCompensation();
+  sched_->OnBlocked(2, kT0);  // leaves the queue
+  EXPECT_EQ(sched_->RunnableTickets(), Units(25));
+  ExpectQueueFollowsValues();
+  sched_->OnReady(2, kT0);  // and comes back
+  EXPECT_EQ(sched_->RunnableTickets(), Units(55));
+  ExpectQueueFollowsValues();
+}
+
+TEST_P(QueueValueSync, MutationsWhileWorthZeroSurfaceOnReactivation) {
+  // A thread whose funding changes while it is worth zero must count at the
+  // new value as soon as it competes again: queued but deactivated, and
+  // blocked out of the queue.
+  Ticket* a = AddFunded(1, 10);
+  Ticket* b = AddFunded(2, 10);
+  sched_->client(1)->SetActive(false);
+  EXPECT_EQ(sched_->RunnableTickets(), Units(10));
+  table().SetAmount(a, 70);
+  ExpectQueueFollowsValues();
+  sched_->client(1)->SetActive(true);
+  EXPECT_EQ(sched_->RunnableTickets(), Units(80));
+  ExpectQueueFollowsValues();
+  sched_->OnBlocked(2, kT0);
+  table().SetAmount(b, 40);
+  ExpectQueueFollowsValues();
+  sched_->OnReady(2, kT0);
+  EXPECT_EQ(sched_->RunnableTickets(), Units(110));
+  ExpectQueueFollowsValues();
+}
+
+TEST_P(QueueValueSync, SharedCurrencySumsExactly) {
+  // Fixed-point values (not whole base units) must sum exactly: 1000 base
+  // split three ways, then unevenly, then re-divided as siblings block and
+  // wake (deactivation dilutes the shared currency for the others).
+  Currency* shared = table().CreateCurrency("shared");
+  table().Fund(shared, table().CreateTicket(table().base(), 1000));
+  std::vector<Ticket*> funding;
+  for (ThreadId id = 1; id <= 3; ++id) {
+    funding.push_back(AddFunded(id, 1, shared));
+  }
+  ExpectQueueFollowsValues();
+  table().SetAmount(funding[1], 5);
+  ExpectQueueFollowsValues();
+  sched_->OnBlocked(3, kT0);
+  ExpectQueueFollowsValues();
+  sched_->OnReady(3, kT0);
+  ExpectQueueFollowsValues();
+  for (int i = 0; i < 20; ++i) {
+    ExpectQueueFollowsValues();
+  }
+}
+
+TEST_P(QueueValueSync, MarksOffTheQueueNeverReachASlot) {
+  // A sync can run while marked threads are off the queue (the balancer
+  // reads RunnableTickets while CPUs run): the running winner earns
+  // compensation and is refunded, and a blocked thread is refunded after a
+  // newcomer took its recycled slot. None of these values may land in a
+  // slot until the thread is queued again.
+  std::vector<Ticket*> funding;
+  for (ThreadId id = 1; id <= 3; ++id) {
+    funding.push_back(AddFunded(id, 10 * static_cast<int64_t>(id)));
+  }
+  const ThreadId running = sched_->PickNext(kT0);
+  ASSERT_NE(running, kInvalidThreadId);
+  sched_->OnQuantumEnd(running, SimDuration::Millis(20), kQuantum, kT0);
+  table().SetAmount(funding[running - 1], 45);
+  const ThreadId blocked = running == 1 ? 2 : 1;
+  sched_->OnBlocked(blocked, kT0);
+  AddFunded(4, 40);
+  table().SetAmount(funding[blocked - 1], 25);
+  ExpectQueueFollowsValues();
+  sched_->OnReady(blocked, kT0);
+  sched_->OnReady(running, kT0);
+  ExpectQueueFollowsValues();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, QueueValueSync,
+    ::testing::Values(RunQueueBackend::kList, RunQueueBackend::kTree),
+    [](const auto& param_info) {
+      return std::string(param_info.param == RunQueueBackend::kList ? "List"
+                                                                    : "Tree");
+    });
 
 }  // namespace
 }  // namespace lottery

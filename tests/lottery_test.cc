@@ -2,12 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
-#include <memory>
+#include <optional>
+#include <stdexcept>
 #include <vector>
 
-#include "src/core/client.h"
-#include "src/core/currency.h"
+#include "src/core/funding.h"
 #include "src/core/list_lottery.h"
 #include "src/core/tree_lottery.h"
 #include "src/util/stats.h"
@@ -15,101 +16,104 @@
 namespace lottery {
 namespace {
 
-// Builds active clients with base-denominated holdings.
-class ListLotteryTest : public ::testing::Test {
- protected:
-  Client* MakeClient(const std::string& name, int64_t amount) {
-    clients_.push_back(std::make_unique<Client>(&table_, name));
-    Client* c = clients_.back().get();
-    c->HoldTicket(table_.CreateTicket(table_.base(), amount));
-    c->SetActive(true);
-    return c;
-  }
+// The raw Funding units of `base` base tickets: the weight the scheduler
+// pushes for a client holding them.
+uint64_t Units(int64_t base) { return Funding::FromBase(base).raw_unsigned(); }
 
-  CurrencyTable table_;
-  std::vector<std::unique_ptr<Client>> clients_;
-};
+// Live slots in draw order, front first.
+std::vector<size_t> Order(const ListLottery& lot) {
+  std::vector<size_t> out;
+  lot.ForEach([&out](size_t slot, uint64_t) { out.push_back(slot); });
+  return out;
+}
 
-TEST_F(ListLotteryTest, EmptyDrawsNull) {
+TEST(ListLotteryTest, EmptyDrawsNullopt) {
   ListLottery lot;
   FastRand rng(1);
-  EXPECT_EQ(lot.Draw(rng), nullptr);
+  EXPECT_FALSE(lot.Draw(rng).has_value());
   EXPECT_TRUE(lot.empty());
 }
 
-TEST_F(ListLotteryTest, AddRemoveContains) {
+TEST(ListLotteryTest, AddRemoveRecyclesSlots) {
   ListLottery lot;
-  Client* a = MakeClient("a", 10);
-  lot.Add(a);
-  EXPECT_TRUE(lot.Contains(a));
+  const size_t a = lot.Add(Units(10));
   EXPECT_EQ(lot.size(), 1u);
-  EXPECT_THROW(lot.Add(a), std::invalid_argument);
+  EXPECT_EQ(lot.Weight(a), Units(10));
   lot.Remove(a);
-  EXPECT_FALSE(lot.Contains(a));
-  EXPECT_THROW(lot.Remove(a), std::invalid_argument);
+  EXPECT_TRUE(lot.empty());
+  EXPECT_THROW(lot.Remove(a), std::out_of_range);
+  EXPECT_THROW(lot.Weight(a), std::out_of_range);
+  EXPECT_THROW(lot.SetWeight(a, 1), std::out_of_range);
+  EXPECT_EQ(lot.Add(Units(3)), a);  // the freed slot comes back
+  EXPECT_EQ(lot.total(), Units(3));
 }
 
-TEST_F(ListLotteryTest, TotalSumsValues) {
+TEST(ListLotteryTest, TotalSumsWeights) {
   ListLottery lot;
-  lot.Add(MakeClient("a", 10));
-  lot.Add(MakeClient("b", 2));
-  lot.Add(MakeClient("c", 5));
-  lot.Add(MakeClient("d", 1));
-  lot.Add(MakeClient("e", 2));
-  EXPECT_EQ(lot.Total().base_units(), 20);  // Figure 1's 20-ticket example
+  for (const int64_t tickets : {10, 2, 5, 1, 2}) {
+    lot.Add(Units(tickets));
+  }
+  EXPECT_EQ(lot.total(), Units(20));  // Figure 1's 20-ticket example
 }
 
-TEST_F(ListLotteryTest, SingleClientAlwaysWins) {
+TEST(ListLotteryTest, SetWeightMovesTheTotal) {
   ListLottery lot;
-  Client* a = MakeClient("a", 7);
-  lot.Add(a);
+  const size_t a = lot.Add(Units(10));
+  const size_t b = lot.Add(Units(30));
+  lot.SetWeight(a, Units(25));
+  EXPECT_EQ(lot.total(), Units(55));
+  EXPECT_EQ(lot.Weight(a), Units(25));
+  lot.SetWeight(b, 0);  // a zero-weight slot never wins
+  FastRand rng(11);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(lot.Draw(rng), a);
+  }
+}
+
+TEST(ListLotteryTest, SingleClientAlwaysWins) {
+  ListLottery lot;
+  const size_t a = lot.Add(Units(7));
   FastRand rng(99);
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(lot.Draw(rng), a);
   }
 }
 
-TEST_F(ListLotteryTest, ZeroTotalDrawsNull) {
+TEST(ListLotteryTest, ZeroTotalDrawsNullopt) {
   ListLottery lot;
-  Client* a = MakeClient("a", 10);
-  a->SetActive(false);  // worth zero
-  lot.Add(a);
+  lot.Add(0);  // e.g. a deactivated client, worth zero
   FastRand rng(1);
-  EXPECT_EQ(lot.Draw(rng), nullptr);
+  EXPECT_FALSE(lot.Draw(rng).has_value());
 }
 
-TEST_F(ListLotteryTest, ProportionsMatchTicketsChiSquare) {
+TEST(ListLotteryTest, ProportionsMatchTicketsChiSquare) {
   // Figure 1's allocation: 10, 2, 5, 1, 2 of 20 total.
   ListLottery lot(/*move_to_front=*/false);
-  std::vector<Client*> cs = {MakeClient("a", 10), MakeClient("b", 2),
-                             MakeClient("c", 5), MakeClient("d", 1),
-                             MakeClient("e", 2)};
-  for (Client* c : cs) {
-    lot.Add(c);
+  const double weights[] = {10, 2, 5, 1, 2};
+  std::vector<size_t> slots;
+  for (const double w : weights) {
+    slots.push_back(lot.Add(Units(static_cast<int64_t>(w))));
   }
   FastRand rng(424242);
   constexpr int kDraws = 200000;
-  std::map<Client*, int64_t> wins;
+  std::map<size_t, int64_t> wins;
   for (int i = 0; i < kDraws; ++i) {
-    ++wins[lot.Draw(rng)];
+    ++wins[*lot.Draw(rng)];
   }
   std::vector<int64_t> observed;
   std::vector<double> expected;
-  const double weights[] = {10, 2, 5, 1, 2};
-  for (size_t i = 0; i < cs.size(); ++i) {
-    observed.push_back(wins[cs[i]]);
+  for (size_t i = 0; i < slots.size(); ++i) {
+    observed.push_back(wins[slots[i]]);
     expected.push_back(kDraws * weights[i] / 20.0);
   }
   EXPECT_LT(ChiSquareStatistic(observed, expected),
             ChiSquareCritical(4, 0.001));
 }
 
-TEST_F(ListLotteryTest, MoveToFrontDoesNotChangeDistribution) {
+TEST(ListLotteryTest, MoveToFrontDoesNotChangeDistribution) {
   ListLottery lot(/*move_to_front=*/true);
-  Client* a = MakeClient("a", 3);
-  Client* b = MakeClient("b", 1);
-  lot.Add(a);
-  lot.Add(b);
+  const size_t a = lot.Add(Units(3));
+  lot.Add(Units(1));
   FastRand rng(7);
   int64_t a_wins = 0;
   constexpr int kDraws = 100000;
@@ -121,36 +125,16 @@ TEST_F(ListLotteryTest, MoveToFrontDoesNotChangeDistribution) {
   EXPECT_NEAR(static_cast<double>(a_wins) / kDraws, 0.75, 0.01);
 }
 
-TEST_F(ListLotteryTest, MoveToFrontShortensScans) {
-  // One dominant client among many: with move-to-front the dominant client
-  // sits at the head, so mean scan length approaches 1.
-  auto run = [&](bool mtf) {
-    ListLottery lot(mtf);
-    lot.Add(MakeClient(mtf ? "big1" : "big0", 1000));
-    for (int i = 0; i < 49; ++i) {
-      lot.Add(MakeClient((mtf ? "m" : "n") + std::to_string(i), 1));
-    }
-    FastRand rng(5);
-    for (int i = 0; i < 20000; ++i) {
-      lot.Draw(rng);
-    }
-    return static_cast<double>(lot.total_scanned()) /
-           static_cast<double>(lot.num_draws());
-  };
-  // Note: the dominant client is added first in both runs, so the plain
-  // list also finds it quickly; shuffle it to the back instead.
+TEST(ListLotteryTest, MoveToFrontShortensScans) {
+  // One dominant client among many, added last: with move-to-front it
+  // migrates to the head, so the mean scan length approaches 1.
   ListLottery plain(false), mtf(true);
-  std::vector<Client*> small;
   for (int i = 0; i < 49; ++i) {
-    small.push_back(MakeClient("s" + std::to_string(i), 1));
+    plain.Add(Units(1));
+    mtf.Add(Units(1));
   }
-  Client* big = MakeClient("big", 1000);
-  for (Client* c : small) {
-    plain.Add(c);
-    mtf.Add(c);
-  }
-  plain.Add(big);  // dominant client last
-  mtf.Add(big);
+  plain.Add(Units(1000));
+  mtf.Add(Units(1000));
   FastRand rng1(5), rng2(5);
   for (int i = 0; i < 20000; ++i) {
     plain.Draw(rng1);
@@ -161,34 +145,28 @@ TEST_F(ListLotteryTest, MoveToFrontShortensScans) {
   const double mtf_scan = static_cast<double>(mtf.total_scanned()) /
                           static_cast<double>(mtf.num_draws());
   EXPECT_LT(mtf_scan, plain_scan / 4.0);
-  (void)run;
 }
 
-TEST_F(ListLotteryTest, WinnerMovesToFront) {
+TEST(ListLotteryTest, WinnerMovesToFront) {
   ListLottery lot(/*move_to_front=*/true);
-  Client* a = MakeClient("a", 1);
-  Client* b = MakeClient("b", 1000000);
-  lot.Add(a);
-  lot.Add(b);
+  lot.Add(Units(1));
+  const size_t b = lot.Add(Units(1000000));
   FastRand rng(3);
   lot.Draw(rng);  // b wins almost surely
-  EXPECT_EQ(lot.ClientsInOrder().front(), b);
+  EXPECT_EQ(Order(lot).front(), b);
 }
 
-TEST_F(ListLotteryTest, DynamicMembershipStaysFair) {
+TEST(ListLotteryTest, DynamicMembershipStaysFair) {
   // The lottery "operates fairly when the number of clients or tickets
   // varies dynamically" (Section 2): add/remove mid-stream.
   ListLottery lot;
-  Client* a = MakeClient("a", 1);
-  Client* b = MakeClient("b", 1);
-  lot.Add(a);
-  lot.Add(b);
+  lot.Add(Units(1));
+  lot.Add(Units(1));
   FastRand rng(17);
   for (int i = 0; i < 1000; ++i) {
     lot.Draw(rng);
   }
-  Client* c = MakeClient("c", 2);
-  lot.Add(c);
+  const size_t c = lot.Add(Units(2));
   int64_t c_wins = 0;
   constexpr int kDraws = 40000;
   for (int i = 0; i < kDraws; ++i) {
@@ -199,110 +177,33 @@ TEST_F(ListLotteryTest, DynamicMembershipStaysFair) {
   EXPECT_NEAR(static_cast<double>(c_wins) / kDraws, 0.5, 0.02);
 }
 
-TEST_F(ListLotteryTest, CachedTotalTracksValueChanges) {
-  ListLottery lot;
-  Client* a = MakeClient("a", 10);
-  Client* b = MakeClient("b", 30);
-  lot.Add(a);
-  lot.Add(b);
-  EXPECT_EQ(lot.Total().base_units(), 40);
-  // Inflation, deactivation, compensation, and removal must all be folded
-  // into the cached total via the observer notifications.
-  table_.SetAmount(a->tickets()[0], 25);
-  EXPECT_EQ(lot.Total().base_units(), 55);
-  b->SetActive(false);
-  EXPECT_EQ(lot.Total().base_units(), 25);
-  b->SetActive(true);
-  EXPECT_EQ(lot.Total().base_units(), 55);
-  a->SetCompensation(2, 1);
-  EXPECT_EQ(lot.Total().base_units(), 80);
-  a->ClearCompensation();
-  lot.Remove(b);
-  EXPECT_EQ(lot.Total().base_units(), 25);
-  lot.Add(b);
-  EXPECT_EQ(lot.Total().base_units(), 55);
-}
-
-TEST_F(ListLotteryTest, CachedTotalSeesMutationsWhileMemberIsInactive) {
-  // A member whose funding changes *while it is worth zero* must surface
-  // the new value as soon as it reactivates.
-  ListLottery lot;
-  Client* a = MakeClient("a", 10);
-  lot.Add(a);
-  a->SetActive(false);
-  EXPECT_EQ(lot.Total().base_units(), 0);
-  table_.SetAmount(a->tickets()[0], 70);
-  a->SetActive(true);
-  EXPECT_EQ(lot.Total().base_units(), 70);
-}
-
-TEST_F(ListLotteryTest, CachedTotalExactAcrossCurrencyGraph) {
-  // Fixed-point currency-graph values (not just whole base units) must sum
-  // exactly: 1000 base split 3 ways leaves no rounding drift in the total.
-  ListLottery lot;
-  Currency* shared = table_.CreateCurrency("shared");
-  table_.Fund(shared, table_.CreateTicket(table_.base(), 1000));
-  std::vector<Client*> cs;
-  for (int i = 0; i < 3; ++i) {
-    clients_.push_back(
-        std::make_unique<Client>(&table_, "g" + std::to_string(i)));
-    Client* c = clients_.back().get();
-    c->HoldTicket(table_.CreateTicket(shared, 1));
-    c->SetActive(true);
-    lot.Add(c);
-    cs.push_back(c);
-  }
-  Funding manual = Funding::Zero();
-  for (Client* c : cs) {
-    manual += c->Value();
-  }
-  EXPECT_EQ(lot.Total().raw(), manual.raw());
-  table_.SetAmount(cs[1]->tickets()[0], 5);
-  manual = Funding::Zero();
-  for (Client* c : cs) {
-    manual += c->Value();
-  }
-  EXPECT_EQ(lot.Total().raw(), manual.raw());
-}
-
-TEST_F(ListLotteryTest, RejectsClientsFromAnotherTable) {
-  ListLottery lot;
-  lot.Add(MakeClient("a", 1));
-  CurrencyTable other;
-  Client foreign(&other, "foreign");
-  EXPECT_THROW(lot.Add(&foreign), std::invalid_argument);
-}
-
-TEST_F(ListLotteryTest, HeavyChurnCompactsTombstones) {
+TEST(ListLotteryTest, HeavyChurnCompactsTombstones) {
   // Add/remove churn far past the live count: draws stay correct and the
-  // order semantics match the paper's list (spot-checked via Front()).
+  // order semantics match the paper's list (spot-checked via the front).
   ListLottery lot;
-  std::vector<Client*> cs;
-  for (int i = 0; i < 64; ++i) {
-    cs.push_back(MakeClient("c" + std::to_string(i), 1 + (i % 5)));
-  }
   FastRand rng(123);
   for (int round = 0; round < 50; ++round) {
+    std::vector<size_t> slots;
     for (int i = 0; i < 64; ++i) {
-      lot.Add(cs[static_cast<size_t>(i)]);
+      slots.push_back(lot.Add(Units(1 + (i % 5))));
     }
     for (int i = 0; i < 60; ++i) {
-      lot.Remove(cs[static_cast<size_t>(i)]);
+      lot.Remove(slots[static_cast<size_t>(i)]);
     }
-    Funding manual = Funding::Zero();
+    uint64_t manual = 0;
     for (int i = 60; i < 64; ++i) {
-      manual += cs[static_cast<size_t>(i)]->Value();
+      manual += Units(1 + (i % 5));
     }
-    ASSERT_EQ(lot.Total().raw(), manual.raw());
-    Client* w = lot.Draw(rng);
-    ASSERT_NE(w, nullptr);
-    ASSERT_TRUE(lot.Contains(w));
-    ASSERT_EQ(lot.ClientsInOrder().front(), w);  // move-to-front applied
+    ASSERT_EQ(lot.total(), manual);
+    const std::optional<size_t> w = lot.Draw(rng);
+    ASSERT_TRUE(w.has_value());
+    ASSERT_NE(std::find(slots.begin() + 60, slots.end(), *w), slots.end());
+    ASSERT_EQ(Order(lot).front(), *w);  // move-to-front applied
     for (int i = 60; i < 64; ++i) {
-      lot.Remove(cs[static_cast<size_t>(i)]);
+      lot.Remove(slots[static_cast<size_t>(i)]);
     }
     ASSERT_TRUE(lot.empty());
-    ASSERT_TRUE(lot.Total().IsZero());
+    ASSERT_EQ(lot.total(), 0u);
   }
 }
 

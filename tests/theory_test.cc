@@ -5,11 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
 #include <vector>
 
-#include "src/core/client.h"
-#include "src/core/currency.h"
+#include "src/core/funding.h"
 #include "src/core/list_lottery.h"
 #include "src/obs/streaming.h"
 #include "src/util/fastrand.h"
@@ -18,22 +16,15 @@
 namespace lottery {
 namespace {
 
-// Builds a two-client lottery with win probability p = t/T for client A.
+// Builds a two-client lottery with win probability p = t/T for client A,
+// weighted by the base-unit value of t and T base tickets.
 struct TwoClientLottery {
-  TwoClientLottery(int64_t a_tickets, int64_t b_tickets) {
-    a = std::make_unique<Client>(&table, "a");
-    b = std::make_unique<Client>(&table, "b");
-    a->HoldTicket(table.CreateTicket(table.base(), a_tickets));
-    b->HoldTicket(table.CreateTicket(table.base(), b_tickets));
-    a->SetActive(true);
-    b->SetActive(true);
-    lotto.Add(a.get());
-    lotto.Add(b.get());
-  }
-  CurrencyTable table;
-  std::unique_ptr<Client> a;
-  std::unique_ptr<Client> b;
+  TwoClientLottery(int64_t a_tickets, int64_t b_tickets)
+      : a(lotto.Add(Funding::FromBase(a_tickets).raw_unsigned())),
+        b(lotto.Add(Funding::FromBase(b_tickets).raw_unsigned())) {}
   ListLottery lotto;
+  size_t a;
+  size_t b;
 };
 
 TEST(SectionTwoTheory, ExpectedWinsAreNP) {
@@ -43,7 +34,7 @@ TEST(SectionTwoTheory, ExpectedWinsAreNP) {
   constexpr int kN = 100000;
   int wins = 0;
   for (int i = 0; i < kN; ++i) {
-    if (rig.lotto.Draw(rng) == rig.a.get()) {
+    if (rig.lotto.Draw(rng) == rig.a) {
       ++wins;
     }
   }
@@ -62,7 +53,7 @@ TEST(SectionTwoTheory, WinVarianceIsBinomial) {
   for (int b = 0; b < kBlocks; ++b) {
     int wins = 0;
     for (int i = 0; i < kBlock; ++i) {
-      if (rig.lotto.Draw(rng) == rig.a.get()) {
+      if (rig.lotto.Draw(rng) == rig.a) {
         ++wins;
       }
     }
@@ -84,7 +75,7 @@ TEST(SectionTwoTheory, CoefficientOfVariationShrinksAsSqrtN) {
     for (int b = 0; b < blocks; ++b) {
       int wins = 0;
       for (int i = 0; i < block; ++i) {
-        if (rig.lotto.Draw(rng) == rig.a.get()) {
+        if (rig.lotto.Draw(rng) == rig.a) {
           ++wins;
         }
       }
@@ -108,7 +99,7 @@ TEST(SectionTwoTheory, FirstWinWaitIsGeometric) {
     int draws = 0;
     do {
       ++draws;
-    } while (rig.lotto.Draw(rng) != rig.a.get());
+    } while (rig.lotto.Draw(rng) != rig.a);
     waits.Add(draws);
   }
   const auto expect = GeometricStats(0.2);
@@ -128,7 +119,7 @@ TEST(SectionTwoTheory, GeometricTailMemoryless) {
     int draws = 0;
     do {
       ++draws;
-    } while (rig.lotto.Draw(rng) != rig.a.get());
+    } while (rig.lotto.Draw(rng) != rig.a);
     waits.push_back(draws);
   }
   for (const int k : {1, 2, 5, 10}) {
@@ -153,7 +144,7 @@ TEST(SectionTwoTheory, ThroughputProportionalAndResponseInverse) {
     int since_last = 0;
     for (int i = 0; i < kDraws; ++i) {
       ++since_last;
-      if (rig.lotto.Draw(rng) == rig.a.get()) {
+      if (rig.lotto.Draw(rng) == rig.a) {
         ++wins;
         waits.Add(since_last);
         since_last = 0;
@@ -183,7 +174,7 @@ TEST(GoldenSequence, ListLotteryWinnersFromSeed7) {
   FastRand rng(7);
   std::string sequence;
   for (int i = 0; i < 20; ++i) {
-    sequence += (rig.lotto.Draw(rng) == rig.a.get()) ? 'a' : 'b';
+    sequence += (rig.lotto.Draw(rng) == rig.a) ? 'a' : 'b';
   }
   // Deterministic for seed 7; 2:1 mix.
   EXPECT_EQ(sequence.size(), 20u);
@@ -198,7 +189,7 @@ TEST(GoldenSequence, SameSeedSameSimulationTwice) {
     FastRand rng(99);
     std::string s;
     for (int i = 0; i < 1000; ++i) {
-      s += (rig.lotto.Draw(rng) == rig.a.get()) ? 'a' : 'b';
+      s += (rig.lotto.Draw(rng) == rig.a) ? 'a' : 'b';
     }
     return s;
   };

@@ -577,7 +577,7 @@ const MutatorClass kMutatorClasses[] = {
       "DestroyTicket", "SetAmount", "Fund", "Unfund"}},
     {"LotteryScheduler",
      {"AddThread", "RemoveThread", "OnReady", "OnBlocked", "PickNext",
-      "PickNextFromTree", "OnQuantumEnd", "FundThread"}},
+      "PickFrom", "OnQuantumEnd", "FundThread"}},
 };
 
 void RuleMutatorInvariant(const Scan& scan, std::vector<RawFinding>* out) {
@@ -723,7 +723,7 @@ void ExtractDefs(const Scan& scan, size_t scan_idx,
 
 bool IsEntryRoot(const std::string& stem) {
   static const std::set<std::string> kRoots = {
-      "PickNext", "PickNextFromTree", "Dispatch", "Reprice", "RunUntil"};
+      "PickNext", "PickFrom", "Dispatch", "Reprice", "RunUntil"};
   return kRoots.count(stem) > 0 || StartsWith(stem, "Draw");
 }
 
