@@ -26,7 +26,14 @@ bench/fig4_relative_rate and friends). The script runs, from both builds:
     balancer's migrant lottery and its crossbar veto), comparing its
     --json report with every key containing "_ns" dropped and its
     --timeseries file byte for byte. Its stdout prints host-ns columns and
-    is not compared.
+    is not compared;
+  * faultctl --seed=7 --threads=12 --horizon-us=400000 with one plan that
+    arms all eight fault classes, on the list, tree, stride and smp
+    (--cpus=2) backends, comparing stdout byte for byte. These are the
+    only runs of the fault paths that schedule kernel events (delayed
+    unblocks, RPC drop notices, chaos ticks, revocation restores,
+    disk-timeout backoff); stdout carries the run's trace_hash, an FNV
+    hash of its dispatch log, and its per-class injection counts.
 
 Exits 0 when everything matches. Exits 1 at the first run whose outputs
 differ (or that fails to run in either build), naming it and printing the
@@ -85,6 +92,21 @@ TRACECTL = [
 ]
 
 SMP_FLAGS = ["--seconds=20"]
+
+# faultctl legs, each run with FAULT_FLAGS and FAULT_PLAN. Every class
+# fires on list, tree and smp; stride has no economy to revoke from, so
+# seven fire there.
+FAULTCTL = [
+    ["--backend=list"],
+    ["--backend=tree"],
+    ["--backend=stride"],
+    ["--backend=smp", "--cpus=2"],
+]
+FAULT_FLAGS = ["--seed=7", "--threads=12", "--horizon-us=400000"]
+FAULT_PLAN = ("crash:ppm=3000;spurious-wake:p=0.2;"
+              "delayed-unblock:p=0.1,delay_us=1500;"
+              "rpc-drop:p=0.1,delay_us=800;rpc-dup:p=0.1;rpc-reorder:p=0.2;"
+              "disk-timeout:p=0.2,delay_us=500,retries=3;revoke:p=0.2")
 
 DROPPED_PREFIXES = ("Wrote JSON report to ", "(structured trace written to ")
 
@@ -229,9 +251,20 @@ def main(argv):
             return 1
         print("ok   bench_smp %s (stdout skipped: host ns)" %
               " ".join(SMP_FLAGS))
-    print("all %d benches (%d traces), %d examples, %d tracectl traces and "
-          "bench_smp identical" % (len(BENCHES), len(TRACED), len(EXAMPLES),
-                                   len(TRACECTL)))
+
+        for flags in FAULTCTL:
+            label = "faultctl " + " ".join(flags)
+            outs = run_pair(label, builds, os.path.join("tools", "faultctl"),
+                            "faultctl", lambda side: (
+                                FAULT_FLAGS + flags +
+                                ["--plan=" + FAULT_PLAN]))
+            if outs is None or not same(label, "stdout", *outs):
+                return 1
+            print("ok   %s (all fault classes armed)" % label)
+    print("all %d benches (%d traces), %d examples, %d tracectl traces, "
+          "bench_smp and %d faultctl runs identical" %
+          (len(BENCHES), len(TRACED), len(EXAMPLES), len(TRACECTL),
+           len(FAULTCTL)))
     return 0
 
 

@@ -1,16 +1,20 @@
 // Scale bench: the million-thread substrate.
 //
 // The paper's experiments top out at tens of threads; this harness checks
-// that the simulator's core data structures (timing-wheel event queue, slab
+// that the simulator's core data structures (binary-heap event queue, slab
 // arenas, tree-backed run queue, streaming statistics) keep the machine
 // usable when the population grows by five orders of magnitude. Two parts:
 //
-//   Part A — event-queue churn. n self-rescheduling timers (the kernel's
-//   dominant event pattern) run through both the timing-wheel EventQueue
-//   and the preserved binary-heap ReferenceEventQueue until 4n timers have
-//   fired. Both queues execute the identical trace (diff-tested elsewhere),
-//   so the wall-clock ratio is a pure data-structure comparison: O(1)
-//   wheel placement vs O(lg n) sift over an n-element heap.
+//   Part A — event-queue churn. n self-rescheduling timers, each re-arming
+//   a cancel-before-fire timeout, run through both the EventQueue and the
+//   preserved original ReferenceEventQueue until 24n timers have fired.
+//   Both are binary heaps and execute the identical trace (diff-tested
+//   elsewhere), so the wall-clock ratio measures what EventQueue adds to
+//   the original: inline handlers in a chunked arena, O(1) stale-cancel
+//   rejection and tombstone rebuilds, against std::function handlers
+//   copied on every pop and a hash set of cancelled ids. This is a
+//   synthetic load on the queue alone; the kernel's own runs hold a
+//   handful of pending events (Part B's "event arena" column).
 //
 //   Part B — full-kernel run. n threads (3:1 compute : interactive) are
 //   spawned under a tree-backend lottery scheduler, funded in eight ticket
@@ -90,17 +94,11 @@ struct ChurnResult {
   double wall_ns = 0.0;
 };
 
-// Re-arms timer `i` at `when`. Each fire also replaces the timer's pending
-// 25 ms timeout — the cancel-before-fire pattern every RPC/disk deadline
-// follows, and the dominant load real schedulers put on their timer
-// structure (most timeouts are cancelled, not fired). The capture must stay
-// within the queue's inline handler storage, so it carries references plus
-// an index, nothing heavier.
 // Arms the deadline for timer `i`. The closure carries the context a real
 // RPC/disk timeout carries (op id plus absolute deadline) — 24 bytes, past
 // std::function's 16-byte small-object buffer, so the reference queue pays
 // the per-schedule allocation the old kernel's timeout closures paid, while
-// the wheel's 56-byte inline handler absorbs it.
+// EventQueue's 56-byte inline handler absorbs it.
 template <typename Queue>
 uint64_t ArmTimeout(Queue& q, size_t i, SimTime now, uint64_t& timeout_fired) {
   const int64_t deadline_ns = now.nanos() + 25'000'000;
@@ -112,6 +110,12 @@ uint64_t ArmTimeout(Queue& q, size_t i, SimTime now, uint64_t& timeout_fired) {
                     });
 }
 
+// Re-arms timer `i` at `when`. Each fire also replaces the timer's pending
+// 25 ms timeout — the cancel-before-fire pattern every RPC/disk deadline
+// follows, and the dominant load real schedulers put on their timer
+// structure (most timeouts are cancelled, not fired). The capture must stay
+// within the queue's inline handler storage, so it carries references plus
+// an index, nothing heavier.
 template <typename Queue>
 void Arm(Queue& q, const std::vector<uint32_t>& period_ns,
          std::vector<uint64_t>& timeout_ids, size_t i, SimTime when,
@@ -130,9 +134,9 @@ ChurnResult RunChurn(int64_t n, const std::vector<uint32_t>& period_ns) {
   ChurnResult r;
   std::vector<uint64_t> timeout_ids(static_cast<size_t>(n));
   // 24n fires span ~110 sim-ms — four+ timeout-deadline cycles, so the
-  // steady state includes the tombstone flow both queues must digest (the
-  // wheel unlinked each corpse at Cancel; the heap pops and sifts every one
-  // when it surfaces, paying the full O(lg n) even for dead events).
+  // steady state includes the tombstone flow both queues must digest
+  // (EventQueue rebuilds its heap without them once they outnumber live
+  // events; the reference heap pops and sifts every one when it surfaces).
   const uint64_t target = static_cast<uint64_t>(n) * 24;
   const auto start = std::chrono::steady_clock::now();
   for (size_t i = 0; i < static_cast<size_t>(n); ++i) {
@@ -294,12 +298,12 @@ int Main(int argc, char** argv) {
   BenchReport report(flags, "bench_scale");
   report.Meta("seconds", sim_seconds);
 
-  PrintHeader("Scale", "Million-thread substrate (wheel + arenas + tree)",
-              "event-queue cost flat in n (vs heap's lg n); spawn and "
-              "memory linear in n; class shares track funding");
+  PrintHeader("Scale", "Million-thread substrate (heap + arenas + tree)",
+              "event queue fires the reference heap's trace, faster; "
+              "spawn and memory linear in n; class shares track funding");
 
-  TextTable qtable({"timers", "wheel ms", "heap ms", "speedup",
-                    "wheel Mev/s", "sim ms"});
+  TextTable qtable({"timers", "queue ms", "ref ms", "speedup",
+                    "queue Mev/s", "sim ms"});
   TextTable ktable({"threads", "spawn ms", "spawn M/s", "run ms",
                     "sim-s/wall-s", "peak RSS MB", "class err %",
                     "event arena"});
@@ -319,30 +323,30 @@ int Main(int argc, char** argv) {
       // of an RPC client re-arming its timeout on every response.
       period_ns.push_back(1'000'000 + rng.NextBelow(7'000'000));
     }
-    const ChurnResult wheel = RunChurn<EventQueue>(n, period_ns);
-    const ChurnResult heap = RunChurn<ReferenceEventQueue>(n, period_ns);
-    if (wheel.fired != heap.fired || wheel.sim_ns != heap.sim_ns ||
-        wheel.timeout_fired != heap.timeout_fired) {
-      std::cerr << "FATAL: wheel and heap diverged (fired " << wheel.fired
-                << " vs " << heap.fired << ", timeouts "
-                << wheel.timeout_fired << " vs " << heap.timeout_fired
+    const ChurnResult queue = RunChurn<EventQueue>(n, period_ns);
+    const ChurnResult ref = RunChurn<ReferenceEventQueue>(n, period_ns);
+    if (queue.fired != ref.fired || queue.sim_ns != ref.sim_ns ||
+        queue.timeout_fired != ref.timeout_fired) {
+      std::cerr << "FATAL: queue and reference queue diverged (fired "
+                << queue.fired << " vs " << ref.fired << ", timeouts "
+                << queue.timeout_fired << " vs " << ref.timeout_fired
                 << ")\n";
       return 1;
     }
-    const double speedup = heap.wall_ns / wheel.wall_ns;
+    const double speedup = ref.wall_ns / queue.wall_ns;
     const std::string key = SizeKey(n);
-    qtable.AddRow({std::to_string(n), FormatDouble(wheel.wall_ns / 1e6, 1),
-                   FormatDouble(heap.wall_ns / 1e6, 1),
+    qtable.AddRow({std::to_string(n), FormatDouble(queue.wall_ns / 1e6, 1),
+                   FormatDouble(ref.wall_ns / 1e6, 1),
                    FormatDouble(speedup, 1),
-                   FormatDouble(static_cast<double>(wheel.fired) * 1e3 /
-                                    wheel.wall_ns, 1),
-                   FormatDouble(static_cast<double>(wheel.sim_ns) / 1e6, 0)});
+                   FormatDouble(static_cast<double>(queue.fired) * 1e3 /
+                                    queue.wall_ns, 1),
+                   FormatDouble(static_cast<double>(queue.sim_ns) / 1e6, 0)});
     // Deterministic:
-    report.Metric(key + "_timer_fires", wheel.fired);
-    report.Metric(key + "_timer_sim_ms", wheel.sim_ns / 1'000'000);
+    report.Metric(key + "_timer_fires", queue.fired);
+    report.Metric(key + "_timer_sim_ms", queue.sim_ns / 1'000'000);
     // Host-dependent:
-    report.Metric(key + "_wheel_wall_ns", wheel.wall_ns);
-    report.Metric(key + "_heap_wall_ns", heap.wall_ns);
+    report.Metric(key + "_queue_wall_ns", queue.wall_ns);
+    report.Metric(key + "_ref_queue_wall_ns", ref.wall_ns);
     report.Metric(key + "_queue_speedup", speedup);
   }
   std::cout << "\n-- Part A: event-queue timer churn (24n fires) --\n";
@@ -350,7 +354,7 @@ int Main(int argc, char** argv) {
   std::cout << "\n-- Part B: full kernel, tree backend, " << sim_seconds
             << " simulated seconds --\n";
   ktable.Print(std::cout);
-  std::cout << "\n(speedup = heap wall / wheel wall on the identical timer "
+  std::cout << "\n(speedup = ref wall / queue wall on the identical timer "
                "trace; class err = mean |share - entitlement| / entitlement "
                "over the 8 funding classes)\n";
   report.Write();

@@ -22,9 +22,19 @@ uint32_t DeriveSeed(uint32_t seed, uint32_t salt) {
   return mixer.NextFastRandSeed();
 }
 
-CrossbarSwitch::Options XbarOptions(const SmpScheduler::Options& options) {
-  CrossbarSwitch::Options x = options.xbar;
-  x.num_ports = options.num_cpus;
+// Innermost-level imbalance floor, in per-mille of the victim+thief ticket
+// sum; doubles per domain level, so long-haul moves need a proportionally
+// bigger gap. The steady-state pairwise imbalance stays within max(floor
+// at the widest level, smallest migratable thread), which bounds the
+// global share error the partition can accumulate.
+constexpr uint32_t kImbalanceMinPermille = 10;
+// Affinity cost model: cells re-fetched per migration, over a default
+// crossbar with one port per CPU.
+constexpr uint32_t kFootprintCells = 32;
+
+CrossbarSwitch::Options XbarOptions(int num_cpus) {
+  CrossbarSwitch::Options x{};
+  x.num_ports = num_cpus;
   return x;
 }
 
@@ -56,7 +66,7 @@ SmpScheduler::SmpScheduler(Options options)
       domains_(options.num_cpus),
       balance_rng_(DeriveSeed(options.seed, 0xba1a6ceu)),
       xbar_rng_(DeriveSeed(options.seed, 0xc6055bau)),
-      xbar_(XbarOptions(options), &xbar_rng_),
+      xbar_(XbarOptions(options.num_cpus), &xbar_rng_),
       m_steals_(metrics().counter("smp.steals")),
       m_migrations_(metrics().counter("smp.migrations")),
       m_balance_checks_(metrics().counter("smp.balance_checks")),
@@ -219,7 +229,7 @@ void SmpScheduler::TryBalanceSteal(int cpu, SimTime now) {
     // before this point never touches the RNG, so a balanced system is a
     // draw-free no-op (smp_identity_test pins that down).
     const uint64_t floor_permille =
-        static_cast<uint64_t>(options_.imbalance_min_permille) << level;
+        static_cast<uint64_t>(kImbalanceMinPermille) << level;
     if (imbalance * 1000 <= sum * floor_permille) {
       continue;
     }
@@ -304,9 +314,9 @@ CrossbarSwitch::CircuitId SmpScheduler::CircuitFor(int src, int dst) {
 
 int64_t SmpScheduler::PredictCostNs(int src, int dst, int level) {
   const CrossbarSwitch::CircuitId circuit = CircuitFor(src, dst);
-  const uint64_t cells = static_cast<uint64_t>(xbar_.Backlog(circuit)) +
-                         options_.footprint_cells;
-  return static_cast<int64_t>(cells) * options_.xbar.cell_time.nanos() *
+  const uint64_t cells =
+      static_cast<uint64_t>(xbar_.Backlog(circuit)) + kFootprintCells;
+  return static_cast<int64_t>(cells) * xbar_.cell_time().nanos() *
          (level + 1);
 }
 
@@ -323,10 +333,10 @@ void SmpScheduler::DoMigrate(ThreadId id, int src, int dst, SimTime now,
   xbar_.AdvanceTo(now);
   const CrossbarSwitch::CircuitId circuit = CircuitFor(src, dst);
   xbar_.SetTickets(circuit, imbalance == 0 ? 1 : imbalance);
-  for (uint32_t i = 0; i < options_.footprint_cells; ++i) {
+  for (uint32_t i = 0; i < kFootprintCells; ++i) {
     xbar_.Enqueue(circuit, now);
   }
-  m_xbar_cells_->Inc(options_.footprint_cells);
+  m_xbar_cells_->Inc(kFootprintCells);
 
   if (type == static_cast<uint16_t>(etrace::EventType::kSteal)) {
     ++steals_;

@@ -25,8 +25,8 @@
 //
 // Migration is not free: the affinity cost model prices each candidate move
 // through a sim::CrossbarSwitch (one port per CPU). A migration enqueues
-// `footprint_cells` cells on the victim->thief virtual circuit — the cache
-// footprint being re-fetched — and a balance steal is vetoed when the
+// a fixed footprint of cells on the victim->thief virtual circuit — the
+// cache footprint being re-fetched — and a balance steal is vetoed when the
 // predicted transfer time (backlog + footprint, scaled by domain distance)
 // exceeds the imbalance's worth of CPU time per quantum. Migration storms
 // thus throttle themselves: backlog raises the predicted cost until the
@@ -64,15 +64,6 @@ class SmpScheduler : public LotteryScheduler {
     bool steal_enabled = true;
     // Local dispatches between periodic balance checks on a CPU.
     uint32_t balance_period = 16;
-    // Innermost-level imbalance floor, in per-mille of the victim+thief
-    // ticket sum; doubles per domain level, so long-haul moves need a
-    // proportionally bigger gap. The steady-state pairwise imbalance stays
-    // within max(floor at the widest level, smallest migratable thread),
-    // which bounds the global share error the partition can accumulate.
-    uint32_t imbalance_min_permille = 10;
-    // Affinity cost model: cells re-fetched per migration.
-    uint32_t footprint_cells = 32;
-    CrossbarSwitch::Options xbar;
     obs::Registry* metrics = nullptr;
     etrace::TraceBuffer* trace = nullptr;
   };

@@ -58,6 +58,7 @@ class CrossbarSwitch {
 
   SimTime now() const { return now_; }
   int num_ports() const { return options_.num_ports; }
+  SimDuration cell_time() const { return options_.cell_time; }
 
   uint64_t CellsSent(CircuitId circuit) const;
   uint64_t CellsDropped(CircuitId circuit) const;

@@ -1,11 +1,7 @@
 #include "src/sim/event_queue.h"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
 #include <utility>
-
-#include "src/util/invariant.h"
 
 namespace lottery {
 namespace {
@@ -16,16 +12,42 @@ constexpr uint64_t kIndexMask = (uint64_t{1} << kIndexBits) - 1;
 
 }  // namespace
 
-EventQueue::EventQueue() {
-  for (size_t level = 0; level < kLevels; ++level) {
-    for (size_t slot = 0; slot < kSlots; ++slot) {
-      slot_head_[level][slot] = kNil;
-    }
-  }
-  std::memset(slot_bitmap_, 0, sizeof(slot_bitmap_));
+void EventQueue::FreeNode(uint32_t index) {
+  Node& node = nodes_[index];
+  node.state = NodeState::kFree;
+  ++node.gen;  // outstanding ids for this slot become stale
+  node.next = free_head_;
+  free_head_ = index;
 }
 
-uint32_t EventQueue::AllocNode(SimTime when, Handler&& handler) {
+void EventQueue::PopTop() {
+  std::pop_heap(heap_.begin(), heap_.end(), Later);
+  heap_.pop_back();
+}
+
+void EventQueue::DropCancelledTop() {
+  while (!heap_.empty() &&
+         nodes_[heap_.front().index].state == NodeState::kCancelled) {
+    FreeNode(heap_.front().index);
+    PopTop();
+  }
+}
+
+void EventQueue::PurgeCancelled() {
+  size_t kept = 0;
+  for (const Entry& entry : heap_) {
+    if (nodes_[entry.index].state == NodeState::kCancelled) {
+      FreeNode(entry.index);
+    } else {
+      heap_[kept++] = entry;
+    }
+  }
+  heap_.resize(kept);
+  // Keys are unique (seq), so the rebuilt heap pops in the same order.
+  std::make_heap(heap_.begin(), heap_.end(), Later);
+}
+
+EventQueue::EventId EventQueue::Schedule(SimTime when, Handler handler) {
   uint32_t index;
   if (free_head_ != kNil) {
     index = free_head_;
@@ -35,239 +57,11 @@ uint32_t EventQueue::AllocNode(SimTime when, Handler&& handler) {
     nodes_.EmplaceBack();
     handlers_.EmplaceBack();
   }
-  Node& node = nodes_[index];
-  node.when_ns = when.nanos();
-  node.seq = next_seq_++;
-  node.next = kNil;
-  node.prev = kNil;
+  nodes_[index].state = NodeState::kPending;
   handlers_[index] = std::move(handler);  // destroys any stale predecessor
-  return index;
-}
-
-void EventQueue::FreeNode(uint32_t index) {
-  Node& node = nodes_[index];
-  node.state = NodeState::kFree;
-  ++node.gen;  // outstanding ids for this slot become stale
-  node.next = free_head_;
-  free_head_ = index;
-}
-
-void EventQueue::Place(uint32_t index) {
-  Node& node = nodes_[index];
-  const uint64_t tick = TickOf(node.when_ns);
-  if (tick <= cursor_) {
-    node.state = NodeState::kHeap;
-    HeapPush(due_, HeapEntry{node.when_ns, node.seq, index});
-    return;
-  }
-  // Highest byte in which the tick differs from the cursor picks the level;
-  // that byte of the tick picks the slot. Because tick > cursor_, the
-  // differing byte is strictly greater than the cursor's, so slot scans
-  // never wrap and a decanted slot's events all lie ahead of the cursor.
-  const uint64_t diff = tick ^ cursor_;
-  const size_t level =
-      static_cast<size_t>(std::bit_width(diff) - 1) / kLevelBits;
-  if (level >= kLevels) {
-    node.state = NodeState::kHeap;
-    HeapPush(overflow_, HeapEntry{node.when_ns, node.seq, index});
-    return;
-  }
-  const size_t slot = (tick >> (level * kLevelBits)) & kSlotMask;
-  node.state = NodeState::kWheel;
-  node.level = static_cast<uint8_t>(level);
-  node.slot = static_cast<uint8_t>(slot);
-  node.prev = kNil;
-  node.next = slot_head_[level][slot];
-  if (node.next != kNil) {
-    nodes_[node.next].prev = index;
-  }
-  slot_head_[level][slot] = index;
-  slot_bitmap_[level][slot / 64] |= uint64_t{1} << (slot % 64);
-  ++wheel_count_;
-}
-
-void EventQueue::HeapPush(std::vector<HeapEntry>& heap, HeapEntry entry) {
-  heap.push_back(entry);
-  size_t child = heap.size() - 1;
-  while (child > 0) {
-    const size_t parent = (child - 1) / 2;
-    if (Earlier(heap[parent], heap[child])) {
-      break;
-    }
-    std::swap(heap[child], heap[parent]);
-    child = parent;
-  }
-}
-
-EventQueue::HeapEntry EventQueue::HeapPop(std::vector<HeapEntry>& heap) {
-  const HeapEntry top = heap.front();
-  heap.front() = heap.back();
-  heap.pop_back();
-  const size_t n = heap.size();
-  size_t parent = 0;
-  for (;;) {
-    size_t best = parent;
-    const size_t first_child = 2 * parent + 1;
-    for (size_t child = first_child; child < first_child + 2 && child < n;
-         ++child) {
-      if (Earlier(heap[child], heap[best])) {
-        best = child;
-      }
-    }
-    if (best == parent) {
-      break;
-    }
-    std::swap(heap[parent], heap[best]);
-    parent = best;
-  }
-  return top;
-}
-
-void EventQueue::SkipCancelledDue() {
-  while (ready_pos_ < ready_.size() &&
-         nodes_[ready_[ready_pos_].index].state == NodeState::kCancelled) {
-    FreeNode(ready_[ready_pos_++].index);
-  }
-  while (!due_.empty() &&
-         nodes_[due_.front().index].state == NodeState::kCancelled) {
-    FreeNode(HeapPop(due_).index);
-  }
-}
-
-EventQueue::HeapEntry EventQueue::PopDue() {
-  const bool ready = ready_pos_ < ready_.size();
-  if (due_.empty() ||
-      (ready && Earlier(ready_[ready_pos_], due_.front()))) {
-    return ready_[ready_pos_++];
-  }
-  return HeapPop(due_);
-}
-
-int EventQueue::FindBusySlot(size_t level, size_t from) const {
-  if (from >= kSlots) {
-    return -1;
-  }
-  size_t word = from / 64;
-  uint64_t bits = slot_bitmap_[level][word] & (~uint64_t{0} << (from % 64));
-  for (;;) {
-    if (bits != 0) {
-      return static_cast<int>(word * 64 +
-                              static_cast<size_t>(std::countr_zero(bits)));
-    }
-    if (++word == kSlots / 64) {
-      return -1;
-    }
-    bits = slot_bitmap_[level][word];
-  }
-}
-
-void EventQueue::EnsureDue() {
-  for (;;) {
-    SkipCancelledDue();
-    // Wheel and overflow events always have tick > cursor_ while due events
-    // have tick <= cursor_, so a non-empty due set fronts with the global
-    // minimum and we are done.
-    if (!due_.empty() || ready_pos_ < ready_.size()) {
-      return;
-    }
-    if (wheel_count_ == 0 && overflow_.empty()) {
-      return;
-    }
-
-    // Earliest wheel event: level-k events all precede level-(k+1) events
-    // (their bytes above k still match the cursor's), so the first busy slot
-    // at the lowest busy level bounds the whole wheel from below.
-    uint64_t wheel_start = ~uint64_t{0};
-    size_t wheel_level = 0;
-    int wheel_slot = -1;
-    for (size_t level = 0; level < kLevels; ++level) {
-      const size_t from =
-          static_cast<size_t>((cursor_ >> (level * kLevelBits)) & kSlotMask) +
-          1;
-      const int slot = FindBusySlot(level, from);
-      if (slot >= 0) {
-        const uint64_t high_mask = ~uint64_t{0} << ((level + 1) * kLevelBits);
-        wheel_start = (cursor_ & high_mask) |
-                      (static_cast<uint64_t>(slot) << (level * kLevelBits));
-        wheel_level = level;
-        wheel_slot = slot;
-        break;
-      }
-    }
-
-    // An overflow event can drop to (or below) the cursor's tick as the
-    // cursor advances past it without being re-bucketed; it must then be
-    // drained before any wheel decant at a later tick is trusted.
-    const uint64_t overflow_tick =
-        overflow_.empty() ? ~uint64_t{0} : TickOf(overflow_.front().when_ns);
-
-    if (wheel_slot >= 0 && wheel_start <= overflow_tick &&
-        overflow_tick > cursor_) {
-      // Decant the earliest busy slot: advance the cursor to its start and
-      // re-place every event — exact slot-start hits drop into the due heap,
-      // the rest re-bucket at a lower level. Each event moves down at most
-      // kLevels times over its lifetime, so re-bucketing is O(1) amortized.
-      cursor_ = wheel_start;
-      uint32_t head = slot_head_[wheel_level][wheel_slot];
-      slot_head_[wheel_level][wheel_slot] = kNil;
-      slot_bitmap_[wheel_level][static_cast<size_t>(wheel_slot) / 64] &=
-          ~(uint64_t{1} << (static_cast<size_t>(wheel_slot) % 64));
-      // Cancelled wheel nodes were unlinked eagerly, so every chain entry is
-      // live; prefetch the successor while re-placing the current node.
-      // Events now due (the whole chain, for a level-0 slot) are staged in
-      // scratch_ and sorted once instead of sifted through the due heap.
-      scratch_.clear();
-      while (head != kNil) {
-        const uint32_t next = nodes_[head].next;
-        if (next != kNil) {
-          __builtin_prefetch(&nodes_[next]);
-        }
-        LOT_ASSERT(nodes_[head].state == NodeState::kWheel,
-                   "event wheel slot chain holds a non-wheel node");
-        --wheel_count_;
-        Node& node = nodes_[head];
-        if (TickOf(node.when_ns) <= cursor_) {
-          node.state = NodeState::kHeap;
-          scratch_.push_back(HeapEntry{node.when_ns, node.seq, head});
-        } else {
-          Place(head);
-        }
-        head = next;
-      }
-      if (!scratch_.empty()) {
-        std::sort(scratch_.begin(), scratch_.end(), Earlier);
-        // The due set was empty (loop guard above), so the consumed ready
-        // run can be discarded wholesale.
-        ready_.swap(scratch_);
-        ready_pos_ = 0;
-      }
-    } else if (overflow_tick > cursor_) {
-      // Nothing in the wheel before the overflow top: jump the cursor
-      // straight to it. The cursor only ever advances — moving it backward
-      // would break the byte-placement invariant the slot scans rely on.
-      LOT_ASSERT(!overflow_.empty(),
-                 "event wheel claims events but no slot or overflow holds one");
-      cursor_ = overflow_tick;
-    }
-    // Pull every overflow event at or behind the cursor into the due heap so
-    // within-tick ordering is decided there. This also catches events a past
-    // cursor advance left stranded (including ties with a just-decanted
-    // slot), which is why it runs after both branches.
-    while (!overflow_.empty() && TickOf(overflow_.front().when_ns) <= cursor_) {
-      const HeapEntry entry = HeapPop(overflow_);
-      if (nodes_[entry.index].state == NodeState::kCancelled) {
-        FreeNode(entry.index);
-      } else {
-        HeapPush(due_, entry);
-      }
-    }
-  }
-}
-
-EventQueue::EventId EventQueue::Schedule(SimTime when, Handler handler) {
-  const uint32_t index = AllocNode(when, std::move(handler));
+  heap_.push_back(Entry{when.nanos(), next_seq_++, index});
+  std::push_heap(heap_.begin(), heap_.end(), Later);
   ++live_;
-  Place(index);
   return (static_cast<uint64_t>(nodes_[index].gen) << kIndexBits) |
          static_cast<uint64_t>(index);
 }
@@ -278,78 +72,41 @@ void EventQueue::Cancel(EventId id) {
     return;
   }
   Node& node = nodes_[static_cast<size_t>(index)];
-  if (node.gen != static_cast<uint32_t>(id >> kIndexBits)) {
+  if (node.gen != static_cast<uint32_t>(id >> kIndexBits) ||
+      node.state != NodeState::kPending) {
     return;
   }
-  if (node.state == NodeState::kWheel) {
-    // O(1) unlink from the doubly-linked slot chain and free immediately:
-    // cancel-heavy workloads (RPC/disk timeouts that almost never fire)
-    // would otherwise fill the arena with corpses awaiting their slot's
-    // decant, bloating the working set ~10x.
-    if (node.prev != kNil) {
-      nodes_[node.prev].next = node.next;
-    } else {
-      slot_head_[node.level][node.slot] = node.next;
-      if (node.next == kNil) {
-        slot_bitmap_[node.level][node.slot / 64] &=
-            ~(uint64_t{1} << (node.slot % 64));
-      }
-    }
-    if (node.next != kNil) {
-      nodes_[node.next].prev = node.prev;
-    }
-    --wheel_count_;
-    FreeNode(static_cast<uint32_t>(index));
-    --live_;
-  } else if (node.state == NodeState::kHeap) {
-    // In due_/overflow_, where mid-heap removal is not O(1): flip to a
-    // tombstone; the heap frees it when it surfaces. The handler is
-    // released lazily (on slot reuse), as the original queue did.
-    node.state = NodeState::kCancelled;
-    --live_;
+  // Mid-heap removal is not O(1): leave a tombstone. Rebuilding once they
+  // outnumber live events costs O(1) amortized per cancel and bounds the
+  // arena by twice the live count plus one.
+  node.state = NodeState::kCancelled;
+  --live_;
+  if (heap_.size() - live_ > live_) {
+    PurgeCancelled();
+  } else {
+    DropCancelledTop();
   }
-}
-
-bool EventQueue::empty() const { return live_ == 0; }
-
-SimTime EventQueue::next_time() const {
-  // Logically const: advances the decant horizon, which has no observable
-  // effect on event order (same const_cast pattern the heap queue used for
-  // dropping cancelled heads).
-  EventQueue* self = const_cast<EventQueue*>(this);
-  self->EnsureDue();
-  return SimTime::FromNanos(PeekDue()->when_ns);
 }
 
 size_t EventQueue::RunUntil(SimTime limit) {
   const int64_t limit_ns = limit.nanos();
   size_t ran = 0;
-  for (;;) {
-    EnsureDue();
-    const HeapEntry* front = PeekDue();
-    if (front == nullptr || front->when_ns > limit_ns) {
-      return ran;
-    }
-    const uint32_t index = front->index;
-    const SimTime when = SimTime::FromNanos(front->when_ns);
-    PopDue();
-    // Overlap the next event's (likely cold) handler fetch with this
-    // handler's execution.
-    if (const HeapEntry* next = PeekDue()) {
-      __builtin_prefetch(&handlers_[next->index]);
-    }
+  while (!heap_.empty() && heap_.front().when_ns <= limit_ns) {
+    const uint32_t index = heap_.front().index;
+    const SimTime when = SimTime::FromNanos(heap_.front().when_ns);
+    PopTop();
+    DropCancelledTop();
     // Invoke the handler in place: its slot is address-stable (chunked
     // arena) and cannot be reused until FreeNode below, so no defensive
     // move-out is needed. Flipping the state first makes a self-Cancel
-    // from inside the handler a no-op, as it always was.
+    // from inside the handler a no-op.
     nodes_[index].state = NodeState::kFree;
     --live_;
     handlers_[index](when);
     FreeNode(index);
     ++ran;
   }
+  return ran;
 }
-
-size_t EventQueue::pending() const { return live_; }
 
 }  // namespace lottery

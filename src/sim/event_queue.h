@@ -4,25 +4,22 @@
 // tiebreak, so runs are fully deterministic. Cancellation is supported for
 // timers that are raced by other wakeups (e.g. a sleep cut short).
 //
-// The core is a hierarchical timing wheel (Varghese & Lauer): kLevels
-// levels of 256 slots over 65.5 µs ticks, so Schedule and Cancel are O(1)
-// and RunUntil pays O(1) amortized re-bucketing per event instead of the
-// O(lg n) heap churn that capped the old binary-heap queue near 10k
-// threads. Exact ns ordering is preserved by a small "due" heap holding
-// only events whose slot the wheel cursor has already passed — the wheel
-// buckets the far future cheaply, the due heap orders the immediate
-// present precisely, and the (when, seq) execution order is bit-identical
-// to the old heap's (tests/event_queue_diff_test.cc checks this
-// differentially; tests/queue_swap_identity_test.cc pins a golden trace).
-// Events beyond the wheel horizon (~78 simulated hours out) overflow into
-// a plain heap and migrate into the wheel as the cursor approaches.
+// The core is one binary min-heap of (when, seq, index) entries. A plain
+// heap is enough because the simulator's traffic is small: perfbench
+// peaks at 98 pending events (smp_churn), bench_scale's kernel runs at 1.
+// The (when, seq) execution order is the original heap queue's
+// (tests/event_queue_diff_test.cc checks this differentially against
+// ReferenceEventQueue; tests/queue_swap_identity_test.cc pins a golden
+// trace).
 //
 // Event records live in a chunked arena and are addressed by dense index;
 // handlers are stored inline (SmallFn), so a pending event costs zero
 // heap allocations. Event ids encode {generation, index}: Cancel after
 // the event ran sees a stale generation and is a true O(1) no-op — the
-// old implementation's tombstone set grew without bound on exactly that
-// pattern.
+// original queue's tombstone set grew without bound on exactly that
+// pattern. Cancel of a pending event leaves a tombstone; the heap is
+// rebuilt without them once they outnumber live events, so cancel-heavy
+// timeouts keep the arena within about twice the live count.
 
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
@@ -42,7 +39,7 @@ class EventQueue {
   using Handler = util::SmallFn<void(SimTime), 56>;
   using EventId = uint64_t;
 
-  EventQueue();
+  EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
@@ -51,128 +48,64 @@ class EventQueue {
   // Cancels a pending event; no-op if it already ran or was cancelled.
   void Cancel(EventId id);
 
-  bool empty() const;
+  bool empty() const { return live_ == 0; }
   // Time of the earliest pending event; undefined when empty.
-  SimTime next_time() const;
+  SimTime next_time() const {
+    return SimTime::FromNanos(heap_.front().when_ns);
+  }
 
   // Runs every event with time <= limit in order; returns how many ran.
   // Handlers may schedule further events (also run if they fall within
   // the limit).
   size_t RunUntil(SimTime limit);
 
-  size_t pending() const;
+  size_t pending() const { return live_; }
 
   // Introspection for tests/benches: arena capacity in event records.
   size_t capacity() const { return nodes_.size(); }
 
  private:
-  // Wheel geometry. Ticks are 2^kTickBits ns (≈65.5 µs); each level holds
-  // 2^kLevelBits slots and covers 256× the span of the one below. Four
-  // levels cover 2^48 ns ≈ 78 simulated hours ahead of the cursor.
-  static constexpr uint64_t kTickBits = 16;
-  static constexpr uint64_t kLevelBits = 8;
-  static constexpr size_t kSlots = size_t{1} << kLevelBits;
-  static constexpr uint64_t kSlotMask = kSlots - 1;
-  static constexpr size_t kLevels = 4;
   static constexpr uint32_t kNil = 0xFFFFFFFFu;
 
-  // kWheel nodes live in a doubly-linked slot chain and are unlinked and
-  // freed eagerly on Cancel (the cancel-heavy timeout pattern would
-  // otherwise balloon the arena with tombstones awaiting their slot's
-  // decant). kHeap nodes sit in due_/overflow_, where O(1) removal is
-  // impossible; those cancel lazily via the kCancelled tombstone state.
-  enum class NodeState : uint8_t { kFree, kWheel, kHeap, kCancelled };
+  enum class NodeState : uint8_t { kFree, kPending, kCancelled };
 
-  // Hot per-event metadata, kept exactly 32 bytes (two per cache line) and
-  // in a separate array from the 56-byte handlers: placement, cancellation
-  // and decanting walk only this array, so the wheel's working set stays a
-  // fraction of what interleaved node+handler records would touch.
   struct Node {
-    int64_t when_ns = 0;
-    uint64_t seq = 0;
-    uint32_t next = kNil;  // slot chain / free list link
-    uint32_t prev = kNil;  // slot chain back-link (kWheel only)
+    uint32_t next = kNil;  // free list link
     uint32_t gen = 1;      // bumped on free; stale ids mismatch
     NodeState state = NodeState::kFree;
-    uint8_t level = 0;  // wheel position (kWheel only), for unlink
-    uint8_t slot = 0;
   };
-  static_assert(sizeof(Node) == 32, "keep the hot event metadata compact");
 
-  static uint64_t TickOf(int64_t when_ns) {
-    return when_ns <= 0 ? 0 : static_cast<uint64_t>(when_ns) >> kTickBits;
-  }
-
-  // Heap entries copy the node's ordering key so sift comparisons stay
-  // inside the contiguous heap vector instead of chasing pointers into the
-  // (much larger, cache-cold) node arena.
-  struct HeapEntry {
+  // Heap entries carry the ordering key so sifts stay inside the
+  // contiguous heap vector instead of chasing indices into the arena.
+  struct Entry {
     int64_t when_ns;
     uint64_t seq;
     uint32_t index;
   };
-  static bool Earlier(const HeapEntry& a, const HeapEntry& b) {
-    return a.when_ns < b.when_ns ||
-           (a.when_ns == b.when_ns && a.seq < b.seq);
+  static_assert(sizeof(Entry) == 24, "keep heap entries compact");
+  // Heap comparator: std::*_heap keep the greatest element on top, so
+  // "later" ordering makes heap_.front() the earliest (when, seq).
+  static bool Later(const Entry& a, const Entry& b) {
+    return a.when_ns > b.when_ns ||
+           (a.when_ns == b.when_ns && a.seq > b.seq);
   }
 
-  uint32_t AllocNode(SimTime when, Handler&& handler);
   void FreeNode(uint32_t index);
-  // Places a pending node into due heap / wheel slot / overflow heap
-  // according to its tick relative to cursor_.
-  void Place(uint32_t index);
-  // Heap helpers over (when, seq)-ordered entry vectors.
-  static void HeapPush(std::vector<HeapEntry>& heap, HeapEntry entry);
-  static HeapEntry HeapPop(std::vector<HeapEntry>& heap);
-  // Advances the wheel (cascading slots downward, draining overflow) until
-  // the due set (ready_ run + due_ heap) holds the globally earliest
-  // pending event, or returns with it empty when nothing is pending.
-  void EnsureDue();
-  // Drops cancelled corpses off the front of the ready run and due heap.
-  void SkipCancelledDue();
-  // Earliest due entry, or nullptr when the due set is empty. Valid only
-  // after EnsureDue(); fronts are live (SkipCancelledDue ran).
-  const HeapEntry* PeekDue() const {
-    const bool ready = ready_pos_ < ready_.size();
-    if (due_.empty()) {
-      return ready ? &ready_[ready_pos_] : nullptr;
-    }
-    if (!ready || Earlier(due_.front(), ready_[ready_pos_])) {
-      return &due_.front();
-    }
-    return &ready_[ready_pos_];
-  }
-  // Removes the entry PeekDue() points at.
-  HeapEntry PopDue();
-  // First busy slot index >= from at `level`, or -1.
-  int FindBusySlot(size_t level, size_t from) const;
+  void PopTop();
+  // Keeps heap_.front() live: frees tombstones that surface at the top.
+  void DropCancelledTop();
+  // Rebuilds the heap without its tombstones and frees their records.
+  void PurgeCancelled();
 
   util::ChunkedVector<Node> nodes_;
-  // handlers_[i] belongs to nodes_[i]. A cancelled or fired handler is
-  // released lazily — moved from on fire, overwritten on slot reuse — the
-  // same lifetime the original heap queue gave cancelled std::functions.
+  // handlers_[i] belongs to nodes_[i]. A fired handler runs in place; it
+  // and a cancelled one are released lazily, overwritten on slot reuse.
   util::ChunkedVector<Handler> handlers_;
   uint32_t free_head_ = kNil;
 
-  // cursor_ is the decant horizon in ticks: every pending event with
-  // tick <= cursor_ is in due_; every wheel event has tick > cursor_.
-  uint64_t cursor_ = 0;
-  uint32_t slot_head_[kLevels][kSlots];
-  uint64_t slot_bitmap_[kLevels][kSlots / 64];
-  size_t wheel_count_ = 0;
-
-  // The due set is split in two. A decanted slot's due events are sorted
-  // once into ready_ and consumed by advancing ready_pos_ — O(1) per event
-  // versus the O(lg n) sift a heap pays twice per event. The due_ heap
-  // holds only stragglers that join while ready_ drains (events scheduled
-  // at or before the cursor's tick, overflow spills); the earliest pending
-  // event is the min of the two fronts, so exact (when, seq) order is kept.
-  std::vector<HeapEntry> ready_;  // sorted ascending; ready_pos_ is the front
-  size_t ready_pos_ = 0;
-  std::vector<HeapEntry> scratch_;   // decant staging, reused across slots
-  std::vector<HeapEntry> due_;       // min-heap by (when, seq)
-  std::vector<HeapEntry> overflow_;  // min-heap; events beyond the horizon
-
+  // Min-heap by (when, seq) whose front is live; the other
+  // heap_.size() - live_ entries are tombstones.
+  std::vector<Entry> heap_;
   uint64_t next_seq_ = 0;
   size_t live_ = 0;  // pending and not cancelled
 };

@@ -1,12 +1,12 @@
 // ReferenceEventQueue: the original binary-heap event queue, preserved
-// verbatim (std::function handlers and all) as the oracle for the
-// timing-wheel EventQueue.
+// verbatim (std::function handlers and all) as the oracle for EventQueue.
 //
 // tests/event_queue_diff_test.cc replays randomized schedule/cancel/run
 // traces through both queues and requires identical execution order;
-// bench/bench_scale.cc uses it as the O(lg n) baseline the wheel is gated
-// against. Keep its semantics frozen — including the lazy drop-at-head
-// cancellation — so it stays a faithful model of the pre-wheel behaviour.
+// bench/bench_scale.cc's Part A runs it as the baseline EventQueue is
+// compared against. Keep its semantics frozen — including the lazy
+// drop-at-head cancellation — so it stays a faithful model of the
+// original behaviour.
 
 #ifndef SRC_SIM_EVENT_QUEUE_REF_H_
 #define SRC_SIM_EVENT_QUEUE_REF_H_

@@ -10,6 +10,9 @@ namespace lottery {
 
 namespace {
 
+// Scheduler::Tick cadence (decay-usage needs ~1 s).
+constexpr SimDuration kTickInterval = SimDuration::Seconds(1);
+
 // Maps the kernel's slice outcome onto the trace encoding (event.h keeps
 // its own constants so the file format never shifts under enum edits).
 uint16_t SliceFlagOf(Disposition disposition) {
@@ -322,8 +325,8 @@ const std::string& Kernel::ThreadName(ThreadId tid) const {
 }
 
 void Kernel::DeliverTicks() {
-  while (now_ - last_tick_ >= options_.tick_interval) {
-    last_tick_ += options_.tick_interval;
+  while (now_ - last_tick_ >= kTickInterval) {
+    last_tick_ += kTickInterval;
     scheduler_->Tick(last_tick_);
   }
 }

@@ -158,8 +158,6 @@ class Kernel {
   struct Options {
     // The paper's Mach platform used 100 ms; Section 2 discusses 10 ms.
     SimDuration quantum = SimDuration::Millis(100);
-    // Scheduler::Tick cadence (decay-usage needs ~1 s).
-    SimDuration tick_interval = SimDuration::Seconds(1);
     // Number of CPUs sharing the run queue. 1 reproduces the paper's
     // platform exactly; >1 explores the "distributed lottery scheduler"
     // direction Section 4.2 sketches. Slices execute atomically, so

@@ -1,14 +1,15 @@
-// Differential test: the timing-wheel EventQueue vs the preserved binary-heap
+// Differential test: the EventQueue vs the preserved original binary-heap
 // ReferenceEventQueue.
 //
 // Both queues are driven through identical randomized traces of Schedule /
 // Cancel / RunUntil operations (including handlers that re-schedule and
 // cancel from inside the run loop), and must execute the same events in the
-// same order at the same times. The generator deliberately stresses the
-// wheel's distinct regimes: sub-tick deltas (due-heap ties), slot-boundary
-// deltas, multi-level cascades, and far-future times beyond the 2^32-tick
-// horizon (overflow heap).
+// same order at the same times. The generator mixes dense (when, seq) ties,
+// near and mid-range deltas, and far-future times beyond 2^48 ns, so order
+// is checked at every time scale the simulator could produce.
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -24,23 +25,22 @@ namespace {
 
 SimTime At(int64_t ns) { return SimTime::FromNanos(ns); }
 
-// Time deltas spanning every wheel regime. With 2^16 ns ticks and 8-bit
-// levels: <65536 ns stays in the current tick (due-heap ties), ~16M ns
-// crosses level-0 slots, larger values climb levels, and 2^48+ ns lands
-// beyond the wheel horizon in the overflow heap.
+// Time deltas from exact ties (0-3 ns, which only the FIFO seq orders)
+// through microseconds, milliseconds and hours, to 2^48+ ns: the far end
+// checks that keys far apart still order exactly.
 int64_t RandomDelta(FastRand& rng) {
   switch (rng.NextBelow(8)) {
     case 0:
       return static_cast<int64_t>(rng.NextBelow(4));  // dense ties
     case 1:
-      return static_cast<int64_t>(rng.NextBelow(1u << 16));  // same tick
+      return static_cast<int64_t>(rng.NextBelow(1u << 16));  // near
     case 2:
-      return static_cast<int64_t>(rng.NextBelow(1u << 24));  // level 0/1
+      return static_cast<int64_t>(rng.NextBelow(1u << 24));  // ~16 ms
     case 3:
       // NextBelow64: 2^31 exceeds the 31-bit generator's single-draw range.
       return static_cast<int64_t>(rng.NextBelow64(uint64_t{1} << 31));
     case 4:
-      return static_cast<int64_t>(rng.NextBelow64(uint64_t{1} << 44));  // 3
+      return static_cast<int64_t>(rng.NextBelow64(uint64_t{1} << 44));  // hours
     case 5:
       return (int64_t{1} << 48) +
              static_cast<int64_t>(rng.NextBelow64(uint64_t{1} << 49));
@@ -51,8 +51,8 @@ int64_t RandomDelta(FastRand& rng) {
 
 TEST(EventQueueDiff, RandomizedTracesMatchReferenceHeap) {
   for (const uint32_t seed : {1u, 7u, 42u, 1234u, 987654321u}) {
-    EventQueue wheel;
-    ReferenceEventQueue heap;
+    EventQueue queue;
+    ReferenceEventQueue ref;
     std::vector<std::pair<int, int64_t>> log_a;
     std::vector<std::pair<int, int64_t>> log_b;
     std::vector<EventQueue::EventId> ids_a;
@@ -69,37 +69,37 @@ TEST(EventQueueDiff, RandomizedTracesMatchReferenceHeap) {
       if (op < 55) {
         const SimTime when = At(now + RandomDelta(rng));
         const int this_label = label++;
-        ids_a.push_back(wheel.Schedule(when, [&log_a, this_label](SimTime t) {
+        ids_a.push_back(queue.Schedule(when, [&log_a, this_label](SimTime t) {
           log_a.emplace_back(this_label, t.nanos());
         }));
-        ids_b.push_back(heap.Schedule(when, [&log_b, this_label](SimTime t) {
+        ids_b.push_back(ref.Schedule(when, [&log_b, this_label](SimTime t) {
           log_b.emplace_back(this_label, t.nanos());
         }));
       } else if (op < 70 && !ids_a.empty()) {
         // Cancel a random id — often one that already ran (stale no-op).
         const size_t victim =
             rng.NextBelow(static_cast<uint32_t>(ids_a.size()));
-        wheel.Cancel(ids_a[victim]);
-        heap.Cancel(ids_b[victim]);
+        queue.Cancel(ids_a[victim]);
+        ref.Cancel(ids_b[victim]);
       } else if (op < 85) {
-        ASSERT_EQ(wheel.empty(), heap.empty()) << "seed " << seed;
-        if (!wheel.empty()) {
-          ASSERT_EQ(wheel.next_time(), heap.next_time()) << "seed " << seed;
-          now = wheel.next_time().nanos();
+        ASSERT_EQ(queue.empty(), ref.empty()) << "seed " << seed;
+        if (!queue.empty()) {
+          ASSERT_EQ(queue.next_time(), ref.next_time()) << "seed " << seed;
+          now = queue.next_time().nanos();
         }
       } else {
         const SimTime limit = At(now + RandomDelta(rng) * 4);
-        const size_t ran_a = wheel.RunUntil(limit);
-        const size_t ran_b = heap.RunUntil(limit);
+        const size_t ran_a = queue.RunUntil(limit);
+        const size_t ran_b = ref.RunUntil(limit);
         ASSERT_EQ(ran_a, ran_b) << "seed " << seed << " step " << step;
         now = limit.nanos();
       }
     }
 
     // Drain everything left and compare the complete execution logs.
-    wheel.RunUntil(At(INT64_MAX));
-    heap.RunUntil(At(INT64_MAX));
-    EXPECT_TRUE(wheel.empty());
+    queue.RunUntil(At(INT64_MAX));
+    ref.RunUntil(At(INT64_MAX));
+    EXPECT_TRUE(queue.empty());
     ASSERT_EQ(log_a.size(), log_b.size()) << "seed " << seed;
     for (size_t i = 0; i < log_a.size(); ++i) {
       ASSERT_EQ(log_a[i], log_b[i]) << "seed " << seed << " pos " << i;
@@ -107,8 +107,8 @@ TEST(EventQueueDiff, RandomizedTracesMatchReferenceHeap) {
   }
 }
 
-// Handlers that schedule and cancel from inside RunUntil, exercising node
-// reuse (the wheel recycles an event record before invoking its handler).
+// Handlers that schedule and cancel from inside RunUntil, exercising arena
+// record reuse while the run loop is mid-flight.
 template <typename Queue>
 struct ChainRig {
   Queue queue;
@@ -150,22 +150,22 @@ struct ChainRig {
 
 TEST(EventQueueDiff, ReentrantHandlersMatchReferenceHeap) {
   for (const uint32_t seed : {3u, 99u, 2026u}) {
-    ChainRig<EventQueue> wheel(seed);
-    ChainRig<ReferenceEventQueue> heap(seed);
-    wheel.Drive();
-    heap.Drive();
+    ChainRig<EventQueue> queue(seed);
+    ChainRig<ReferenceEventQueue> ref(seed);
+    queue.Drive();
+    ref.Drive();
 
-    EXPECT_GT(wheel.log.size(), 50u) << "chains never propagated";
-    ASSERT_EQ(wheel.log.size(), heap.log.size()) << "seed " << seed;
-    for (size_t i = 0; i < wheel.log.size(); ++i) {
-      ASSERT_EQ(wheel.log[i], heap.log[i]) << "seed " << seed << " pos " << i;
+    EXPECT_GT(queue.log.size(), 50u) << "chains never propagated";
+    ASSERT_EQ(queue.log.size(), ref.log.size()) << "seed " << seed;
+    for (size_t i = 0; i < queue.log.size(); ++i) {
+      ASSERT_EQ(queue.log[i], ref.log[i]) << "seed " << seed << " pos " << i;
     }
   }
 }
 
 // The Cancel-id-leak regression: cancelling ids after their events ran (or
-// repeatedly) must not grow any internal structure. The old heap queue kept
-// every such id in a tombstone set forever; the wheel rejects stale
+// repeatedly) must not grow any internal structure. The original heap queue
+// kept every such id in a tombstone set forever; EventQueue rejects stale
 // generations in O(1) and reuses arena slots.
 TEST(EventQueueDiff, StaleCancelsDoNotAccumulateState) {
   EventQueue q;
@@ -189,12 +189,12 @@ TEST(EventQueueDiff, StaleCancelsDoNotAccumulateState) {
   EXPECT_LE(q.capacity(), 64u);
 }
 
-// Far-future events overflow the wheel horizon and must still fire in exact
-// order once the cursor jumps to them, interleaved with near events.
+// Far-future events (past 2^48 ns, beyond any bucketed queue's horizon) must
+// still fire in exact order, interleaved with near events.
 TEST(EventQueueDiff, OverflowHorizonOrdering) {
   EventQueue q;
   std::vector<int> order;
-  const int64_t far = int64_t{1} << 50;  // beyond the 2^48 ns wheel span
+  const int64_t far = int64_t{1} << 50;
   q.Schedule(At(far + 5), [&](SimTime) { order.push_back(4); });
   q.Schedule(At(10), [&](SimTime) { order.push_back(1); });
   q.Schedule(At(far), [&](SimTime) { order.push_back(3); });
@@ -203,6 +203,58 @@ TEST(EventQueueDiff, OverflowHorizonOrdering) {
   EXPECT_EQ(q.next_time(), At(10));
   q.RunUntil(At(far + 100));
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 5, 4}));
+}
+
+// bench_scale Part A's pattern at n = 1000: n timers with 1-8 ms periods,
+// each fire cancelling its timer's pending 25 ms timeout and re-arming it.
+// Every timeout dies cancelled, so their records must be reclaimed in step
+// with the live population, not only when they reach the front of the
+// queue 25 ms later (which would hold several timeouts per timer).
+struct TimeoutRig {
+  EventQueue queue;
+  std::vector<int64_t> period_ns;
+  std::vector<EventQueue::EventId> timeout;
+  uint64_t fired = 0;
+  uint64_t timeouts_fired = 0;
+  size_t peak_pending = 0;
+
+  void ArmTimeout(size_t i, SimTime now) {
+    timeout[i] = queue.Schedule(now + SimDuration::Millis(25),
+                                [this](SimTime) { ++timeouts_fired; });
+  }
+
+  void Arm(size_t i, SimTime when) {
+    queue.Schedule(when, [this, i](SimTime t) {
+      ++fired;
+      queue.Cancel(timeout[i]);
+      ArmTimeout(i, t);
+      Arm(i, t + SimDuration::Nanos(period_ns[i]));
+      peak_pending = std::max(peak_pending, queue.pending());
+    });
+  }
+};
+
+TEST(EventQueueDiff, CancelHeavyTimeoutsKeepArenaNearLive) {
+  constexpr size_t kTimers = 1000;
+  TimeoutRig rig;
+  FastRand rng(42);
+  for (size_t i = 0; i < kTimers; ++i) {
+    rig.period_ns.push_back(1'000'000 + rng.NextBelow(7'000'000));
+  }
+  rig.timeout.resize(kTimers);
+  for (size_t i = 0; i < kTimers; ++i) {
+    rig.ArmTimeout(i, At(0));
+    rig.Arm(i, At(rig.period_ns[i]));
+  }
+  rig.peak_pending = rig.queue.pending();
+  int64_t limit_ns = 0;
+  while (rig.fired < 24 * kTimers) {
+    limit_ns += 8'000'000;
+    rig.queue.RunUntil(At(limit_ns));
+  }
+  EXPECT_EQ(rig.timeouts_fired, 0u);
+  EXPECT_EQ(rig.peak_pending, 2 * kTimers);
+  EXPECT_LE(rig.queue.capacity(), 3 * rig.peak_pending);
 }
 
 }  // namespace

@@ -1,14 +1,16 @@
 // Locks the scheduler substrate to a byte-exact golden trace across event-
 // queue implementations.
 //
-// The timing-wheel EventQueue replaced the original binary-heap queue; both
-// must drive the kernel through the *identical* sequence of decisions for a
-// fixed seed. The golden hash below was recorded from the heap
-// implementation on a fig5-style scenario (lottery kernel, 3 compute
+// The event queue has been rewritten more than once (the original
+// std::priority_queue, a timing wheel, today's arena-backed binary heap);
+// every version must drive the kernel through the *identical* sequence of
+// decisions for a fixed seed. The golden hash below was recorded from the
+// original heap queue on a fig5-style scenario (lottery kernel, 3 compute
 // threads at 3:2:1 plus two timed sleepers, 30 simulated seconds, full
-// etrace). Any queue change that reorders even one event — a lost FIFO
-// tiebreak, a quantization error in the wheel, a cancel delivered late —
-// shifts a wake or slice event and changes the hash.
+// etrace), and still holds: the (when, seq) order it fixed is the one
+// every later queue keeps. Any queue change that reorders even one event
+// — a lost FIFO tiebreak, a time rounded to a bucket, a cancel delivered
+// late — shifts a wake or slice event and changes the hash.
 
 #include <algorithm>
 #include <cstdint>
@@ -92,7 +94,7 @@ TEST(QueueSwapIdentity, Fig5StyleTraceBytesMatchHeapGolden) {
   kernel.RunFor(SimDuration::Seconds(30));
 
   const std::string bytes = trace.Serialize();
-  // Recorded from the pre-wheel binary-heap EventQueue at seed 42. If this
+  // Recorded from the original binary-heap EventQueue at seed 42. If this
   // fails after an intentional *scheduling* change, re-derive it; if it
   // fails after an event-queue change, the queue broke determinism.
   // (Re-derived when kCatTimeseries joined the category mask: the serialized
