@@ -35,10 +35,12 @@ bench/fig4_relative_rate and friends). The script runs, from both builds:
     disk-timeout backoff); stdout carries the run's trace_hash, an FNV
     hash of its dispatch log, and its per-class injection counts.
 
-Exits 0 when everything matches. Exits 1 at the first run whose outputs
-differ (or that fails to run in either build), naming it and printing the
-start of the difference. A change meant to alter only speed must pass this
-against its parent commit.
+Every run is made and compared, also after one differs. Each run whose
+outputs differ (or that fails to run in either build) is named with the
+start of its difference as it is found, and listed again at the end. Exits
+0 when everything matches and 1 when any run differs. A change meant to
+alter only speed must pass this against its parent commit; a change that
+alters one output on purpose shows here that it alters no other.
 """
 
 import difflib
@@ -186,9 +188,31 @@ def main(argv):
         print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
         return 2
     builds = [("parent", argv[1]), ("change", argv[2])]
+    differing = []
+
+    def check(label, outs, compares, ok_line):
+        """Records `label` as differing unless it ran and every compare holds.
+
+        compares is a list of (what, read_parent, read_change) thunks, read
+        only once both builds ran; all of them are compared and reported.
+        """
+        if outs is None:
+            differing.append(label)
+            return
+        results = [same(label, what, parent(), change())
+                   for what, parent, change in compares]
+        if all(results):
+            print("ok   " + ok_line)
+        else:
+            differing.append(label)
+
     with tempfile.TemporaryDirectory() as tmp:
         def out(side, name):
             return os.path.join(tmp, side + "_" + name)
+
+        def file_pair(name, mode="r"):
+            return (lambda: read(out("parent", name), mode),
+                    lambda: read(out("change", name), mode))
 
         for bench, flags in BENCHES:
             traced = bench in TRACED
@@ -197,26 +221,20 @@ def main(argv):
                 ["--json=" + out(side, bench + ".json")] +
                 (["--trace=" + out(side, bench + ".trace")] if traced
                  else [])))
-            if outs is None or not same(bench, "stdout", *outs):
-                return 1
-            if not same(bench, "--json report",
-                        read(out("parent", bench + ".json")),
-                        read(out("change", bench + ".json"))):
-                return 1
-            if traced and not same(
-                    bench, "--trace file",
-                    read(out("parent", bench + ".trace"), "rb"),
-                    read(out("change", bench + ".trace"), "rb")):
-                return 1
-            print("ok   %s %s%s" % (bench, " ".join(flags),
-                                    " (+ trace)" if traced else ""))
+            compares = [("stdout", lambda: outs[0], lambda: outs[1]),
+                        ("--json report",) + file_pair(bench + ".json")]
+            if traced:
+                compares.append(("--trace file",) +
+                                file_pair(bench + ".trace", "rb"))
+            check(bench, outs, compares, "%s %s%s" % (
+                bench, " ".join(flags), " (+ trace)" if traced else ""))
 
         for example in EXAMPLES:
             outs = run_pair(example, builds, "examples", example,
                             lambda side: [])
-            if outs is None or not same(example, "stdout", *outs):
-                return 1
-            print("ok   examples/%s" % example)
+            check(example, outs,
+                  [("stdout", lambda: outs[0], lambda: outs[1])],
+                  "examples/" + example)
 
         for name, flags in TRACECTL:
             label = "tracectl record " + " ".join(flags)
@@ -225,32 +243,24 @@ def main(argv):
                             "tracectl", lambda side: (
                                 ["record", "--seed=%d" % SEED] + flags +
                                 ["--out=" + out(side, trace)]))
-            if outs is None or not same(
-                    label, "trace file", read(out("parent", trace), "rb"),
-                    read(out("change", trace), "rb")):
-                return 1
-            print("ok   %s" % label)
+            check(label, outs, [("trace file",) + file_pair(trace, "rb")],
+                  label)
 
         outs = run_pair("bench_smp", builds, "bench", "bench_smp",
                         lambda side: (
                             ["--seed=%d" % SEED] + SMP_FLAGS +
                             ["--json=" + out(side, "smp.json"),
                              "--timeseries=" + out(side, "smp_ts.json")]))
-        if outs is None:
-            return 1
+
         def smp_report(side):
             report = json.loads(read(out(side, "smp.json")))
             return json.dumps(without_ns(report), indent=1)
 
-        if not same("bench_smp", "--json report without _ns keys",
-                    smp_report("parent"), smp_report("change")):
-            return 1
-        if not same("bench_smp", "--timeseries file",
-                    read(out("parent", "smp_ts.json")),
-                    read(out("change", "smp_ts.json"))):
-            return 1
-        print("ok   bench_smp %s (stdout skipped: host ns)" %
-              " ".join(SMP_FLAGS))
+        check("bench_smp", outs,
+              [("--json report without _ns keys",
+                lambda: smp_report("parent"), lambda: smp_report("change")),
+               ("--timeseries file",) + file_pair("smp_ts.json")],
+              "bench_smp %s (stdout skipped: host ns)" % " ".join(SMP_FLAGS))
 
         for flags in FAULTCTL:
             label = "faultctl " + " ".join(flags)
@@ -258,9 +268,14 @@ def main(argv):
                             "faultctl", lambda side: (
                                 FAULT_FLAGS + flags +
                                 ["--plan=" + FAULT_PLAN]))
-            if outs is None or not same(label, "stdout", *outs):
-                return 1
-            print("ok   %s (all fault classes armed)" % label)
+            check(label, outs,
+                  [("stdout", lambda: outs[0], lambda: outs[1])],
+                  label + " (all fault classes armed)")
+    runs = len(BENCHES) + len(EXAMPLES) + len(TRACECTL) + 1 + len(FAULTCTL)
+    if differing:
+        print("%d of %d runs differ: %s" %
+              (len(differing), runs, ", ".join(differing)))
+        return 1
     print("all %d benches (%d traces), %d examples, %d tracectl traces, "
           "bench_smp and %d faultctl runs identical" %
           (len(BENCHES), len(TRACED), len(EXAMPLES), len(TRACECTL),

@@ -197,7 +197,7 @@ int Main(int argc, char** argv) {
     // the first eight threads (one light and one heavy per CPU).
     TimeseriesRecorder ts(flags, "bench_smp", &kernel);
     if (cpus == 4 && ts.enabled()) {
-      ts.sampler()->AttachSmp(&sched);
+      ts.AttachScheduler(&sched);
       for (size_t i = 0; i < 8 && i < tids.size(); ++i) {
         ts.Track(tids[i], "p" + std::to_string(i));
       }

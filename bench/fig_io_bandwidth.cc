@@ -9,7 +9,6 @@
 #include "bench/bench_util.h"
 #include "src/sim/crossbar.h"
 #include "src/sim/disk.h"
-#include "src/sim/link.h"
 
 namespace lottery {
 namespace {
@@ -64,16 +63,20 @@ int Main(int argc, char** argv) {
   const int64_t allocations[][3] = {{1, 1, 1}, {3, 2, 1}, {6, 3, 1}};
   for (const auto& alloc : allocations) {
     FastRand rng(seed + static_cast<uint32_t>(alloc[0]));
-    LinkScheduler::Options lopts;
+    // The link is a one-port switch: each slot, one lottery over the
+    // circuits with a cell buffered.
+    CrossbarSwitch::Options lopts;
+    lopts.num_ports = 1;
     lopts.cell_time = SimDuration::Micros(3);
     lopts.buffer_cells = 4096;
-    LinkScheduler link(lopts, &rng);
-    for (uint32_t c = 1; c <= 3; ++c) {
-      link.RegisterCircuit(c, static_cast<uint64_t>(alloc[c - 1]));
+    CrossbarSwitch link(lopts, &rng);
+    std::vector<CrossbarSwitch::CircuitId> circuits;
+    for (const int64_t tickets : alloc) {
+      circuits.push_back(link.AddCircuit(0, 0, static_cast<uint64_t>(tickets)));
     }
     SimTime now = SimTime::Zero();
     for (int step = 0; step < 1000; ++step) {
-      for (uint32_t c = 1; c <= 3; ++c) {
+      for (const auto c : circuits) {
         while (link.Backlog(c) < 4096) {
           link.Enqueue(c, now);
         }
@@ -81,24 +84,23 @@ int Main(int argc, char** argv) {
       now = now + SimDuration::Millis(10);
       link.AdvanceTo(now);
     }
-    const double total = static_cast<double>(
-        link.CellsSent(1) + link.CellsSent(2) + link.CellsSent(3));
-    for (uint32_t c = 1; c <= 3; ++c) {
+    const double total = static_cast<double>(link.total_cells_sent());
+    std::vector<std::string> row = {std::to_string(alloc[0]) + ":" +
+                                    std::to_string(alloc[1]) + ":" +
+                                    std::to_string(alloc[2])};
+    std::vector<double> shares;
+    for (size_t i = 0; i < circuits.size(); ++i) {
+      const uint64_t sent = link.CellsSent(circuits[i]);
+      shares.push_back(static_cast<double>(sent) / total);
+      row.push_back(std::to_string(sent));
       report.Metric("link_" + std::to_string(alloc[0]) + "_" +
                         std::to_string(alloc[1]) + "_" +
                         std::to_string(alloc[2]) + "_share_c" +
-                        std::to_string(c),
-                    static_cast<double>(link.CellsSent(c)) / total);
+                        std::to_string(i + 1),
+                    shares.back());
     }
-    link_table.AddRow(
-        {std::to_string(alloc[0]) + ":" + std::to_string(alloc[1]) + ":" +
-             std::to_string(alloc[2]),
-         std::to_string(link.CellsSent(1)), std::to_string(link.CellsSent(2)),
-         std::to_string(link.CellsSent(3)),
-         FormatRatio({static_cast<double>(link.CellsSent(1)) / total,
-                      static_cast<double>(link.CellsSent(2)) / total,
-                      static_cast<double>(link.CellsSent(3)) / total},
-                     2)});
+    row.push_back(FormatRatio(shares, 2));
+    link_table.AddRow(row);
   }
   link_table.Print(std::cout);
 

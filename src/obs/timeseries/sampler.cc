@@ -97,12 +97,19 @@ size_t Sampler::AddSeries(const std::string& name) {
 
 void Sampler::AttachScheduler(LotteryScheduler* sched) {
   sched_ = sched;
-  smp_ = nullptr;
-}
-
-void Sampler::AttachSmp(smp::SmpScheduler* smp) {
-  smp_ = smp;
-  sched_ = smp;
+  if (sched == nullptr || sched->partitioned_cpus() == 0) {
+    return;
+  }
+  // One run queue per CPU: record each queue's depth and steal activity.
+  // The scheduler publishes its steal counts only through its registry, so
+  // read the counters it created there.
+  obs::Registry& registry = sched->metrics();
+  steals_ = registry.FindCounter("smp.steals");
+  migrations_ = registry.FindCounter("smp.migrations");
+  if (steals_ == nullptr || migrations_ == nullptr) {
+    throw std::invalid_argument(
+        "Sampler: partitioned scheduler publishes no smp.steals/migrations");
+  }
   if (cpus_.empty()) {
     for (int c = 0; c < kernel_->num_cpus(); ++c) {
       CpuState state;
@@ -115,17 +122,12 @@ void Sampler::AttachSmp(smp::SmpScheduler* smp) {
     const std::string prefix = "cpu" + std::to_string(state.index);
     state.s_queued = AddSeries(prefix + ".queued");
     state.s_steals = AddSeries(prefix + ".steals_in");
-    // The SMP scheduler publishes per-CPU steal counts only through its
-    // registry; resolve the same create-or-get slots it writes (pass the
-    // sampler and the SmpScheduler the same registry).
-    state.steals_in =
-        metrics_->counter("smp.cpu" + std::to_string(state.index) +
-                          ".steals_in");
+    state.steals_in = registry.counter("smp." + prefix + ".steals_in");
   }
   s_steal_hz_ = AddSeries("smp.steal_rate_hz");
   s_migration_hz_ = AddSeries("smp.migration_rate_hz");
-  last_steals_ = smp_->steals();
-  last_migrations_ = smp_->migrations();
+  last_steals_ = steals_->value();
+  last_migrations_ = migrations_->value();
 }
 
 void Sampler::Track(ThreadId tid, const std::string& label) {
@@ -234,9 +236,9 @@ int64_t Sampler::Sample(SimTime now) {
     for (CpuState& cpu : cpus_) {
       cpu.last_busy_ns = kernel_->CpuBusySampled(cpu.index).nanos();
     }
-    if (smp_ != nullptr) {
-      last_steals_ = smp_->steals();
-      last_migrations_ = smp_->migrations();
+    if (steals_ != nullptr) {
+      last_steals_ = steals_->value();
+      last_migrations_ = migrations_->value();
     }
     for (ClientState& client : clients_) {
       client.last_cpu_ns = kernel_->CpuTime(client.tid).nanos();
@@ -413,16 +415,16 @@ int64_t Sampler::Sample(SimTime now) {
         t, static_cast<double>(busy_ns - cpu.last_busy_ns) /
                static_cast<double>(dt));
     cpu.last_busy_ns = busy_ns;
-    if (smp_ != nullptr) {
+    if (cpu.steals_in != nullptr) {
       series_[cpu.s_queued].series.Record(
-          t, static_cast<double>(smp_->QueuedCount(cpu.index)));
+          t, static_cast<double>(sched_->QueuedCount(cpu.index)));
       series_[cpu.s_steals].series.Record(
           t, static_cast<double>(cpu.steals_in->value()));
     }
   }
-  if (smp_ != nullptr) {
-    const uint64_t steals = smp_->steals();
-    const uint64_t migrations = smp_->migrations();
+  if (steals_ != nullptr) {
+    const uint64_t steals = steals_->value();
+    const uint64_t migrations = migrations_->value();
     series_[s_steal_hz_].series.Record(
         t, static_cast<double>(steals - last_steals_) / dt_s);
     series_[s_migration_hz_].series.Record(

@@ -56,7 +56,6 @@
 #include "src/obs/etrace/trace_buffer.h"
 #include "src/obs/registry.h"
 #include "src/obs/timeseries/series.h"
-#include "src/sched/smp/smp_scheduler.h"
 #include "src/sim/kernel.h"
 #include "src/util/sim_time.h"
 
@@ -154,12 +153,12 @@ class Sampler : public SampleHook {
 
   // --- Setup (allocates; call before the steady state) ----------------------
 
-  // Entitlement source: exactly one of these, matching the kernel's policy
-  // scheduler (AttachSmp also records the per-CPU queue and steal series).
-  // Without one, lag/share auditing is disabled (weights are unknown) and
-  // only kernel-level series record.
+  // Entitlement source: the kernel's policy scheduler. Without one,
+  // lag/share auditing is disabled (weights are unknown) and only
+  // kernel-level series record. A scheduler with one run queue per CPU
+  // (partitioned_cpus() > 0) also gets the per-CPU queue and steal series,
+  // read from its QueuedCount and its smp.* counters.
   void AttachScheduler(LotteryScheduler* sched);
-  void AttachSmp(smp::SmpScheduler* smp);
 
   // Audits thread `tid` under `label` (lowercased; characters outside
   // [a-z0-9_.] become '_'; must be unique). Cumulative service is measured
@@ -208,9 +207,9 @@ class Sampler : public SampleHook {
   struct CpuState {
     int index = 0;
     int64_t last_busy_ns = 0;
-    obs::Counter* steals_in = nullptr;  // null outside SMP
+    const obs::Counter* steals_in = nullptr;  // null unless partitioned
     size_t s_util = 0;
-    size_t s_queued = 0;  // unused (0) outside SMP
+    size_t s_queued = 0;  // unused (0) unless partitioned
     size_t s_steals = 0;
   };
   struct WatchedCounter {
@@ -233,7 +232,10 @@ class Sampler : public SampleHook {
   Kernel* kernel_;
   Options options_;
   LotteryScheduler* sched_ = nullptr;
-  smp::SmpScheduler* smp_ = nullptr;
+  // The partitioned scheduler's smp.steals and smp.migrations; null when
+  // it has one run queue.
+  const obs::Counter* steals_ = nullptr;
+  const obs::Counter* migrations_ = nullptr;
   obs::Registry* metrics_;
   SnapshotFn snapshot_;
 

@@ -5,20 +5,23 @@
 namespace lottery {
 namespace smp {
 
-DomainMap::DomainMap(int num_cpus, int pair_size, int package_size)
-    : num_cpus_(num_cpus) {
+namespace {
+
+// CPUs per core pair and per package.
+constexpr int kPairSize = 2;
+constexpr int kPackageSize = 8;
+static_assert(2 <= kPairSize && kPairSize < kPackageSize,
+              "each level must widen the one inside it");
+
+}  // namespace
+
+DomainMap::DomainMap(int num_cpus) : num_cpus_(num_cpus) {
   if (num_cpus < 1) {
     throw std::invalid_argument("DomainMap: need at least one CPU");
   }
-  if (pair_size < 2 || package_size < pair_size) {
-    throw std::invalid_argument("DomainMap: need 2 <= pair_size <= package_size");
-  }
-  for (const int size : {pair_size, package_size}) {
+  for (const int size : {kPairSize, kPackageSize}) {
     if (size >= num_cpus) {
       break;  // the system-wide level already covers it
-    }
-    if (!sizes_.empty() && size <= sizes_.back()) {
-      continue;  // would not widen the previous level
     }
     sizes_.push_back(size);
   }

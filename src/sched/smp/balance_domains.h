@@ -26,11 +26,11 @@ struct Domain {
 
 class DomainMap {
  public:
-  // Groups `num_cpus` CPUs into pairs of `pair_size`, packages of
-  // `package_size`, and one system-wide domain. Levels that would not widen
-  // the previous one (e.g. the package level on a 2-CPU machine) collapse
-  // away, so every level strictly grows the candidate set.
-  explicit DomainMap(int num_cpus, int pair_size = 2, int package_size = 8);
+  // Groups `num_cpus` CPUs into core pairs (2 CPUs), packages (8) and one
+  // system-wide domain. Levels that would not widen the previous one (e.g.
+  // the package level on a 2-CPU machine) collapse away, so every level
+  // strictly grows the candidate set.
+  explicit DomainMap(int num_cpus);
 
   int num_cpus() const { return num_cpus_; }
   // Number of widening levels; 0 on a uniprocessor (nothing to balance).

@@ -18,6 +18,13 @@ CrossbarSwitch::CrossbarSwitch(Options options, FastRand* rng)
   if (options.matching_rounds < 1) {
     throw std::invalid_argument("CrossbarSwitch: need >= 1 matching round");
   }
+  const auto ports = static_cast<size_t>(options.num_ports);
+  input_matched_.assign(ports, false);
+  output_matched_.assign(ports, false);
+  proposals_.resize(ports);
+  for (std::vector<size_t>& candidates : proposals_) {
+    candidates.reserve(ports);  // at most one proposal per output
+  }
 }
 
 CrossbarSwitch::CircuitId CrossbarSwitch::AddCircuit(int input, int output,
@@ -45,28 +52,28 @@ bool CrossbarSwitch::Enqueue(CircuitId circuit, SimTime when) {
     return false;
   }
   c.cells.push_back(when);
+  ++queued_;
   return true;
 }
 
 void CrossbarSwitch::RunSlot() {
   const int ports = options_.num_ports;
-  std::vector<bool> input_matched(static_cast<size_t>(ports), false);
-  std::vector<bool> output_matched(static_cast<size_t>(ports), false);
-  std::vector<size_t> granted;  // circuit indices transmitting this slot
+  std::fill(input_matched_.begin(), input_matched_.end(), false);
+  std::fill(output_matched_.begin(), output_matched_.end(), false);
+  const SimTime slot_end = now_ + options_.cell_time;
 
   for (int round = 0; round < options_.matching_rounds; ++round) {
     // Step 1: each unmatched output draws a proposer among backlogged
     // circuits from unmatched inputs.
-    // proposals[input] collects the circuits that won an output lottery.
-    std::map<int, std::vector<size_t>> proposals;
+    bool proposed = false;
     for (int out = 0; out < ports; ++out) {
-      if (output_matched[static_cast<size_t>(out)]) {
+      if (output_matched_[static_cast<size_t>(out)]) {
         continue;
       }
       const auto eligible = [&](const Circuit& c) {
         return c.output == out && !c.cells.empty() &&
                c.cells.front() <= now_ &&
-               !input_matched[static_cast<size_t>(c.input)];
+               !input_matched_[static_cast<size_t>(c.input)];
       };
       const auto first =
           std::find_if(circuits_.begin(), circuits_.end(), eligible);
@@ -80,16 +87,24 @@ void CrossbarSwitch::RunSlot() {
       if (it == circuits_.end()) {
         it = first;  // all-zero tickets: the first eligible circuit
       }
-      proposals[it->input].push_back(
+      proposals_[static_cast<size_t>(it->input)].push_back(
           static_cast<size_t>(it - circuits_.begin()));
+      proposed = true;
     }
 
-    if (proposals.empty()) {
+    if (!proposed) {
       break;  // no progress possible
     }
 
-    // Step 2: each input grants one proposing circuit by lottery.
-    for (auto& [input, candidates] : proposals) {
+    // Step 2: each input, in port order, grants one proposing circuit by
+    // lottery, which sends its head cell. A granted circuit's input and
+    // output are both matched, so no later round looks at it again.
+    for (int input = 0; input < ports; ++input) {
+      std::vector<size_t>& candidates =
+          proposals_[static_cast<size_t>(input)];
+      if (candidates.empty()) {
+        continue;
+      }
       size_t winner = candidates.front();
       if (candidates.size() > 1) {
         const auto it =
@@ -99,50 +114,33 @@ void CrossbarSwitch::RunSlot() {
           winner = *it;
         }
       }
-      input_matched[static_cast<size_t>(input)] = true;
-      output_matched[static_cast<size_t>(circuits_[winner].output)] = true;
-      granted.push_back(winner);
+      candidates.clear();
+      Circuit& c = circuits_[winner];
+      input_matched_[static_cast<size_t>(input)] = true;
+      output_matched_[static_cast<size_t>(c.output)] = true;
+      c.delay.Add((slot_end - c.cells.front()).ToSecondsF());
+      c.cells.pop_front();
+      --queued_;
+      ++c.sent;
+      ++total_sent_;
     }
-  }
-
-  // Transmit the matched cells.
-  const SimTime slot_end = now_ + options_.cell_time;
-  for (const size_t i : granted) {
-    Circuit& c = circuits_[i];
-    const SimTime arrival = c.cells.front();
-    c.cells.pop_front();
-    c.delay.Add((slot_end - arrival).ToSecondsF());
-    ++c.sent;
-    ++total_sent_;
   }
 }
 
 void CrossbarSwitch::AdvanceTo(SimTime deadline) {
-  while (now_ + options_.cell_time <= deadline) {
-    bool backlog = false;
-    for (const Circuit& c : circuits_) {
-      if (!c.cells.empty()) {
-        backlog = true;
-        break;
-      }
-    }
-    if (!backlog) {
-      // Idle fast path: an empty slot matches nothing and draws nothing, so
-      // batch-advance the clock instead of simulating each one. Keeps
-      // sparse users (the SMP balancer advances only at migrations) O(cells)
-      // instead of O(elapsed / cell_time).
-      const int64_t cell = options_.cell_time.nanos();
-      const int64_t whole = (deadline - now_).nanos() / cell;
-      now_ += SimDuration::Nanos(whole * cell);
-      slots_ += static_cast<uint64_t>(whole);
-      break;
-    }
+  while (queued_ > 0 && now_ + options_.cell_time <= deadline) {
     RunSlot();
     now_ += options_.cell_time;
     ++slots_;
   }
-  if (now_ < deadline) {
-    now_ = deadline;  // partial final slot: nothing transmits
+  if (queued_ == 0 && now_ < deadline) {
+    // Idle: an empty slot matches nothing and draws nothing, so count the
+    // whole slots up to the deadline and jump there instead of simulating
+    // each one. Keeps sparse users (the SMP balancer advances only at
+    // migrations) O(cells) instead of O(elapsed / cell_time).
+    slots_ += static_cast<uint64_t>((deadline - now_).nanos() /
+                                    options_.cell_time.nanos());
+    now_ = deadline;
   }
 }
 

@@ -17,14 +17,22 @@
 // One round reproduces the classic ~(1 - 1/e) saturation throughput of
 // single-iteration randomized matching; a few rounds approach a maximal
 // matching. Ticket allocations set each circuit's share of its contended
-// output, exactly like the single-link LinkScheduler.
+// output. With one port the switch is a single congested link: every
+// circuit is AddCircuit(0, 0, tickets), and each slot is one lottery over
+// the circuits with a cell buffered, in the order they were added.
+//
+// Clock: slots start on the grid now() + k * cell_time, and a cell that
+// arrived by a slot's start may go in that slot. While any cell is queued
+// the clock stays on the grid, so a slot that AdvanceTo's deadline splits
+// runs whole in the next call: the cells sent and the draws made do not
+// depend on how the caller steps the switch. An empty switch jumps to the
+// deadline, and its grid restarts there.
 
 #ifndef SRC_SIM_CROSSBAR_H_
 #define SRC_SIM_CROSSBAR_H_
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <vector>
 
 #include "src/obs/streaming.h"
@@ -53,9 +61,11 @@ class CrossbarSwitch {
   // Enqueues one cell on `circuit` at `when`; false if its buffer is full.
   bool Enqueue(CircuitId circuit, SimTime when);
 
-  // Advances the switch, running one matching per cell slot.
+  // Runs every slot that ends by `deadline` (see "Clock" above).
   void AdvanceTo(SimTime deadline);
 
+  // Start of the next slot; trails the last deadline by less than one
+  // cell_time while cells are queued.
   SimTime now() const { return now_; }
   int num_ports() const { return options_.num_ports; }
   SimDuration cell_time() const { return options_.cell_time; }
@@ -63,6 +73,7 @@ class CrossbarSwitch {
   uint64_t CellsSent(CircuitId circuit) const;
   uint64_t CellsDropped(CircuitId circuit) const;
   size_t Backlog(CircuitId circuit) const;
+  // Per-cell delay from arrival to the end of the slot that sent it.
   const obs::StreamingStats& Delay(CircuitId circuit) const;
   // Total cells forwarded across all circuits (for throughput measures).
   uint64_t total_cells_sent() const { return total_sent_; }
@@ -87,8 +98,15 @@ class CrossbarSwitch {
   FastRand* rng_;  // lotlint: stream(device)
   std::vector<Circuit> circuits_;
   SimTime now_;
+  size_t queued_ = 0;  // cells buffered across all circuits
   uint64_t total_sent_ = 0;
   uint64_t slots_ = 0;
+  // RunSlot's working state, sized once per port: which ports a slot has
+  // matched, and per input the circuits that won an output lottery this
+  // round, in output order.
+  std::vector<bool> input_matched_;
+  std::vector<bool> output_matched_;
+  std::vector<std::vector<size_t>> proposals_;
 };
 
 }  // namespace lottery

@@ -1,4 +1,5 @@
-// Tests for the lottery-matched crossbar switch.
+// Tests for the lottery-matched crossbar switch, and for its one-port form,
+// a single congested link.
 
 #include "src/sim/crossbar.h"
 
@@ -18,6 +19,14 @@ CrossbarSwitch::Options Opts(int ports, int rounds = 1) {
   return o;
 }
 
+// One port: a link moving 100 cells per millisecond.
+CrossbarSwitch::Options LinkOpts() {
+  CrossbarSwitch::Options o = Opts(1);
+  o.cell_time = SimDuration::Micros(10);
+  o.buffer_cells = 64;
+  return o;
+}
+
 TEST(Crossbar, RejectsBadConfig) {
   FastRand rng(1);
   CrossbarSwitch::Options bad = Opts(0);
@@ -25,6 +34,11 @@ TEST(Crossbar, RejectsBadConfig) {
   bad = Opts(2);
   bad.matching_rounds = 0;
   EXPECT_THROW(CrossbarSwitch(bad, &rng), std::invalid_argument);
+  for (const int64_t cell_ns : {0, -1}) {
+    bad = LinkOpts();
+    bad.cell_time = SimDuration::Nanos(cell_ns);
+    EXPECT_THROW(CrossbarSwitch(bad, &rng), std::invalid_argument);
+  }
   CrossbarSwitch sw(Opts(2), &rng);
   EXPECT_THROW(sw.AddCircuit(2, 0, 1), std::invalid_argument);
   EXPECT_THROW(sw.AddCircuit(0, -1, 1), std::invalid_argument);
@@ -125,6 +139,54 @@ TEST(Crossbar, DropsWhenBufferFull) {
   }
   EXPECT_EQ(sw.Backlog(vc), 4u);
   EXPECT_EQ(sw.CellsDropped(vc), 2u);
+}
+
+TEST(Crossbar, OnePortUncongestedCircuitUnaffectedByOthersTickets) {
+  // A lightly loaded circuit gets everything it asks for even with few
+  // tickets ("a client will obtain more of a lightly contended resource").
+  FastRand rng(5);
+  CrossbarSwitch link(LinkOpts(), &rng);
+  const auto light = link.AddCircuit(0, 0, 1);    // light, poor
+  const auto heavy = link.AddCircuit(0, 0, 100);  // heavy, rich
+  SimTime now = At(0);
+  uint64_t offered = 0;
+  for (int step = 0; step < 1000; ++step) {
+    // The light circuit offers 10 cells/ms (10% of the link); the heavy
+    // one refills its buffer every millisecond.
+    for (int i = 0; i < 10; ++i) {
+      if (link.Enqueue(light, now)) {
+        ++offered;
+      }
+    }
+    while (link.Backlog(heavy) < 32) {
+      link.Enqueue(heavy, now);
+    }
+    now = now + SimDuration::Millis(1);
+    link.AdvanceTo(now);
+  }
+  link.AdvanceTo(now + SimDuration::Millis(10));
+  EXPECT_GT(static_cast<double>(link.CellsSent(light)),
+            0.95 * static_cast<double>(offered));
+}
+
+TEST(Crossbar, OnePortDelayTracksTickets) {
+  FastRand rng(77);
+  CrossbarSwitch link(LinkOpts(), &rng);
+  const auto rich = link.AddCircuit(0, 0, 400);
+  const auto poor = link.AddCircuit(0, 0, 100);
+  SimTime now = At(0);
+  // Offered load 2 x 64 cells/ms against 100 cells/ms of capacity: the
+  // link stays congested and queueing delay differentiates by tickets.
+  for (int step = 0; step < 5000; ++step) {
+    for (const auto vc : {rich, poor}) {
+      while (link.Backlog(vc) < 64) {
+        link.Enqueue(vc, now);
+      }
+    }
+    now = now + SimDuration::Millis(1);
+    link.AdvanceTo(now);
+  }
+  EXPECT_LT(link.Delay(rich).mean(), link.Delay(poor).mean());
 }
 
 // The classic randomized-matching result: with uniform saturated traffic,

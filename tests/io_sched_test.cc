@@ -1,10 +1,14 @@
-// Tests for lottery-scheduled disk bandwidth and link (virtual circuit)
-// scheduling (Section 6's generalization to diverse resources).
+// Tests for lottery-scheduled disk bandwidth (Section 6's generalization to
+// diverse resources), and for the stepping invariance that the disk and the
+// cell switch (src/sim/crossbar.h) both keep.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "src/sim/crossbar.h"
 #include "src/sim/disk.h"
-#include "src/sim/link.h"
 
 namespace lottery {
 namespace {
@@ -132,119 +136,125 @@ TEST(Disk, RequestsSpanAdvanceWindows) {
   EXPECT_TRUE(disk.idle());
 }
 
-// --- LinkScheduler --------------------------------------------------------------
+// --- Stepping invariance ------------------------------------------------------
 
-LinkScheduler::Options LinkOpts() {
-  LinkScheduler::Options o;
-  o.cell_time = SimDuration::Micros(10);
-  o.buffer_cells = 64;
-  return o;
-}
+// A backlogged device must do the same work however its caller steps it to
+// a horizon: in one call, or in many short or uneven ones. Every output is
+// compared exactly, so one extra, lost or shifted slot, draw or request
+// shows.
 
-TEST(Link, RejectsBadConfig) {
-  FastRand rng(1);
-  LinkScheduler::Options bad;
-  bad.cell_time = SimDuration::Nanos(0);
-  EXPECT_THROW(LinkScheduler(bad, &rng), std::invalid_argument);
-}
+constexpr int64_t kHorizonNs = 10 * 1000 * 1000;  // 10 ms
 
-TEST(Link, SendsBufferedCells) {
-  FastRand rng(1);
-  LinkScheduler link(LinkOpts(), &rng);
-  link.RegisterCircuit(1, 10);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_TRUE(link.Enqueue(1, At(0)));
+SimTime AtNs(int64_t ns) { return SimTime::Zero() + SimDuration::Nanos(ns); }
+
+// Advances `device` to the horizon in calls of `step_ns`, the last one
+// clamped to the horizon.
+template <typename Device>
+void StepToHorizon(Device& device, int64_t step_ns) {
+  for (int64_t t = step_ns; t < kHorizonNs; t += step_ns) {
+    device.AdvanceTo(AtNs(t));
   }
-  link.AdvanceTo(At(10));
-  EXPECT_EQ(link.CellsSent(1), 10u);
-  EXPECT_EQ(link.Backlog(1), 0u);
+  device.AdvanceTo(AtNs(kHorizonNs));
 }
 
-TEST(Link, DropsWhenBufferFull) {
-  FastRand rng(1);
-  LinkScheduler link(LinkOpts(), &rng);
-  link.RegisterCircuit(1, 10);
-  for (size_t i = 0; i < 64; ++i) {
-    EXPECT_TRUE(link.Enqueue(1, At(0)));
-  }
-  EXPECT_FALSE(link.Enqueue(1, At(0)));
-  EXPECT_EQ(link.CellsDropped(1), 1u);
+void AppendStats(const obs::StreamingStats& stats, std::vector<double>* out) {
+  out->insert(out->end(), {static_cast<double>(stats.count()), stats.mean(),
+                           stats.min(), stats.max()});
 }
 
-TEST(Link, CongestedSharesFollowTickets) {
-  // Three circuits, 3:2:1, all saturated: throughput splits 3:2:1.
-  FastRand rng(31337);
-  LinkScheduler::Options lopts = LinkOpts();
-  lopts.buffer_cells = 512;
-  LinkScheduler link(lopts, &rng);
-  link.RegisterCircuit(1, 300);
-  link.RegisterCircuit(2, 200);
-  link.RegisterCircuit(3, 100);
-  SimTime now = At(0);
-  // Keep every circuit saturated: the link moves 100 cells/ms, so refill
-  // each buffer to 256 every 1 ms step (drain per circuit <= 100).
-  for (int step = 0; step < 10000; ++step) {
-    for (LinkScheduler::CircuitId c : {1u, 2u, 3u}) {
-      while (link.Backlog(c) < 512) {
-        link.Enqueue(c, now);
+// A switch of `ports` ports with 3 us cells and three circuits at 3:2:1
+// tickets per (input, output) pair, each buffered with more cells at time
+// zero than the horizon can send. Returns the totals, then each circuit's
+// sent, dropped and backlog counts and its delay statistics.
+std::vector<double> SwitchOutputs(int ports, int64_t step_ns) {
+  FastRand rng(17);
+  CrossbarSwitch::Options o;
+  o.num_ports = ports;
+  o.cell_time = SimDuration::Micros(3);
+  o.buffer_cells = 2048;
+  CrossbarSwitch sw(o, &rng);
+  std::vector<CrossbarSwitch::CircuitId> vcs;
+  for (int in = 0; in < ports; ++in) {
+    for (int out = 0; out < ports; ++out) {
+      for (const uint64_t tickets : {uint64_t{3}, uint64_t{2}, uint64_t{1}}) {
+        vcs.push_back(sw.AddCircuit(in, out, tickets));
       }
     }
-    now = now + SimDuration::Millis(1);
-    link.AdvanceTo(now);
   }
-  const double total = static_cast<double>(
-      link.CellsSent(1) + link.CellsSent(2) + link.CellsSent(3));
-  EXPECT_NEAR(static_cast<double>(link.CellsSent(1)) / total, 0.5, 0.03);
-  EXPECT_NEAR(static_cast<double>(link.CellsSent(2)) / total, 1.0 / 3, 0.03);
-  EXPECT_NEAR(static_cast<double>(link.CellsSent(3)) / total, 1.0 / 6, 0.03);
+  for (const auto vc : vcs) {
+    while (sw.Enqueue(vc, AtNs(0))) {
+    }
+  }
+  StepToHorizon(sw, step_ns);
+  std::vector<double> out = {static_cast<double>(sw.total_cells_sent()),
+                             static_cast<double>(sw.slots_elapsed()),
+                             static_cast<double>(sw.now().nanos())};
+  for (const auto vc : vcs) {
+    EXPECT_GT(sw.Backlog(vc), 0u) << "circuit " << vc << " drained";
+    out.insert(out.end(), {static_cast<double>(sw.CellsSent(vc)),
+                           static_cast<double>(sw.CellsDropped(vc)),
+                           static_cast<double>(sw.Backlog(vc))});
+    AppendStats(sw.Delay(vc), &out);
+  }
+  return out;
 }
 
-TEST(Link, UncongestedCircuitUnaffectedByOthersTickets) {
-  // A lightly loaded circuit gets everything it asks for even with few
-  // tickets ("a client will obtain more of a lightly contended resource").
-  FastRand rng(5);
-  LinkScheduler link(LinkOpts(), &rng);
-  link.RegisterCircuit(1, 1);    // light, poor
-  link.RegisterCircuit(2, 100);  // heavy, rich
-  SimTime now = At(0);
-  uint64_t offered1 = 0;
-  for (int step = 0; step < 1000; ++step) {
-    // Circuit 1 offers 10 cells/ms (10% of link); circuit 2 saturates.
-    for (int i = 0; i < 10; ++i) {
-      if (link.Enqueue(1, now)) {
-        ++offered1;
-      }
+// A 1 GB/s disk with a 10 us seek and three clients at 3:2:1 tickets, each
+// with more 4-12 KB requests queued at time zero than the horizon can
+// serve. Returns each client's bytes, requests and queue depth and its
+// queueing-delay statistics.
+std::vector<double> DiskOutputs(int64_t step_ns) {
+  FastRand rng(17);
+  DiskScheduler::Options o;
+  o.bytes_per_second = 1000 * 1000 * 1000;
+  o.seek_overhead = SimDuration::Micros(10);
+  DiskScheduler disk(o, &rng);
+  for (DiskScheduler::ClientId c = 1; c <= 3; ++c) {
+    disk.RegisterClient(c, 4 - c);
+    for (int i = 0; i < 1000; ++i) {
+      disk.Submit(c, 4096 * (1 + i % 3), AtNs(0));
     }
-    while (link.Backlog(2) < 32) {
-      link.Enqueue(2, now);
-    }
-    now = now + SimDuration::Millis(1);
-    link.AdvanceTo(now);
   }
-  link.AdvanceTo(now + SimDuration::Millis(10));
-  EXPECT_GT(static_cast<double>(link.CellsSent(1)),
-            0.95 * static_cast<double>(offered1));
+  StepToHorizon(disk, step_ns);
+  std::vector<double> out = {static_cast<double>(disk.now().nanos())};
+  for (DiskScheduler::ClientId c = 1; c <= 3; ++c) {
+    EXPECT_GT(disk.QueueDepth(c), 0u) << "client " << c << " drained";
+    out.insert(out.end(), {static_cast<double>(disk.BytesServed(c)),
+                           static_cast<double>(disk.RequestsServed(c)),
+                           static_cast<double>(disk.QueueDepth(c))});
+    AppendStats(disk.QueueDelay(c), &out);
+  }
+  return out;
 }
 
-TEST(Link, DelayTracksTickets) {
-  FastRand rng(77);
-  LinkScheduler link(LinkOpts(), &rng);
-  link.RegisterCircuit(1, 400);
-  link.RegisterCircuit(2, 100);
-  SimTime now = At(0);
-  // Offered load 2 x 64 cells/ms against 100 cells/ms of capacity: the
-  // port stays congested and queueing delay differentiates by tickets.
-  for (int step = 0; step < 5000; ++step) {
-    for (LinkScheduler::CircuitId c : {1u, 2u}) {
-      while (link.Backlog(c) < 64) {
-        link.Enqueue(c, now);
-      }
-    }
-    now = now + SimDuration::Millis(1);
-    link.AdvanceTo(now);
+// The horizon in one call, in 1000 calls of 10 us and in 997 uneven calls
+// of 10.031 us must give the same outputs.
+template <typename Run>
+void ExpectSameForEveryStepping(Run run) {
+  const std::vector<double> one_call = run(kHorizonNs);
+  for (const int64_t step_ns : {10000, 10031}) {
+    const std::vector<double> stepped = run(step_ns);
+    ASSERT_EQ(stepped.size(), one_call.size());
+    const auto diff =
+        std::mismatch(stepped.begin(), stepped.end(), one_call.begin());
+    EXPECT_TRUE(diff.first == stepped.end())
+        << "steps of " << step_ns << " ns: output "
+        << (diff.first - stepped.begin()) << " is " << *diff.first
+        << ", one call gives " << *diff.second;
   }
-  EXPECT_LT(link.Delay(1).mean(), link.Delay(2).mean());
 }
+
+TEST(SteppingInvariance, OnePortSwitch) {
+  ExpectSameForEveryStepping(
+      [](int64_t step_ns) { return SwitchOutputs(1, step_ns); });
+}
+
+TEST(SteppingInvariance, EightPortSwitch) {
+  ExpectSameForEveryStepping(
+      [](int64_t step_ns) { return SwitchOutputs(8, step_ns); });
+}
+
+TEST(SteppingInvariance, Disk) { ExpectSameForEveryStepping(DiskOutputs); }
 
 }  // namespace
 }  // namespace lottery

@@ -16,6 +16,7 @@
 #include "src/obs/registry.h"
 #include "src/obs/timeseries/sampler.h"
 #include "src/obs/timeseries/series.h"
+#include "src/sched/smp/smp_scheduler.h"
 #include "src/sim/kernel.h"
 #include "src/workloads/compute.h"
 
@@ -295,6 +296,58 @@ TEST(Sampler, WatchCounterRecordsRates) {
   ASSERT_GT(rate->size(), 0u);
   // One spin thread, 100 ms quantum: 10 dispatches/s.
   EXPECT_NEAR(rate->last_value(), 10.0, 1.0);
+}
+
+TEST(Sampler, PartitionedSchedulerAddsPerCpuSeries) {
+  // A scheduler with one run queue per CPU also gets per-CPU queue depth
+  // and steal series, read from the registry the scheduler writes, not the
+  // sampler's own.
+  obs::Registry sched_registry;
+  smp::SmpScheduler::Options so;
+  so.num_cpus = 2;
+  so.seed = 5;
+  so.metrics = &sched_registry;
+  smp::SmpScheduler sched(so);
+  Kernel::Options kopts;
+  kopts.num_cpus = 2;
+  kopts.metrics = &sched_registry;
+  Kernel kernel(&sched, kopts);
+  obs::Registry sampler_registry;
+  ts::Sampler::Options topts;
+  topts.metrics = &sampler_registry;
+  ts::Sampler sampler(&kernel, topts);
+  sampler.AttachScheduler(&sched);
+  kernel.SetSampler(&sampler);
+  for (int i = 0; i < 6; ++i) {
+    const ThreadId tid = kernel.Spawn("t" + std::to_string(i),
+                                      std::make_unique<SpinBody>());
+    sched.FundThread(tid, sched.table().base(), 100 * (i + 1));
+  }
+  kernel.RunFor(SimDuration::Seconds(20));
+  for (const char* name :
+       {"cpu0.queued", "cpu1.queued", "cpu0.steals_in", "cpu1.steals_in",
+        "smp.steal_rate_hz", "smp.migration_rate_hz"}) {
+    const ts::Series* series = sampler.FindSeries(name);
+    ASSERT_NE(series, nullptr) << name;
+    EXPECT_GT(series->size(), 0u) << name;
+  }
+  uint64_t steals_in = 0;
+  for (const int cpu : {0, 1}) {
+    const std::string name = "cpu" + std::to_string(cpu) + ".steals_in";
+    const uint64_t count =
+        sched_registry.FindCounter("smp." + name)->value();
+    EXPECT_EQ(sampler.FindSeries(name)->last_value(),
+              static_cast<double>(count));
+    steals_in += count;
+  }
+  EXPECT_GT(steals_in, 0u);
+  EXPECT_EQ(steals_in, sched.steals() + sched.migrations());
+  EXPECT_EQ(sampler_registry.FindCounter("smp.steals"), nullptr);
+
+  // A one-queue scheduler gets none of them.
+  World world(3);
+  EXPECT_EQ(world.sampler->FindSeries("cpu0.queued"), nullptr);
+  EXPECT_EQ(world.sampler->FindSeries("smp.steal_rate_hz"), nullptr);
 }
 
 // ---------------------------------------------------------------------------

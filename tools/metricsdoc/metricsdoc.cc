@@ -54,8 +54,9 @@ const Family kFamilies[] = {
 const std::pair<std::pair<const char*, const char*>, size_t>
     kDynamicAllowance[] = {
         {{"src/sched/smp/smp_scheduler.cc", "counter"}, 3},
-        // AttachSmp resolves smp.cpu<i>.steals_in; WatchCounter resolves a
-        // caller-chosen existing counter (documented as rate.<counter>).
+        // AttachScheduler resolves smp.cpu<i>.steals_in; WatchCounter
+        // resolves a caller-chosen existing counter (documented as
+        // rate.<counter>).
         {{"src/obs/timeseries/sampler.cc", "counter"}, 2},
         {{"src/obs/timeseries/sampler.cc", "series"}, 9},
 };
