@@ -157,8 +157,8 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   // The registry this scheduler's obs hooks write into.
   obs::Registry& metrics() { return *metrics_; }
   // Counts one ticket transfer against this scheduler (lottery.transfers).
-  // Called by the kernel services (mutex, rwlock, semaphore, RPC) at each
-  // TicketTransfer they create on behalf of a blocking thread.
+  // Called by the kernel services (mutex, RPC) at each TicketTransfer they
+  // create on behalf of a blocking thread.
   void NoteTransfer() { transfers_->Inc(); }
 
  protected:

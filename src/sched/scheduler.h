@@ -1,8 +1,8 @@
 // Policy-agnostic CPU scheduler interface.
 //
 // The simulation kernel (src/sim/kernel.h) drives any Scheduler through this
-// interface, so the lottery scheduler and every baseline (round-robin, fixed
-// priority, decay-usage timesharing, stride) run the identical workloads.
+// interface, so the lottery scheduler and every baseline (round-robin,
+// decay-usage timesharing, stride) run the identical workloads.
 //
 // Protocol, from the kernel's point of view:
 //   AddThread(id)            thread exists (not yet ready)
@@ -64,8 +64,8 @@ class Scheduler {
 
   // The ticket economy (currency table, transfers, compensation) behind
   // this policy, which the kernel services fund and inherit through; null
-  // for the ticketless baselines (round-robin, priority, decay-usage,
-  // stride), under which those services fall back to FIFO.
+  // for the ticketless baselines (round-robin, decay-usage, stride), under
+  // which those services fall back to FIFO.
   virtual LotteryScheduler* economy() { return nullptr; }
 
   // The dispatched thread ran for `used` out of an allotted `quantum`.

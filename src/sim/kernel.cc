@@ -303,19 +303,6 @@ std::vector<ThreadId> Kernel::SleepingThreads() const {
   return sleeping;
 }
 
-bool Kernel::IsQuiescent() const {
-  util::SeqGuard guard(dispatch_seq_);
-  if (runnable_count_ > 0 || !events_.empty()) {
-    return false;
-  }
-  for (const SimTime free_at : cpu_free_) {
-    if (free_at > now_) {
-      return false;  // a slice is still in flight
-    }
-  }
-  return true;
-}
-
 bool Kernel::Alive(ThreadId tid) const {
   return tid >= 1 && tid < next_tid_ && threads_[tid - 1].alive;
 }
@@ -531,23 +518,6 @@ void Kernel::RunUntil(SimTime end) {
     }
     DeliverTicks();
   }
-}
-
-bool Kernel::RunUntilQuiescent(SimDuration horizon) {
-  const SimTime limit = now_ + horizon;
-  while (now_ < limit) {
-    if (IsQuiescent()) {
-      return true;
-    }
-    // Step one quantum at a time; quiescence is re-checked between steps
-    // (RunUntil itself idles forward when asked, so it cannot detect it).
-    SimTime step = now_ + options_.quantum;
-    if (step > limit) {
-      step = limit;
-    }
-    RunUntil(step);
-  }
-  return IsQuiescent();
 }
 
 SimDuration Kernel::CpuTime(ThreadId tid) const {

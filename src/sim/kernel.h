@@ -52,8 +52,8 @@ class ThreadExitObserver {
 // dispatch serialization domain already held, between dispatch steps — and
 // returns the next due time (nanos). Implementations must use the kernel's
 // loop-safe readers (ThreadRunnable, LastDispatched, CpuBusySampled,
-// idle_time, ...) and must never re-enter RunUntil, CpuBusy or IsQuiescent:
-// those take the dispatch domain again, which Debug builds assert against.
+// idle_time, ...) and must never re-enter RunUntil or CpuBusy: those take
+// the dispatch domain again, which Debug builds assert against.
 // The polling compiles out entirely under LOTTERY_OBS=OFF.
 class SampleHook {
  public:
@@ -165,7 +165,7 @@ class Kernel {
     // (bounded by one quantum) — see DESIGN.md.
     int num_cpus = 1;
     // Metric sink; nullptr selects obs::Registry::Default(). Kernel services
-    // (mutexes, locks, semaphores) inherit this registry via metrics().
+    // (mutexes, RPC ports) inherit this registry via metrics().
     obs::Registry* metrics = nullptr;
     // Fault injector consulted at dispatch and wake opportunities; kernel
     // services pick it up via faults(). nullptr (the default) disables
@@ -212,19 +212,14 @@ class Kernel {
   // left to do). May be called repeatedly to single-step experiments.
   void RunUntil(SimTime end);
   void RunFor(SimDuration duration) { RunUntil(now_ + duration); }
-  // Runs until no thread is runnable and no event is pending (all threads
-  // exited or permanently blocked), up to a safety `horizon`. Returns true
-  // if the machine went quiescent before the horizon.
-  bool RunUntilQuiescent(
-      SimDuration horizon = SimDuration::Seconds(1000000));
 
   SimTime now() const { return now_; }
   EventQueue& events() { return events_; }
   Scheduler* scheduler() { return scheduler_; }
   // The policy scheduler's ticket economy (Scheduler::economy()): non-null
-  // under every lottery scheduler — plain, hybrid and partitioned SMP —
-  // and null under the ticketless baselines. Kernel services (RPC, mutexes,
-  // rwlocks, semaphores) use it for ticket transfers and inheritance.
+  // under both lottery schedulers, plain and partitioned SMP, and null
+  // under the ticketless baselines. Kernel services (RPC ports, mutexes)
+  // use it for ticket transfers and inheritance.
   LotteryScheduler* lottery() { return lottery_; }
   Tracer* tracer() { return tracer_; }
   // Structured-event trace shared by the kernel and its services (mutexes,
@@ -310,8 +305,6 @@ class Kernel {
   // injection, and the path every undelayed Wake funnels through.
   void WakeNow(ThreadId tid, SimTime when);
   void DeliverTicks();
-  // No runnable threads, no pending events, no slice in flight.
-  bool IsQuiescent() const;
   // Applies a slice's outcome at its (virtual) completion time.
   void FinishSlice(ThreadId tid, Disposition disposition, SimDuration sleep,
                    SimTime when);
@@ -347,9 +340,9 @@ class Kernel {
   uint64_t zero_use_streak_ = 0;
   // Serialization domain for the per-CPU dispatch frontier: RunUntil is the
   // only writer today; when the SMP rebalancer gives each CPU its own
-  // dispatch loop, this becomes the per-domain dispatch lock. Readers
-  // (IsQuiescent, CpuBusy) enter the same domain — they must never overlap
-  // an in-flight dispatch step, which Debug builds assert.
+  // dispatch loop, this becomes the per-domain dispatch lock. Its reader
+  // (CpuBusy) enters the same domain — it must never overlap an in-flight
+  // dispatch step, which Debug builds assert.
   mutable util::Seq dispatch_seq_;
   // Per-CPU state: when each CPU is next free, what it last ran (for
   // context-switch counting), and its cumulative busy time.

@@ -25,16 +25,13 @@ void TraceMutex(etrace::TraceBuffer* trace, etrace::EventType type,
 
 }  // namespace
 
-SimMutex::SimMutex(Kernel* kernel, const std::string& name,
-                   int64_t transfer_amount)
+SimMutex::SimMutex(Kernel* kernel, const std::string& name)
     : kernel_(kernel),
       name_(name),
       m_acquisitions_(kernel->metrics().counter("mutex.acquisitions")),
       m_contended_(kernel->metrics().counter("mutex.contended")),
       m_wait_us_(kernel->metrics().histogram("mutex.wait_us")),
-      waiters_(kernel, "mutex:" + name, transfer_amount, m_wait_us_,
-               "mutex_wait:"),
-      inheritance_ticket_(waiters_.IssueTicket()) {
+      waiters_(kernel, "mutex:" + name, m_wait_us_, "mutex_wait:") {
   if (kernel_->etrace() != nullptr) {
     trace_name_ = kernel_->etrace()->Intern("mutex:" + name);
   }
@@ -121,7 +118,7 @@ void SimMutex::ReleaseAndGrant(SimTime now) {
              now.nanos(), owner_, trace_name_);
   if (waiters_.empty()) {
     owner_ = kInvalidThreadId;
-    waiters_.Inherit(inheritance_ticket_, kInvalidThreadId);
+    waiters_.Inherit(kInvalidThreadId);
     return;
   }
   // The draw values the waiters while the inheritance ticket still funds
@@ -140,7 +137,7 @@ void SimMutex::GrantTo(ThreadId tid) {
   m_acquisitions_->Inc();
   // The new owner now executes with its own funding plus the funding of
   // all remaining waiters.
-  waiters_.Inherit(inheritance_ticket_, tid);
+  waiters_.Inherit(tid);
 }
 
 }  // namespace lottery

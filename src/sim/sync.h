@@ -1,9 +1,9 @@
-// Lottery-scheduled mutex (Section 6.1, Figures 10 and 11), built on the
-// shared WaitQueue (wait_queue.h). The mutex keeps only its admission
-// rule, one owner: the queue's one inheritance ticket funds that owner,
-// which therefore runs with its own funding plus all waiters' funding (the
-// paper's answer to priority inversion), and on release the queue's
-// lottery picks the next owner.
+// Lottery-scheduled mutex (Section 6.1, Figures 10 and 11), built on
+// WaitQueue (wait_queue.h). The mutex keeps only its admission rule, one
+// owner: the queue's inheritance ticket funds that owner, which therefore
+// runs with its own funding plus all waiters' funding (the paper's answer
+// to priority inversion), and on release the queue's lottery picks the
+// next owner.
 //
 // Under a non-lottery scheduler the same object degrades to a plain FIFO
 // mutex (no transfers), so every baseline can run the identical workload.
@@ -34,11 +34,8 @@ namespace lottery {
 // runtime-check real ownership. See thread_safety.h for the protocol.
 class CAPABILITY("mutex") SimMutex : public ThreadExitObserver {
  public:
-  // `kernel` must outlive the mutex. Transfer amounts are the face value of
-  // waiter transfer tickets; any positive constant works (shares are
-  // relative within each waiter's thread currency).
-  SimMutex(Kernel* kernel, const std::string& name,
-           int64_t transfer_amount = 1000);
+  // `kernel` must outlive the mutex.
+  SimMutex(Kernel* kernel, const std::string& name);
   ~SimMutex();
   SimMutex(const SimMutex&) = delete;
   SimMutex& operator=(const SimMutex&) = delete;
@@ -95,8 +92,6 @@ class CAPABILITY("mutex") SimMutex : public ThreadExitObserver {
   ThreadId owner_ GUARDED_BY(seq_) = kInvalidThreadId;
   WaitQueue waiters_ GUARDED_BY(seq_);
   uint64_t acquisitions_ GUARDED_BY(seq_) = 0;
-  // Funds the owner (null when the policy scheduler is not lottery).
-  Ticket* inheritance_ticket_;
   // Interned mutex name for trace events (0 when tracing is off).
   uint32_t trace_name_ = 0;
 };

@@ -37,18 +37,6 @@ int64_t Tracer::WindowProgress(ThreadId tid, size_t w) const {
   return it->second[w];
 }
 
-int64_t Tracer::CumulativeThrough(ThreadId tid, size_t w) const {
-  const auto it = progress_.find(tid);
-  if (it == progress_.end()) {
-    return 0;
-  }
-  int64_t sum = 0;
-  for (size_t i = 0; i <= w && i < it->second.size(); ++i) {
-    sum += it->second[i];
-  }
-  return sum;
-}
-
 void Tracer::RecordSample(const std::string& series, SimTime now,
                           double value) {
   samples_[series].push_back(Sample{now.ToSecondsF(), value});
@@ -67,10 +55,6 @@ obs::StreamingStats Tracer::SampleStats(const std::string& series) const {
     stat.Add(s.value);
   }
   return stat;
-}
-
-bool Tracer::HasSeries(const std::string& series) const {
-  return samples_.count(series) > 0;
 }
 
 void Tracer::EnableDispatchLog(size_t cap) {
@@ -92,20 +76,6 @@ void Tracer::RecordDispatch(ThreadId tid, int cpu, SimTime start,
       Dispatch{tid, cpu, start.ToSecondsF(), used.ToSecondsF()});
 }
 
-std::string Tracer::DispatchesCsv() const {
-  std::ostringstream out;
-  if (dispatch_dropped_ > 0) {
-    out << "# dropped=" << dispatch_dropped_
-        << " dispatches past the log cap of " << dispatch_cap_ << "\n";
-  }
-  out << "tid,cpu,start_sec,duration_sec\n";
-  for (const Dispatch& d : dispatches_) {
-    out << d.tid << "," << d.cpu << "," << d.start_sec << ","
-        << d.duration_sec << "\n";
-  }
-  return out.str();
-}
-
 std::string Tracer::WindowsCsv(const std::vector<ThreadId>& tids,
                                const std::vector<std::string>& labels) const {
   if (tids.size() != labels.size()) {
@@ -123,15 +93,6 @@ std::string Tracer::WindowsCsv(const std::vector<ThreadId>& tids,
       out << "," << WindowProgress(tid, w);
     }
     out << "\n";
-  }
-  return out.str();
-}
-
-std::string Tracer::SeriesCsv(const std::string& series) const {
-  std::ostringstream out;
-  out << "time_sec,value\n";
-  for (const Sample& sample : Samples(series)) {
-    out << sample.time_sec << "," << sample.value << "\n";
   }
   return out.str();
 }

@@ -31,8 +31,6 @@ class Tracer {
   int64_t WindowProgress(ThreadId tid, size_t w) const;
   size_t num_windows() const { return num_windows_; }
   SimDuration window() const { return window_; }
-  // Cumulative progress of `tid` up to and including window `w`.
-  int64_t CumulativeThrough(ThreadId tid, size_t w) const;
 
   // --- Named scalar samples (latencies, rates, errors) ----------------------
 
@@ -43,7 +41,6 @@ class Tracer {
   };
   const std::vector<Sample>& Samples(const std::string& series) const;
   obs::StreamingStats SampleStats(const std::string& series) const;
-  bool HasSeries(const std::string& series) const;
 
   // --- Dispatch timeline ------------------------------------------------------
 
@@ -61,12 +58,8 @@ class Tracer {
   bool dispatch_log_enabled() const { return dispatch_log_enabled_; }
   void RecordDispatch(ThreadId tid, int cpu, SimTime start, SimDuration used);
   const std::vector<Dispatch>& dispatches() const { return dispatches_; }
-  // Dispatches that arrived after the log hit its cap. Benches print this
-  // to stderr so a truncated Gantt chart is never mistaken for a full one.
+  // Dispatches that arrived after the log hit its cap.
   uint64_t dropped() const { return dispatch_dropped_; }
-  // Gantt-style CSV: tid,cpu,start_sec,duration_sec. When the cap was hit,
-  // the first line is a `# dropped=N ...` comment.
-  std::string DispatchesCsv() const;
 
   // --- Export ----------------------------------------------------------------
 
@@ -74,8 +67,6 @@ class Tracer {
   // (labelled by `labels`, aligned with `tids`). For re-plotting figures.
   std::string WindowsCsv(const std::vector<ThreadId>& tids,
                          const std::vector<std::string>& labels) const;
-  // One series as CSV rows of (time_sec, value).
-  std::string SeriesCsv(const std::string& series) const;
 
  private:
   SimDuration window_;

@@ -6,16 +6,25 @@
 
 namespace lottery {
 
+namespace {
+
+// Face value of waiter transfers and of the inheritance ticket. Any
+// positive constant gives the same shares: they are relative within each
+// currency.
+constexpr int64_t kTransferAmount = 1000;
+
+}  // namespace
+
 WaitQueue::WaitQueue(Kernel* kernel, const std::string& currency_name,
-                     int64_t transfer_amount, obs::LatencyHistogram* wait_us,
-                     std::string wait_series)
+                     obs::LatencyHistogram* wait_us, std::string wait_series)
     : kernel_(kernel),
       economy_(kernel->lottery()),
-      transfer_amount_(transfer_amount),
       wait_us_(wait_us),
       wait_series_(std::move(wait_series)) {
   if (economy_ != nullptr) {
-    currency_ = economy_->table().CreateCurrency(currency_name);
+    CurrencyTable& table = economy_->table();
+    currency_ = table.CreateCurrency(currency_name);
+    inheritance_ = table.CreateTicket(currency_, kTransferAmount);
   }
 }
 
@@ -23,51 +32,32 @@ WaitQueue::~WaitQueue() {
   if (currency_ == nullptr) {
     return;
   }
-  // Waiter transfers fund the currency and inheritance tickets are issued
-  // in it; both must go before it can.
+  // Waiter transfers fund the currency and the inheritance ticket is
+  // issued in it; both must go before it can.
   waiters_.clear();
   CurrencyTable& table = economy_->table();
-  for (auto it = tickets_.rbegin(); it != tickets_.rend(); ++it) {
-    table.DestroyTicket(*it);
-  }
+  table.DestroyTicket(inheritance_);
   table.DestroyCurrency(currency_);
 }
 
-Ticket* WaitQueue::IssueTicket() {
-  if (currency_ == nullptr) {
-    return nullptr;
-  }
-  Ticket* ticket = economy_->table().CreateTicket(currency_, transfer_amount_);
-  tickets_.push_back(ticket);
-  return ticket;
-}
-
-void WaitQueue::Inherit(Ticket* ticket, ThreadId tid) {
-  if (ticket == nullptr) {
+void WaitQueue::Inherit(ThreadId tid) {
+  if (inheritance_ == nullptr) {
     return;
   }
   CurrencyTable& table = economy_->table();
-  if (ticket->funds() != nullptr) {
-    table.Unfund(ticket);
+  if (inheritance_->funds() != nullptr) {
+    table.Unfund(inheritance_);
   }
   if (tid != kInvalidThreadId) {
-    table.Fund(economy_->thread_currency(tid), ticket);
+    table.Fund(economy_->thread_currency(tid), inheritance_);
   }
 }
 
-void WaitQueue::DestroyTicket(Ticket* ticket) {
-  if (ticket == nullptr) {
-    return;
-  }
-  std::erase(tickets_, ticket);
-  economy_->table().DestroyTicket(ticket);
-}
-
-void WaitQueue::Park(ThreadId tid, SimTime now, bool writer) {
-  Waiter waiter{tid, now, writer, std::nullopt};
+void WaitQueue::Park(ThreadId tid, SimTime now) {
+  Waiter waiter{tid, now, std::nullopt};
   if (economy_ != nullptr) {
     waiter.transfer.emplace(&economy_->table(), economy_->thread_currency(tid),
-                            currency_, transfer_amount_);
+                            currency_, kTransferAmount);
     economy_->NoteTransfer();
   }
   waiters_.push_back(std::move(waiter));
@@ -85,8 +75,8 @@ size_t WaitQueue::Draw() {
   if (economy_ == nullptr) {
     return 0;
   }
-  // Valued while the inheritance tickets still fund the current holders,
-  // so the waiters' transfers are active through them.
+  // Valued while the inheritance ticket still funds the current holder, so
+  // the waiters' transfers are active through it.
   const auto it = DrawWeighted(
       economy_->rng(), waiters_.begin(), waiters_.end(),
       [this](const Waiter& waiter) { return Weight(waiter); });

@@ -1,16 +1,14 @@
-// The lottery wait queue of Section 6.1, written once for every service
-// that makes threads wait: SimMutex, SimSemaphore and SimRwLock.
+// The lottery wait queue of Section 6.1, under SimMutex.
 //
 // Figure 10's mechanism: the resource has its own currency. A thread that
 // parks backs it with a ticket issued in its own thread currency (a
 // TicketTransfer); once the waiter blocks, that ticket carries the
-// waiter's whole funding into the resource. Inheritance tickets issued in
-// the resource currency pass the pooled funding on to whoever the waiters
-// wait for: the mutex owner, the semaphore's beneficiary, the rwlock's
-// writer or each of its readers. When the resource frees up, a lottery
-// over the waiters' transferred values picks who goes next. Section 6
-// applies this "wherever queueing is necessary"; each service keeps only
-// its admission rule and does its own wakes.
+// waiter's whole funding into the resource. The queue's one inheritance
+// ticket, issued in the resource currency, passes the pooled funding on to
+// the thread the waiters wait for (the mutex owner). When the resource
+// frees up, a lottery over the waiters' transferred values picks who goes
+// next. Section 6 applies this "wherever queueing is necessary"; the
+// service keeps only its admission rule and does its own wakes.
 //
 // Without a ticket economy (a non-lottery scheduler) the queue creates no
 // currency, tickets or transfers, and every draw takes the oldest waiter,
@@ -38,40 +36,32 @@ class WaitQueue {
   struct Waiter {
     ThreadId tid;
     SimTime since;
-    bool writer;  // a SimRwLock writer; false for every other waiter
     std::optional<TicketTransfer> transfer;  // empty without an economy
   };
 
-  // Creates `currency_name` in the kernel's economy, if it has one.
-  // `transfer_amount` is the face value of waiter transfers and inheritance
-  // tickets (any positive constant: shares are relative within each
-  // currency). Every wait taken out is recorded in `wait_us` (microseconds
-  // of simulated time) and in the kernel's Tracer as `wait_series` followed
-  // by the thread's name.
+  // Creates `currency_name` in the kernel's economy, if it has one, and
+  // issues the inheritance ticket in it, funding nobody. Waiter transfers
+  // and the inheritance ticket have one constant face value (shares are
+  // relative within each currency). Every wait taken out is recorded in
+  // `wait_us` (microseconds of simulated time) and in the kernel's Tracer
+  // as `wait_series` followed by the thread's name.
   WaitQueue(Kernel* kernel, const std::string& currency_name,
-            int64_t transfer_amount, obs::LatencyHistogram* wait_us,
-            std::string wait_series);
-  // Ends outstanding transfers, destroys the remaining inheritance tickets
-  // (newest first), then the currency. Waiters left at destruction mean a
-  // truncated run, which is normal for fixed-horizon experiments.
+            obs::LatencyHistogram* wait_us, std::string wait_series);
+  // Ends outstanding transfers, destroys the inheritance ticket, then the
+  // currency. Waiters left at destruction mean a truncated run, which is
+  // normal for fixed-horizon experiments.
   ~WaitQueue();
   WaitQueue(const WaitQueue&) = delete;
   WaitQueue& operator=(const WaitQueue&) = delete;
 
-  // Issues an inheritance ticket in the queue's currency, funding nobody
-  // (null without an economy).
-  Ticket* IssueTicket();
-  // The one move an inheritance ticket makes: it now funds `tid`'s thread
-  // currency, or nobody for kInvalidThreadId. A null ticket is a no-op.
-  void Inherit(Ticket* ticket, ThreadId tid);
-  void DestroyTicket(Ticket* ticket);
+  // The one move the inheritance ticket makes: it now funds `tid`'s thread
+  // currency, or nobody for kInvalidThreadId. A no-op without an economy.
+  void Inherit(ThreadId tid);
 
   // Appends `tid` in arrival order and transfers its funding into the
   // queue's currency. The caller then blocks the thread.
-  void Park(ThreadId tid, SimTime now, bool writer = false);
+  void Park(ThreadId tid, SimTime now);
 
-  // A waiter's transferred value in base units (0 without an economy).
-  uint64_t Weight(const Waiter& waiter) const;
   // Index of the waiter a lottery over the transferred values picks,
   // valued in queue order; the oldest (0) when every weight is zero or
   // there is no economy. The queue must not be empty.
@@ -84,22 +74,18 @@ class WaitQueue {
 
   bool empty() const { return waiters_.empty(); }
   size_t size() const { return waiters_.size(); }
-  const Waiter& operator[](size_t index) const { return waiters_[index]; }
-  const Waiter& front() const { return waiters_.front(); }
-  std::vector<Waiter>::const_iterator begin() const {
-    return waiters_.begin();
-  }
-  std::vector<Waiter>::const_iterator end() const { return waiters_.end(); }
 
  private:
+  // A waiter's transferred value in base units (0 without an economy).
+  uint64_t Weight(const Waiter& waiter) const;
+
   Kernel* kernel_;
   LotteryScheduler* economy_;  // null under a non-lottery scheduler
-  int64_t transfer_amount_;
   obs::LatencyHistogram* wait_us_;
   std::string wait_series_;
   Currency* currency_ = nullptr;
-  std::vector<Ticket*> tickets_;  // live inheritance tickets, issue order
-  std::vector<Waiter> waiters_;   // arrival order
+  Ticket* inheritance_ = nullptr;  // issued in currency_
+  std::vector<Waiter> waiters_;    // arrival order
 };
 
 }  // namespace lottery

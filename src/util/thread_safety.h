@@ -8,10 +8,10 @@
 //
 //  1. The standard clang `-Wthread-safety` attribute macros (CAPABILITY,
 //     GUARDED_BY, REQUIRES, ACQUIRE/RELEASE, TRY_ACQUIRE, ...), expanding
-//     to nothing on compilers without the attributes. SimMutex/SimRwLock
-//     are annotated as capabilities so clang statically checks every
-//     caller's acquire/release balance; lotlint rule L2 checks the
-//     annotations themselves stay present.
+//     to nothing on compilers without the attributes. SimMutex is
+//     annotated as a capability so clang statically checks every caller's
+//     acquire/release balance; lotlint rule L2 checks the annotations
+//     themselves stay present.
 //
 //  2. `util::Seq` — a *serialization domain*: a compiler-checked capability
 //     marking state that today is serialized by construction (the single

@@ -1,5 +1,5 @@
-// Tests for the baseline schedulers: round-robin, fixed priority,
-// decay-usage timesharing, and stride.
+// Tests for the baseline schedulers: round-robin, decay-usage timesharing,
+// and stride.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/sched/decay_usage.h"
-#include "src/sched/priority.h"
 #include "src/sched/round_robin.h"
 #include "src/sched/stride.h"
 
@@ -106,59 +105,6 @@ TEST(RoundRobin, UnknownThreadThrows) {
   EXPECT_THROW(rr.OnReady(42, kT0), std::invalid_argument);
   rr.AddThread(1, kT0);
   EXPECT_THROW(rr.AddThread(1, kT0), std::invalid_argument);
-}
-
-// --- Priority ----------------------------------------------------------------
-
-TEST(Priority, HigherPriorityWins) {
-  PriorityScheduler ps;
-  ps.AddThread(1, kT0);
-  ps.AddThread(2, kT0);
-  ps.SetPriority(1, 5);
-  ps.SetPriority(2, 10);
-  ps.OnReady(1, kT0);
-  ps.OnReady(2, kT0);
-  EXPECT_EQ(ps.PickNext(kT0), 2u);
-}
-
-TEST(Priority, StarvationUnderLoad) {
-  // The pathology lottery scheduling fixes: a lower-priority thread never
-  // runs while a higher-priority one stays runnable.
-  PriorityScheduler ps;
-  ps.AddThread(1, kT0);
-  ps.AddThread(2, kT0);
-  ps.SetPriority(1, 1);
-  ps.SetPriority(2, 2);
-  const auto counts = RunRounds(ps, {1u, 2u}, 100);
-  EXPECT_EQ(counts.count(1), 0u);
-  EXPECT_EQ(counts.at(2), 100);
-}
-
-TEST(Priority, EqualPrioritiesRoundRobin) {
-  PriorityScheduler ps;
-  ps.AddThread(1, kT0);
-  ps.AddThread(2, kT0);
-  const auto counts = RunRounds(ps, {1u, 2u}, 100);
-  EXPECT_EQ(counts.at(1), 50);
-  EXPECT_EQ(counts.at(2), 50);
-}
-
-TEST(Priority, SetPriorityWhileQueuedRequeues) {
-  PriorityScheduler ps;
-  ps.AddThread(1, kT0);
-  ps.AddThread(2, kT0);
-  ps.OnReady(1, kT0);
-  ps.OnReady(2, kT0);
-  ps.SetPriority(1, 100);
-  EXPECT_EQ(ps.PickNext(kT0), 1u);
-  EXPECT_EQ(ps.GetPriority(1), 100);
-}
-
-TEST(Priority, UnknownThreadThrows) {
-  PriorityScheduler ps;
-  EXPECT_THROW(ps.SetPriority(9, 1), std::invalid_argument);
-  EXPECT_THROW(ps.GetPriority(9), std::invalid_argument);
-  EXPECT_THROW(ps.OnReady(9, kT0), std::invalid_argument);
 }
 
 // --- DecayUsage ---------------------------------------------------------------

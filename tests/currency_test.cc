@@ -324,6 +324,65 @@ TEST(CurrencyValues, Figure3Example) {
   EXPECT_EQ(table.CurrencyValue(task2).base_units(), 2000 * 200 / 300);
 }
 
+TEST(CurrencyValues, SecondTaskDilutesOnlyItsOwnUser) {
+  // Figure 3's user/task layers: a user's new task takes its share out of
+  // that user's other tasks, never out of another user.
+  CurrencyTable table;
+  Currency* alice = table.CreateCurrency("alice", "alice");
+  Currency* bob = table.CreateCurrency("bob", "bob");
+  table.Fund(alice, table.CreateTicket(table.base(), 1000));
+  table.Fund(bob, table.CreateTicket(table.base(), 1000));
+  Currency* a_work = table.CreateCurrency("alice/work", "alice");
+  Currency* b_work = table.CreateCurrency("bob/work", "bob");
+  table.Fund(a_work, table.CreateTicket(alice, 400, "alice"));
+  table.Fund(b_work, table.CreateTicket(bob, 100, "bob"));
+  Client thread1(&table, "t1"), thread2(&table, "t2"), thread3(&table, "t3");
+  thread1.HoldTicket(table.CreateTicket(a_work, 100, "alice"));
+  thread2.HoldTicket(table.CreateTicket(b_work, 100, "bob"));
+  thread1.SetActive(true);
+  thread2.SetActive(true);
+  EXPECT_EQ(thread1.Value().base_units(), 1000);
+  EXPECT_EQ(thread2.Value().base_units(), 1000);
+
+  Currency* a_more = table.CreateCurrency("alice/more", "alice");
+  table.Fund(a_more, table.CreateTicket(alice, 400, "alice"));
+  thread3.HoldTicket(table.CreateTicket(a_more, 100, "alice"));
+  thread3.SetActive(true);
+  EXPECT_EQ(thread1.Value().base_units(), 500);
+  EXPECT_EQ(thread3.Value().base_units(), 500);
+  EXPECT_EQ(thread2.Value().base_units(), 1000);
+}
+
+TEST(CurrencyValues, DestroyTaskReturnsShareToSiblings) {
+  CurrencyTable table;
+  Currency* alice = table.CreateCurrency("alice", "alice");
+  table.Fund(alice, table.CreateTicket(table.base(), 900));
+  Currency* keep = table.CreateCurrency("alice/keep", "alice");
+  Currency* drop = table.CreateCurrency("alice/drop", "alice");
+  table.Fund(keep, table.CreateTicket(alice, 100, "alice"));
+  table.Fund(drop, table.CreateTicket(alice, 200, "alice"));
+  Client survivor(&table, "t1"), leaver(&table, "t2");
+  survivor.HoldTicket(table.CreateTicket(keep, 50, "alice"));
+  survivor.SetActive(true);
+  // "drop" has no active thread yet, so it does not dilute (Section 4.4's
+  // inactive-sibling rule): the survivor carries all of alice.
+  EXPECT_EQ(survivor.Value().base_units(), 900);
+  Ticket* leaver_ticket = table.CreateTicket(drop, 50, "alice");
+  leaver.HoldTicket(leaver_ticket);
+  leaver.SetActive(true);
+  EXPECT_EQ(survivor.Value().base_units(), 300);  // 100/300 of 900
+  EXPECT_EQ(leaver.Value().base_units(), 600);
+
+  // The second task's thread leaves, then the task currency goes with its
+  // backing ticket; the survivor's value grows back to the whole user.
+  leaver.SetActive(false);
+  table.DestroyTicket(leaver_ticket);
+  table.DestroyCurrency(drop);
+  EXPECT_EQ(table.FindCurrency("alice/drop"), nullptr);
+  EXPECT_EQ(alice->issued().size(), 1u);
+  EXPECT_EQ(survivor.Value().base_units(), 900);
+}
+
 TEST(CurrencyValues, EpochMemoizationInvalidatesOnChange) {
   CurrencyTable table;
   Currency* a = table.CreateCurrency("a");

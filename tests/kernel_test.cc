@@ -313,27 +313,6 @@ TEST(Kernel, SpawnFromInsideARunningBody) {
   EXPECT_GT(kernel.CpuTime(child).ToSecondsF(), 0.9);
 }
 
-TEST(Kernel, RunUntilQuiescentDrainsFiniteWork) {
-  RoundRobinScheduler sched;
-  Kernel kernel(&sched, DefaultOptions());
-  kernel.Spawn("nap", std::make_unique<Napper>(SimDuration::Millis(10),
-                                               SimDuration::Millis(90), 5));
-  EXPECT_TRUE(kernel.RunUntilQuiescent());
-  EXPECT_EQ(kernel.num_live_threads(), 0u);
-  // 5 bursts + 4 naps = 410 ms of activity; quiescence is detected at
-  // quantum granularity, so the clock stops within one quantum of that.
-  EXPECT_GE(kernel.now().ToSecondsF(), 0.41);
-  EXPECT_LE(kernel.now().ToSecondsF(), 0.52);
-}
-
-TEST(Kernel, RunUntilQuiescentHitsHorizonOnEndlessWork) {
-  RoundRobinScheduler sched;
-  Kernel kernel(&sched, DefaultOptions());
-  kernel.Spawn("spin", std::make_unique<Spinner>());
-  EXPECT_FALSE(kernel.RunUntilQuiescent(SimDuration::Seconds(2)));
-  EXPECT_GE(kernel.now().ToSecondsF(), 2.0);
-}
-
 TEST(Kernel, RejectsBadQuantum) {
   RoundRobinScheduler sched;
   Kernel::Options opts;

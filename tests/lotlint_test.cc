@@ -220,24 +220,35 @@ TEST(LotlintCallGraph, TransitiveRulesReachHelpersAcrossTus) {
 }
 
 TEST(LotlintCallGraph, ExportsFunctionsAndEdges) {
+  // A test file calls NotReached, and Recurse calls only itself.
   const lotlint::Report report = lotlint::Analyze(
       {{"src/sched/cg1_entry.cc", ReadFixture("cg1_entry.cc.txt")},
-       {"src/obs/cg1_helper.cc", ReadFixture("cg1_helper.cc.txt")}});
-  bool saw_observe = false, saw_not_reached = false;
+       {"src/obs/cg1_helper.cc", ReadFixture("cg1_helper.cc.txt")},
+       {"tests/cg1_test.cc",
+        "void Check() { NotReached(1); }\n"
+        "void Recurse(int n) { if (n > 0) Recurse(n - 1); }\n"}});
+  bool saw_observe = false, saw_not_reached = false, saw_recurse = false;
   for (const lotlint::FunctionNode& f : report.functions) {
     if (f.name == "ObserveLatency") {
       saw_observe = true;
       EXPECT_TRUE(f.reachable);
       EXPECT_EQ(f.root, "PickNext");
+      EXPECT_EQ(f.caller_dirs, std::vector<std::string>{"src"});
     }
     if (f.name == "NotReached") {
       saw_not_reached = true;
       EXPECT_FALSE(f.reachable);
       EXPECT_EQ(f.root, "");
+      EXPECT_EQ(f.caller_dirs, std::vector<std::string>{"tests"});
+    }
+    if (f.name == "Recurse") {
+      saw_recurse = true;
+      EXPECT_TRUE(f.caller_dirs.empty());
     }
   }
   EXPECT_TRUE(saw_observe);
   EXPECT_TRUE(saw_not_reached);
+  EXPECT_TRUE(saw_recurse);
   bool saw_edge = false;
   for (const lotlint::CallEdge& e : report.edges) {
     if (e.caller == "PickNext" && e.callee == "ObserveLatency") {
@@ -251,6 +262,8 @@ TEST(LotlintCallGraph, ExportsFunctionsAndEdges) {
   EXPECT_EQ(json.find("{\n  \"functions\": ["), 0u);
   EXPECT_NE(json.find("\"edges\": ["), std::string::npos);
   EXPECT_NE(json.find("\"root\": \"PickNext\""), std::string::npos);
+  EXPECT_NE(json.find("\"caller_dirs\": [\"tests\"]"), std::string::npos);
+  EXPECT_NE(json.find("\"caller_dirs\": []"), std::string::npos);
 }
 
 TEST(LotlintRng, SeedAndStreamDiscipline) {

@@ -11,8 +11,6 @@
 
 #include "src/core/lottery_scheduler.h"
 #include "src/sched/decay_usage.h"
-#include "src/sched/hybrid.h"
-#include "src/sched/priority.h"
 #include "src/sched/round_robin.h"
 #include "src/sched/stride.h"
 #include "src/util/fastrand.h"
@@ -44,12 +42,6 @@ std::unique_ptr<Scheduler> MakeScheduler(const std::string& policy,
   if (policy == "decay-usage") {
     return std::make_unique<DecayUsageScheduler>();
   }
-  if (policy == "priority") {
-    return std::make_unique<PriorityScheduler>();
-  }
-  if (policy == "hybrid") {
-    return std::make_unique<HybridScheduler>();
-  }
   return std::make_unique<RoundRobinScheduler>();
 }
 
@@ -59,7 +51,6 @@ TEST_P(SchedulerFuzz, RandomProtocolSequences) {
   const FuzzCase param = GetParam();
   auto sched = MakeScheduler(param.policy, param.seed);
   LotteryScheduler* lottery = sched->economy();
-  auto* hybrid = dynamic_cast<HybridScheduler*>(sched.get());
   FastRand rng(param.seed);
   SimTime now = SimTime::Zero();
   std::map<ThreadId, State> state;
@@ -76,9 +67,6 @@ TEST_P(SchedulerFuzz, RandomProtocolSequences) {
           if (lottery != nullptr) {
             lottery->FundThread(id, lottery->table().base(),
                                 1 + rng.NextBelow(500));
-          }
-          if (hybrid != nullptr && rng.NextBelow(4) == 0) {
-            hybrid->SetFixedPriority(id, static_cast<int>(rng.NextBelow(3)));
           }
           state[id] = State::kBlocked;
         }
@@ -182,37 +170,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(FuzzCase{"lottery-list", 1}, FuzzCase{"lottery-list", 2},
                       FuzzCase{"lottery-tree", 3}, FuzzCase{"lottery-tree", 4},
                       FuzzCase{"stride", 5}, FuzzCase{"stride", 6},
-                      FuzzCase{"decay-usage", 7}, FuzzCase{"priority", 8},
-                      FuzzCase{"round-robin", 9}, FuzzCase{"hybrid", 10},
-                      FuzzCase{"hybrid", 11}));
-
-TEST(HybridEquivalence, NoFixedThreadsMatchesPureLottery) {
-  // With no fixed-priority members, HybridScheduler must draw the same
-  // winners as a bare LotteryScheduler from the same seed.
-  LotteryScheduler::Options opts;
-  opts.seed = 99;
-  HybridScheduler hybrid(opts);
-  LotteryScheduler pure(opts);
-  const SimTime t0 = SimTime::Zero();
-  for (ThreadId id = 1; id <= 4; ++id) {
-    hybrid.AddThread(id, t0);
-    pure.AddThread(id, t0);
-    hybrid.economy()->FundThread(id, hybrid.economy()->table().base(),
-                                 static_cast<int64_t>(100 * id));
-    pure.FundThread(id, pure.table().base(), static_cast<int64_t>(100 * id));
-  }
-  for (int round = 0; round < 2000; ++round) {
-    for (ThreadId id = 1; id <= 4; ++id) {
-      hybrid.OnReady(id, t0);
-      pure.OnReady(id, t0);
-    }
-    ASSERT_EQ(hybrid.PickNext(t0), pure.PickNext(t0)) << "round " << round;
-    for (ThreadId id = 1; id <= 4; ++id) {
-      hybrid.OnBlocked(id, t0);
-      pure.OnBlocked(id, t0);
-    }
-  }
-}
+                      FuzzCase{"decay-usage", 7}, FuzzCase{"round-robin", 9}));
 
 }  // namespace
 }  // namespace lottery

@@ -16,7 +16,6 @@
 #include "src/core/lottery_scheduler.h"
 #include "src/obs/etrace/trace_buffer.h"
 #include "src/obs/registry.h"
-#include "src/sched/hybrid.h"
 #include "src/sched/smp/smp_scheduler.h"
 #include "src/sim/kernel.h"
 #include "src/sim/rpc.h"
@@ -146,14 +145,6 @@ RunResult RunSmp(RunQueueBackend backend, bool services, bool steal_enabled) {
   return r;
 }
 
-RunResult RunHybrid(RunQueueBackend backend, bool services) {
-  obs::Registry reg;
-  etrace::TraceBuffer trace;
-  HybridScheduler sched(EconomyOpts(backend, &reg, &trace));
-  Kernel kernel(&sched, KernelOpts(1, &reg, &trace));
-  return Drive(*sched.economy(), kernel, services);
-}
-
 // (backend, services world on)
 class SmpIdentity
     : public testing::TestWithParam<std::tuple<RunQueueBackend, bool>> {};
@@ -174,17 +165,6 @@ TEST_P(SmpIdentity, OneCpuFacadeIsBitIdenticalToPlainScheduler) {
   ASSERT_EQ(plain.trace_bytes.size(), smp.trace_bytes.size());
   EXPECT_TRUE(plain.trace_bytes == smp.trace_bytes)
       << "structured traces diverge";
-}
-
-// A HybridScheduler with nothing promoted to the fixed-priority band is its
-// embedded lottery scheduler, services included.
-TEST_P(SmpIdentity, HybridWithoutPromotionMatchesPlainScheduler) {
-  const auto [backend, services] = GetParam();
-  const RunResult plain = RunPlain(backend, services);
-  const RunResult hybrid = RunHybrid(backend, services);
-  EXPECT_EQ(plain.rng_state, hybrid.rng_state);
-  EXPECT_EQ(plain.cpu_time_ns, hybrid.cpu_time_ns);
-  EXPECT_EQ(plain.transfers, hybrid.transfers);
 }
 
 // steal_enabled must be unobservable at one CPU (the guard short-circuits

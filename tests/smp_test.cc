@@ -9,7 +9,6 @@
 #include <string>
 
 #include "src/core/lottery_scheduler.h"
-#include "src/sched/hybrid.h"
 #include "src/sched/round_robin.h"
 #include "src/sched/smp/smp_scheduler.h"
 #include "src/sim/fault.h"
@@ -172,47 +171,6 @@ TEST(Smp, SleepWakeTimingUnaffectedByCpuCount) {
   kernel.RunFor(SimDuration::Seconds(10));
   // A free CPU always exists, so the 100 ms cycle holds exactly.
   EXPECT_NEAR(static_cast<double>(raw->interactions()), 100.0, 2.0);
-}
-
-TEST(Smp, HybridSchedulerOnTwoCpus) {
-  // The fixed-priority band and lottery world coexist across CPUs. Three
-  // compute threads on two CPUs keep the lottery side contended (with
-  // threads <= CPUs everyone runs in parallel and funding is moot). The
-  // driver's wakeups land while both CPUs are mid-slice, so its cycle
-  // stretches to roughly the dispatch granularity.
-  HybridScheduler sched;
-  Kernel kernel(&sched, SmpOpts(2));
-  const ThreadId driver = kernel.Spawn(
-      "driver", std::make_unique<InteractiveTask>(SimDuration::Millis(5),
-                                                  SimDuration::Millis(45)));
-  sched.SetFixedPriority(driver, 9);
-  const int64_t funds[] = {300, 100, 100};
-  std::vector<ThreadId> tids;
-  for (int i = 0; i < 3; ++i) {
-    const ThreadId tid = kernel.Spawn("t" + std::to_string(i),
-                                      std::make_unique<ComputeTask>());
-    sched.economy()->FundThread(tid, sched.economy()->table().base(), funds[i]);
-    tids.push_back(tid);
-  }
-  kernel.RunFor(SimDuration::Seconds(120));
-  // Driver burst per cycle is 5 ms; cycles stretch toward ~100 ms because
-  // a wakeup must wait for a slice boundary: several seconds of CPU, far
-  // more than its lottery-funding-free status would earn it otherwise.
-  EXPECT_GT(kernel.CpuTime(driver).ToSecondsF(), 4.0);
-  EXPECT_LT(kernel.CpuTime(driver).ToSecondsF(), 13.0);
-  // Thread 0's funding share (2 x 300/500 = 1.2 CPUs) exceeds what one
-  // thread can occupy: it saturates near a full CPU and the surplus flows
-  // to the equal-funded pair, which stays balanced.
-  const double t0 = kernel.CpuTime(tids[0]).ToSecondsF();
-  const double t1 = kernel.CpuTime(tids[1]).ToSecondsF();
-  const double t2 = kernel.CpuTime(tids[2]).ToSecondsF();
-  EXPECT_GT(t0, 95.0);
-  EXPECT_LT(t0, 120.0);
-  EXPECT_NEAR(t1 / t2, 1.0, 0.25);
-  // Work conservation across both CPUs.
-  const double all = kernel.CpuTime(driver).ToSecondsF() + t0 + t1 + t2 +
-                     kernel.idle_time().ToSecondsF();
-  EXPECT_NEAR(all, 240.0, 0.5);
 }
 
 TEST(Smp, SingleCpuMatchesLegacyBehaviourExactly) {

@@ -32,23 +32,10 @@ TEST(Tracer, UnknownThreadsAndWindowsAreZero) {
   EXPECT_EQ(tracer.WindowProgress(1, 5), 0);
 }
 
-TEST(Tracer, CumulativeThroughSumsPrefix) {
-  Tracer tracer(SimDuration::Seconds(1));
-  tracer.AddProgress(1, At(500), 1);
-  tracer.AddProgress(1, At(1500), 2);
-  tracer.AddProgress(1, At(2500), 4);
-  EXPECT_EQ(tracer.CumulativeThrough(1, 0), 1);
-  EXPECT_EQ(tracer.CumulativeThrough(1, 1), 3);
-  EXPECT_EQ(tracer.CumulativeThrough(1, 2), 7);
-  EXPECT_EQ(tracer.CumulativeThrough(1, 9), 7);
-}
-
 TEST(Tracer, SamplesAndStats) {
   Tracer tracer(SimDuration::Seconds(1));
   tracer.RecordSample("lat", At(100), 1.0);
   tracer.RecordSample("lat", At(200), 3.0);
-  EXPECT_TRUE(tracer.HasSeries("lat"));
-  EXPECT_FALSE(tracer.HasSeries("nope"));
   EXPECT_EQ(tracer.Samples("lat").size(), 2u);
   EXPECT_DOUBLE_EQ(tracer.SampleStats("lat").mean(), 2.0);
   EXPECT_TRUE(tracer.Samples("nope").empty());
@@ -64,13 +51,6 @@ TEST(Tracer, WindowsCsvShape) {
             "0,3,0\n"
             "1,0,4\n");
   EXPECT_THROW(tracer.WindowsCsv({1}, {"a", "b"}), std::invalid_argument);
-}
-
-TEST(Tracer, SeriesCsvShape) {
-  Tracer tracer(SimDuration::Seconds(1));
-  tracer.RecordSample("lat", At(500), 2.5);
-  const std::string csv = tracer.SeriesCsv("lat");
-  EXPECT_EQ(csv, "time_sec,value\n0.5,2.5\n");
 }
 
 TEST(Tracer, DispatchLogOffByDefault) {
@@ -89,22 +69,6 @@ TEST(Tracer, DispatchLogRecordsAndCaps) {
   EXPECT_EQ(tracer.dispatches()[1].tid, 2u);
   EXPECT_EQ(tracer.dispatches()[1].cpu, 1);
   EXPECT_EQ(tracer.dropped(), 1u);
-  const std::string csv = tracer.DispatchesCsv();
-  EXPECT_EQ(csv,
-            "# dropped=1 dispatches past the log cap of 2\n"
-            "tid,cpu,start_sec,duration_sec\n"
-            "1,0,0,0.1\n"
-            "2,1,0.1,0.05\n");
-}
-
-TEST(Tracer, DispatchLogNoDropComment) {
-  Tracer tracer(SimDuration::Seconds(1));
-  tracer.EnableDispatchLog(/*cap=*/2);
-  tracer.RecordDispatch(1, 0, At(0), SimDuration::Millis(100));
-  EXPECT_EQ(tracer.dropped(), 0u);
-  EXPECT_EQ(tracer.DispatchesCsv(),
-            "tid,cpu,start_sec,duration_sec\n"
-            "1,0,0,0.1\n");
 }
 
 }  // namespace

@@ -1579,9 +1579,26 @@ Report Analyze(const std::vector<std::pair<std::string, std::string>>& files,
                      std::tie(b.file, b.line, b.keyword);
             });
 
-  for (const FuncDef& def : defs) {
+  // Top-level directory of each call site, keyed by callee name.
+  std::multimap<std::string, std::pair<size_t, std::string>> caller_dirs;
+  for (size_t d = 0; d < defs.size(); ++d) {
+    const std::string& path = scans[defs[d].scan_idx].path;
+    const std::string dir = path.substr(0, path.find('/'));
+    for (const CallSite& c : calls[d]) {
+      caller_dirs.emplace(c.callee, std::make_pair(d, dir));
+    }
+  }
+  for (size_t d = 0; d < defs.size(); ++d) {
+    const FuncDef& def = defs[d];
+    std::set<std::string> dirs;
+    auto [lo, hi] = caller_dirs.equal_range(def.stem);
+    for (auto it = lo; it != hi; ++it) {
+      if (it->second.first != d) dirs.insert(it->second.second);
+    }
     report.functions.push_back({def.name, scans[def.scan_idx].path, def.line,
-                                def.reachable, def.root});
+                                def.reachable, def.root,
+                                std::vector<std::string>(dirs.begin(),
+                                                         dirs.end())});
   }
   std::sort(report.functions.begin(), report.functions.end(),
             [](const FunctionNode& a, const FunctionNode& b) {
@@ -1645,7 +1662,12 @@ std::string CallGraphToJson(const Report& report) {
     out << "    {\"name\": \"" << JsonEscape(f.name) << "\", \"file\": \""
         << JsonEscape(f.file) << "\", \"line\": " << f.line
         << ", \"reachable\": " << (f.reachable ? "true" : "false")
-        << ", \"root\": \"" << JsonEscape(f.root) << "\"}";
+        << ", \"root\": \"" << JsonEscape(f.root)
+        << "\", \"caller_dirs\": [";
+    for (size_t j = 0; j < f.caller_dirs.size(); ++j) {
+      out << (j == 0 ? "\"" : ", \"") << JsonEscape(f.caller_dirs[j]) << "\"";
+    }
+    out << "]}";
   }
   if (!report.functions.empty()) out << "\n  ";
   out << "],\n  \"edges\": [";

@@ -64,8 +64,8 @@
 //                 Waiver: stream-ok.
 //
 //   L1-lock-order static lock-acquisition graph. Within each function the
-//                 analyzer records the ordered SimMutex/SimRwLock/
-//                 SimSemaphore/Seq acquisition sites (Acquire, AcquireRead,
+//                 analyzer records the ordered lock acquisition sites
+//                 (SimMutex and Seq; calls named Acquire, AcquireRead,
 //                 AcquireWrite, Wait, SeqGuard, Enter), extends hold sets
 //                 through the call graph, and flags any cycle in the
 //                 lock-order graph (a potential SMP deadlock once the
@@ -126,6 +126,11 @@ struct FunctionNode {
   int line = 0;
   bool reachable = false;  // from any scheduling entry point
   std::string root;        // entry point that first reached it ("" if not)
+  // Sorted top-level directories (src, tests, ...) of the call sites whose
+  // callee is this function's bare name, outside its own body. Matched by
+  // name only: a "tests"-only list is a candidate for deletion, to be
+  // checked by hand.
+  std::vector<std::string> caller_dirs;
 };
 struct CallEdge {
   std::string caller;  // qualified name of the enclosing definition
@@ -169,7 +174,7 @@ Report AnalyzeFile(const std::string& virtual_path,
 //  "stale": [{file, line, keyword}...]} — stable key order, sorted.
 std::string ReportToJson(const Report& report);
 
-// {"functions": [{name, file, line, reachable, root}...],
+// {"functions": [{name, file, line, reachable, root, caller_dirs}...],
 //  "edges": [{caller, callee, file, line}...]} — sorted, for audits.
 std::string CallGraphToJson(const Report& report);
 
