@@ -5,8 +5,8 @@
 
 namespace lottery {
 
-Client::Client(CurrencyTable* table, std::string name)
-    : table_(table), name_(std::move(name)) {}
+Client::Client(CurrencyTable* table, std::string name, uint32_t owner_index)
+    : table_(table), name_(std::move(name)), owner_index_(owner_index) {}
 
 Client::~Client() {
   // Detach without destroying: ticket lifetime belongs to the table and

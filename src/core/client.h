@@ -23,7 +23,14 @@ namespace lottery {
 
 class Client {
  public:
-  Client(CurrencyTable* table, std::string name);
+  // owner_index() of a client its creator did not stamp.
+  static constexpr uint32_t kNoOwner = UINT32_MAX;
+
+  // `owner_index` lets the creator find its own record for this client
+  // from a ValueObserver callback without a lookup structure: the
+  // LotteryScheduler stamps each thread's client with the thread id.
+  Client(CurrencyTable* table, std::string name,
+         uint32_t owner_index = kNoOwner);
   // Detaches (but does not destroy) any still-held tickets.
   ~Client();
   Client(const Client&) = delete;
@@ -31,6 +38,7 @@ class Client {
 
   const std::string& name() const { return name_; }
   CurrencyTable* table() const { return table_; }
+  uint32_t owner_index() const { return owner_index_; }
 
   // --- Ticket holding -----------------------------------------------------
 
@@ -81,6 +89,7 @@ class Client {
   CurrencyTable* table_;
   std::string name_;
   std::vector<Ticket*> tickets_;
+  uint32_t owner_index_;
   bool active_ = false;
   int64_t comp_num_ = 1;
   int64_t comp_den_ = 1;

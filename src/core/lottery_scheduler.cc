@@ -10,6 +10,15 @@
 
 namespace lottery {
 
+namespace {
+
+[[noreturn]] void ThrowUnknownThread(ThreadId id) {
+  throw std::invalid_argument("LotteryScheduler: unknown thread " +
+                              std::to_string(id));
+}
+
+}  // namespace
+
 LotteryScheduler::LotteryScheduler(Options options)
     : LotteryScheduler(options, {options.seed}) {}
 
@@ -43,11 +52,12 @@ LotteryScheduler::LotteryScheduler(Options options,
 LotteryScheduler::~LotteryScheduler() { table_.RemoveObserver(this); }
 
 void LotteryScheduler::OnClientValueDirty(Client* client) {
-  const auto it = by_client_.find(client);
-  if (it == by_client_.end()) {
+  // A client made directly on the table carries no stamp (kNoOwner is past
+  // any table index), and a removed thread's client finds no live record.
+  ThreadState* state = FindState(client->owner_index());
+  if (state == nullptr || &*state->client != client) {
     return;  // a client the scheduler does not own
   }
-  ThreadState* state = it->second;
   RunQueue& q = queues_[state->queue];
   if (!state->dirty) {
     state->dirty = true;
@@ -90,13 +100,20 @@ void LotteryScheduler::FormBatch(RunQueue& q, uint64_t total) {
   batch_formed_->Inc();
 }
 
-LotteryScheduler::ThreadState& LotteryScheduler::StateOf(ThreadId id) {
-  const auto it = threads_.find(id);
-  if (it == threads_.end()) {
-    throw std::invalid_argument("LotteryScheduler: unknown thread " +
-                                std::to_string(id));
+const LotteryScheduler::ThreadState* LotteryScheduler::FindState(
+    ThreadId id) const {
+  if (id >= threads_.size() || threads_[id].id != id) {
+    return nullptr;
   }
-  return it->second;
+  return &threads_[id];
+}
+
+LotteryScheduler::ThreadState& LotteryScheduler::StateOf(ThreadId id) {
+  ThreadState* state = FindState(id);
+  if (state == nullptr) {
+    ThrowUnknownThread(id);
+  }
+  return *state;
 }
 
 // lotlint: invariant-ok — AddThreadOn checks the table.
@@ -105,7 +122,11 @@ void LotteryScheduler::AddThread(ThreadId id, SimTime /*now*/) {
 }
 
 void LotteryScheduler::AddThreadOn(ThreadId id, int queue) {
-  if (threads_.count(id) > 0) {
+  if (id == kInvalidThreadId || id > kMaxThreadId) {
+    throw std::invalid_argument("LotteryScheduler::AddThread: thread id " +
+                                std::to_string(id) + " out of range");
+  }
+  if (FindState(id) != nullptr) {
     throw std::invalid_argument("LotteryScheduler::AddThread: duplicate id");
   }
   RunQueue& q = QueueAt(queue);
@@ -119,20 +140,24 @@ void LotteryScheduler::AddThreadOn(ThreadId id, int queue) {
         std::to_string(options_.list_max_threads) +
         " clients; use RunQueueBackend::kTree (or set list_max_threads=0)");
   }
-  ThreadState state;
+  const std::string tag = "thread:" + std::to_string(id);
+  Currency* currency = table_.CreateCurrency(tag);
+  while (threads_.size() <= id) {
+    threads_.EmplaceBack();
+  }
+  ThreadState& state = threads_[id];
   state.id = id;
   state.queue = static_cast<uint32_t>(queue);
-  const std::string tag = "thread:" + std::to_string(id);
-  state.currency = table_.CreateCurrency(tag);
-  state.client = std::make_unique<Client>(&table_, tag);
-  ThreadState& stored = threads_.emplace(id, std::move(state)).first->second;
+  state.in_queue = false;
+  state.dirty = false;
+  state.slot = 0;
+  state.currency = currency;
+  // Live and stamped before the client takes its self ticket, so the
+  // dirty mark HoldTicket raises finds the thread.
+  state.client.emplace(&table_, tag, id);
   ++q.homed;
-  // Registered before the client takes its self ticket, so the dirty mark
-  // HoldTicket raises finds the thread.
-  by_client_[stored.client.get()] = &stored;
-  stored.self_ticket =
-      table_.CreateTicket(stored.currency, kThreadTicketAmount);
-  stored.client->HoldTicket(stored.self_ticket);
+  state.self_ticket = table_.CreateTicket(currency, kThreadTicketAmount);
+  state.client->HoldTicket(state.self_ticket);
   LOT_DCHECK_TABLE(table_);
 }
 
@@ -145,9 +170,10 @@ void LotteryScheduler::RemoveThread(ThreadId id, SimTime /*now*/) {
   --q.homed;
   state.client->SetActive(false);
   table_.DestroyTicket(state.self_ticket);
-  // From here on the client's marks find no thread, so this drops its last
-  // dirty entries (stale ones included) before state dies.
-  by_client_.erase(state.client.get());
+  // The record is dead from here on and the client's marks find no thread,
+  // so this drops its last dirty entries (stale ones included) before the
+  // client dies.
+  state.id = kInvalidThreadId;
   std::erase(q.dirty, &state);
   state.client.reset();
   // Destroys the thread currency and all tickets funding it. A thread that
@@ -156,7 +182,6 @@ void LotteryScheduler::RemoveThread(ThreadId id, SimTime /*now*/) {
   // currency is then retired — worth zero, reclaimed with its last issued
   // ticket — instead of destroyed outright.
   table_.RetireCurrency(state.currency);
-  threads_.erase(id);
   LOT_DCHECK_TABLE(table_);
 }
 
@@ -397,7 +422,10 @@ ThreadId LotteryScheduler::PickFrom(int queue, SimTime now) {
     zero_fallbacks_->Inc();
   }
   LOT_ASSERT(winner != nullptr, "run queue draw returned no winner");
-  const uint64_t winner_weight = q.Weight(winner->slot);
+  // A drawn slot is the winner's: its weight and slot need no load through
+  // the winner's record.
+  const size_t winner_slot = drawn.has_value() ? *drawn : winner->slot;
+  const uint64_t winner_weight = q.Weight(winner_slot);
   if (etrace::On(options_.trace, etrace::kCatLottery)) {
     etrace::Event e;
     e.t_ns = options_.trace->now();
@@ -424,18 +452,18 @@ ThreadId LotteryScheduler::PickFrom(int queue, SimTime now) {
       q.clean_streak >= kBatchStreakMin && drawn.has_value()) {
     FormBatch(q, q.total());
   }
-  q.Remove(winner->slot);
-  q.slot_owner[winner->slot] = nullptr;
+  q.Remove(winner_slot);
+  q.slot_owner[winner_slot] = nullptr;
   winner->in_queue = false;
   // Track the winner's expected re-entry whether or not a batch is live:
   // the matching OnReady is the one queue change that keeps the
   // steady-state cycle "clean" (and a live batch valid).
   q.restore_pending = true;
-  q.restore_slot = winner->slot;
+  q.restore_slot = winner_slot;
   q.restore_weight = winner_weight;
   // The thread starts its next quantum: any compensation ticket expires
   // (Section 4.5). Its tickets stay active while it runs.
-  Client* const client = winner->client.get();
+  Client* const client = &*winner->client;
   compensation_.OnQuantumStart(client);
   LOT_ASSERT(!client->has_compensation(),
              "quantum start left a live compensation factor on " +
@@ -452,7 +480,7 @@ ThreadId LotteryScheduler::PickFrom(int queue, SimTime now) {
 void LotteryScheduler::OnQuantumEnd(ThreadId id, SimDuration used,
                                     SimDuration quantum, SimTime /*now*/) {
   ThreadState& state = StateOf(id);
-  if (compensation_.OnQuantumEnd(state.client.get(), used, quantum)) {
+  if (compensation_.OnQuantumEnd(&*state.client, used, quantum)) {
     compensation_grants_->Inc();
   }
   LOT_DCHECK_COMPENSATION(*state.client, options_.compensation.max_factor);
@@ -468,7 +496,7 @@ Currency* LotteryScheduler::thread_currency(ThreadId id) {
 }
 
 Client* LotteryScheduler::client(ThreadId id) {
-  return StateOf(id).client.get();
+  return &*StateOf(id).client;
 }
 
 Ticket* LotteryScheduler::FundThread(ThreadId id, Currency* denomination,
@@ -486,11 +514,11 @@ Funding LotteryScheduler::ThreadValue(ThreadId id) {
 }
 
 Funding LotteryScheduler::ThreadBaseValue(ThreadId id) {
-  const auto it = threads_.find(id);
-  if (it == threads_.end()) {
+  const ThreadState* state = FindState(id);
+  if (state == nullptr) {
     return Funding::Zero();
   }
-  const Client& client = *it->second.client;
+  const Client& client = *state->client;
   Funding value = client.Value();
   if (client.has_compensation()) {
     // Value() carries the compensation boost num/den; divide it back out.
@@ -500,17 +528,16 @@ Funding LotteryScheduler::ThreadBaseValue(ThreadId id) {
 }
 
 bool LotteryScheduler::IsQueued(ThreadId id) const {
-  const auto it = threads_.find(id);
-  return it != threads_.end() && it->second.in_queue;
+  const ThreadState* state = FindState(id);
+  return state != nullptr && state->in_queue;
 }
 
 int LotteryScheduler::QueueOf(ThreadId id) const {
-  const auto it = threads_.find(id);
-  if (it == threads_.end()) {
-    throw std::invalid_argument("LotteryScheduler: unknown thread " +
-                                std::to_string(id));
+  const ThreadState* state = FindState(id);
+  if (state == nullptr) {
+    ThrowUnknownThread(id);
   }
-  return static_cast<int>(it->second.queue);
+  return static_cast<int>(state->queue);
 }
 
 size_t LotteryScheduler::QueuedCount(int queue) const {
@@ -547,9 +574,9 @@ void LotteryScheduler::CheckQueues() const {
   // Each queued thread is a member of its home queue, and there are as
   // many queued threads as members, so no queue holds anyone else.
   size_t queued = 0;
-  // lotlint: ordered-ok — any violation throws; visiting order is moot.
-  for (const auto& [id, state] : threads_) {
-    if (!state.in_queue) {
+  for (size_t id = 0; id < threads_.size(); ++id) {
+    const ThreadState& state = threads_[id];
+    if (state.id != id || !state.in_queue) {
       continue;
     }
     ++queued;

@@ -24,10 +24,8 @@
 #define SRC_CORE_LOTTERY_SCHEDULER_H_
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -38,6 +36,7 @@
 #include "src/core/tree_lottery.h"
 #include "src/obs/registry.h"
 #include "src/sched/scheduler.h"
+#include "src/util/arena.h"
 #include "src/util/fastrand.h"
 #include "src/util/thread_safety.h"
 
@@ -80,11 +79,18 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
     etrace::TraceBuffer* trace = nullptr;
   };
 
+  // Largest thread id AddThread accepts. Thread records sit in a table
+  // indexed by id (the kernel hands ids out densely from 1), so an id sizes
+  // the table; the cap turns a stray id into an error instead of gigabytes.
+  static constexpr ThreadId kMaxThreadId = ThreadId{1} << 24;
+
   LotteryScheduler() : LotteryScheduler(Options{}) {}
   explicit LotteryScheduler(Options options);
   ~LotteryScheduler() override;
 
   // --- Scheduler interface -------------------------------------------------
+  // Throws std::invalid_argument for kInvalidThreadId, an id above
+  // kMaxThreadId, or an id already added (and not removed).
   void AddThread(ThreadId id, SimTime now) override;
   void RemoveThread(ThreadId id, SimTime now) override;
   void OnReady(ThreadId id, SimTime now) override;
@@ -181,17 +187,21 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   etrace::TraceBuffer* trace() const { return options_.trace; }
 
  private:
+  // The record at index i of threads_. It is live (thread i was added and
+  // not removed) iff `id` == i; AddThread sets every field.
   struct ThreadState {
     ThreadId id = kInvalidThreadId;
     uint32_t queue = 0;  // home run queue
-    std::unique_ptr<Client> client;
-    Currency* currency = nullptr;
-    Ticket* self_ticket = nullptr;
     bool in_queue = false;
-    size_t slot = 0;  // draw-structure slot, valid while in_queue
     // Value changed since the last sync and not yet pushed into the draw
     // structure; listed in its queue's dirty list.
     bool dirty = false;
+    size_t slot = 0;  // draw-structure slot, valid while in_queue
+    Currency* currency = nullptr;
+    Ticket* self_ticket = nullptr;
+    // Engaged while live, stamped with the thread id: OnClientValueDirty
+    // finds the record through Client::owner_index().
+    std::optional<Client> client;
   };
 
   // One speculatively pre-drawn winner. pre_state/post_state bracket the
@@ -225,8 +235,8 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
     ListLottery list GUARDED_BY(seq){/*move_to_front=*/false};
     TreeLottery tree GUARDED_BY(seq);
     // Slot -> owning thread state, nullptr for free slots. Slots are small
-    // dense indices recycled by the draw structure, and unordered_map nodes
-    // give ThreadState a stable address, so a flat vector of pointers makes
+    // dense indices recycled by the draw structure, and records in the
+    // chunked thread table never move, so a flat vector of pointers makes
     // winner resolution a single indexed load (a hash map here shows up at
     // 10k clients in bench_draw_overhead's churn rig).
     std::vector<ThreadState*> slot_owner GUARDED_BY(seq);
@@ -312,6 +322,12 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   // currency). Any positive value works — shares are relative.
   static constexpr int64_t kThreadTicketAmount = 1000;
 
+  // The live record of thread `id`, or nullptr.
+  const ThreadState* FindState(ThreadId id) const;
+  ThreadState* FindState(ThreadId id) {
+    return const_cast<ThreadState*>(std::as_const(*this).FindState(id));
+  }
+  // FindState, but throws std::invalid_argument for an unknown thread.
   ThreadState& StateOf(ThreadId id);
   RunQueue& QueueAt(int queue) { return queues_[static_cast<size_t>(queue)]; }
   // Enters / leaves the thread's home queue (in_queue must be clear / set).
@@ -346,8 +362,9 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   CompensationPolicy compensation_;
   // Sized once at construction (RunQueue is not movable).
   std::vector<RunQueue> queues_;
-  std::unordered_map<ThreadId, ThreadState> threads_;
-  std::unordered_map<const Client*, ThreadState*> by_client_;
+  // Thread records indexed by thread id; records never move, so the run
+  // queues' slot_owner and dirty lists point into it.
+  util::ChunkedVector<ThreadState> threads_;
   uint64_t num_lotteries_ = 0;
   uint64_t num_zero_fallbacks_ = 0;
   uint64_t timing_tick_ = 0;

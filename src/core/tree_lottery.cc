@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 
 namespace lottery {
 
@@ -28,23 +29,28 @@ TreeLottery::TreeLottery(size_t initial_capacity) {
 }
 
 void TreeLottery::Grow(size_t min_capacity) {
-  size_t capacity = std::bit_ceil(min_capacity);
-  if (capacity <= weights_.size() && nodes_ != nullptr) {
+  const size_t capacity = std::bit_ceil(min_capacity);
+  if (capacity <= capacity_) {
     return;
   }
-  weights_.resize(capacity, 0);
-  levels_ = static_cast<int>(std::countr_zero(capacity));
-  // 2*capacity nodes (index 0 unused), plus slack to 64-byte-align nodes_[0]
+  // 2*capacity nodes (index 0 unused), plus slack to 64-byte-align nodes[0]
   // so the seven nodes of the first three levels share one cache line.
-  nodes_storage_.assign(2 * capacity + 7, 0);
-  auto addr = reinterpret_cast<uintptr_t>(nodes_storage_.data());
-  nodes_ = nodes_storage_.data() + ((64 - addr % 64) % 64) / sizeof(uint64_t);
-  for (size_t i = 0; i < capacity; ++i) {
-    nodes_[capacity + i] = weights_[i];
+  std::vector<uint64_t> storage(2 * capacity + 7, 0);
+  auto addr = reinterpret_cast<uintptr_t>(storage.data());
+  uint64_t* nodes =
+      storage.data() + ((64 - addr % 64) % 64) / sizeof(uint64_t);
+  // The old leaves are the only copy of the slot weights.
+  for (size_t i = 0; i < capacity_; ++i) {
+    nodes[capacity + i] = nodes_[capacity_ + i];
   }
   for (size_t i = capacity - 1; i >= 1; --i) {
-    nodes_[i] = nodes_[2 * i] + nodes_[2 * i + 1];
+    nodes[i] = nodes[2 * i] + nodes[2 * i + 1];
   }
+  // Moving the vector keeps its buffer, so `nodes` stays valid.
+  nodes_storage_ = std::move(storage);
+  nodes_ = nodes;
+  capacity_ = capacity;
+  levels_ = static_cast<int>(std::countr_zero(capacity));
 }
 
 size_t TreeLottery::Add(uint64_t weight) {
@@ -54,7 +60,7 @@ size_t TreeLottery::Add(uint64_t weight) {
     free_slots_.pop_back();
   } else {
     slot = next_fresh_++;
-    if (slot >= weights_.size()) {
+    if (slot >= capacity_) {
       Grow(slot + 1);
     }
   }
@@ -70,25 +76,26 @@ void TreeLottery::Remove(size_t slot) {
 }
 
 void TreeLottery::SetWeight(size_t slot, uint64_t weight) {
-  if (slot >= weights_.size()) {
+  if (slot >= capacity_) {
     throw std::out_of_range("TreeLottery::SetWeight: bad slot");
   }
-  const uint64_t delta = weight - weights_[slot];  // wraps; additions re-wrap
+  const size_t leaf = capacity_ + slot;
+  const uint64_t delta = weight - nodes_[leaf];  // wraps; additions re-wrap
   if (delta == 0) {
     return;
   }
-  for (size_t i = weights_.size() + slot; i >= 1; i >>= 1) {
+  // The walk starts at the leaf itself, which ends up holding `weight`.
+  for (size_t i = leaf; i >= 1; i >>= 1) {
     nodes_[i] += delta;
   }
   total_ += delta;
-  weights_[slot] = weight;
 }
 
 uint64_t TreeLottery::Weight(size_t slot) const {
-  if (slot >= weights_.size()) {
+  if (slot >= capacity_) {
     throw std::out_of_range("TreeLottery::Weight: bad slot");
   }
-  return weights_[slot];
+  return nodes_[capacity_ + slot];
 }
 
 std::optional<size_t> TreeLottery::Draw(FastRand& rng,  // lotlint: stream(scheduler)
@@ -120,7 +127,7 @@ size_t TreeLottery::SlotForValue(uint64_t value) const {
     v -= left & (0 - take_right);
     node = 2 * node + static_cast<size_t>(take_right);
   }
-  return node - weights_.size();  // leaf index -> 0-indexed slot
+  return node - capacity_;  // leaf index -> 0-indexed slot
 }
 
 void TreeLottery::ResolveValues(size_t k, const uint64_t* values,

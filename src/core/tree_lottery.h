@@ -5,7 +5,9 @@
 // lg n operations." The tree is stored as an implicit complete binary tree
 // in breadth-first (Eytzinger) order over a power-of-two leaf count: node 1
 // is the root (== total), node i has children 2i and 2i+1, and slot s lives
-// at leaf capacity + s. Two properties make a draw cheap on real hardware:
+// at leaf capacity + s. The leaf is the slot's only weight record (Weight
+// reads it; Grow copies the leaves into the larger tree). Two properties
+// make a draw cheap on real hardware:
 //
 //  * The descent is a fixed-trip, branchless loop — lg(capacity)
 //    iterations, each a compare turned into an arithmetic mask (no
@@ -49,7 +51,7 @@ class TreeLottery {
   size_t size() const { return live_count_; }
   bool empty() const { return live_count_ == 0; }
   // Leaf count (power of two). Slots are always < capacity().
-  size_t capacity() const { return weights_.size(); }
+  size_t capacity() const { return capacity_; }
 
   // Picks a slot with probability weight/total in O(lg capacity);
   // std::nullopt if the total weight is zero. A non-null `drawn_value`
@@ -70,18 +72,19 @@ class TreeLottery {
   // Fenwick levels visited by one Draw descent: the tree analogue of the
   // list lottery's scan length (both feed the lottery.draw_cost histogram).
   size_t draw_depth() const {
-    return static_cast<size_t>(std::bit_width(weights_.size()));
+    return static_cast<size_t>(std::bit_width(capacity_));
   }
 
  private:
   void Grow(size_t min_capacity);
 
   // Implicit binary tree, 64-byte aligned inside nodes_storage_:
-  // nodes_[1] is the root, leaves at nodes_[capacity + slot].
+  // nodes_[1] is the root, leaves (the slot weights) at
+  // nodes_[capacity_ + slot].
   std::vector<uint64_t> nodes_storage_;
   uint64_t* nodes_ = nullptr;
-  int levels_ = 0;                 // log2(capacity)
-  std::vector<uint64_t> weights_;  // current weight per slot
+  size_t capacity_ = 0;  // leaf count, a power of two
+  int levels_ = 0;       // log2(capacity_)
   std::vector<size_t> free_slots_;
   size_t next_fresh_ = 0;
   size_t live_count_ = 0;

@@ -8,11 +8,18 @@
 
 namespace lottery {
 
-RpcPort::RpcPort(Kernel* kernel, const std::string& name,
-                 int64_t transfer_amount)
+namespace {
+
+// Face value of each call's transfer and of each server's port ticket. Any
+// positive constant gives the same shares: they are relative within each
+// currency.
+constexpr int64_t kTransferAmount = 1000;
+
+}  // namespace
+
+RpcPort::RpcPort(Kernel* kernel, const std::string& name)
     : kernel_(kernel),
       name_(name),
-      transfer_amount_(transfer_amount),
       m_calls_(kernel->metrics().counter("rpc.calls")),
       m_latency_us_(kernel->metrics().histogram("rpc.latency_us")) {
   LotteryScheduler* ls = kernel_->lottery();
@@ -47,7 +54,7 @@ void RpcPort::RegisterServer(ThreadId tid) {
   if (ls == nullptr || server_tickets_.count(tid) > 0) {
     return;
   }
-  Ticket* ticket = ls->table().CreateTicket(currency_, transfer_amount_);
+  Ticket* ticket = ls->table().CreateTicket(currency_, kTransferAmount);
   ls->table().Fund(ls->thread_currency(tid), ticket);
   server_tickets_[tid] = ticket;
 }
@@ -79,7 +86,7 @@ void RpcPort::Call(RunContext& ctx, int64_t payload) {
   if (ls != nullptr) {
     message.transfer = std::make_unique<TicketTransfer>(
         &ls->table(), ls->thread_currency(ctx.self()), nullptr,
-        transfer_amount_);
+        kTransferAmount);
     ls->NoteTransfer();
   }
 

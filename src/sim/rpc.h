@@ -51,8 +51,7 @@ struct RpcMessage {
 // out of the queue.
 class RpcPort : public ThreadExitObserver {
  public:
-  RpcPort(Kernel* kernel, const std::string& name,
-          int64_t transfer_amount = 1000);
+  RpcPort(Kernel* kernel, const std::string& name);
   ~RpcPort();
   RpcPort(const RpcPort&) = delete;
   RpcPort& operator=(const RpcPort&) = delete;
@@ -98,7 +97,6 @@ class RpcPort : public ThreadExitObserver {
  private:
   Kernel* kernel_;
   std::string name_;
-  int64_t transfer_amount_;
   std::deque<RpcMessage> pending_;
   std::deque<ThreadId> waiting_servers_;
   uint64_t total_calls_ = 0;

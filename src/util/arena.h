@@ -14,8 +14,9 @@
 //     when the pool dies.
 //   * ChunkedVector<T> — an index-addressed arena: a vector that grows in
 //     fixed-size chunks so elements never move (unlike std::vector) and
-//     growth never copies. Records addressed by dense integer ids (thread
-//     ids, event-node indices) live here.
+//     growth never copies. Records addressed by dense integer ids (the
+//     kernel's and the lottery scheduler's thread records, event-node
+//     indices) live here.
 //
 // Neither container is thread-safe; the simulator is single-threaded by
 // design (determinism contract, DESIGN.md). Neither uses unordered
@@ -112,7 +113,9 @@ class ChunkedVector {
     const size_t chunk = size_ / kChunkSize;
     const size_t offset = size_ % kChunkSize;
     if (chunk == chunks_.size()) {
-      chunks_.push_back(std::make_unique<Chunk>());
+      // Uninitialized: elements are built in place one at a time, so
+      // zero-filling the chunk would only fault in pages nothing uses yet.
+      chunks_.push_back(std::make_unique_for_overwrite<Chunk>());
     }
     T* slot = ::new (static_cast<void*>(Slot(chunk, offset)))
         T(std::forward<Args>(args)...);

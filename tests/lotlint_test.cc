@@ -266,6 +266,29 @@ TEST(LotlintCallGraph, ExportsFunctionsAndEdges) {
   EXPECT_NE(json.find("\"caller_dirs\": []"), std::string::npos);
 }
 
+TEST(LotlintCallGraph, InitializerListCallsBelongToTheConstructor) {
+  const lotlint::Report report = lotlint::Analyze(
+      {{"src/sim/ctor_init.cc", ReadFixture("ctor_init.cc.txt")}});
+  std::set<std::pair<std::string, std::string>> edges;
+  for (const lotlint::CallEdge& e : report.edges) {
+    edges.insert({e.caller, e.callee});
+  }
+  for (const char* callee : {"Seed", "economy", "Width", "Run"}) {
+    EXPECT_EQ(edges.count({"Holder::Holder", callee}), 1u) << callee;
+  }
+  EXPECT_EQ(edges.count({"Holder::Run", "Tick"}), 1u);
+  std::set<std::string> names;
+  for (const lotlint::FunctionNode& f : report.functions) {
+    names.insert(f.name);
+    if (f.name == "Source::economy" || f.name == "Seed") {
+      EXPECT_EQ(f.caller_dirs, std::vector<std::string>{"src"}) << f.name;
+    }
+  }
+  const std::set<std::string> expected = {"Seed", "Source::economy",
+                                          "Holder::Holder", "Holder::Run"};
+  EXPECT_EQ(names, expected);
+}
+
 TEST(LotlintRng, SeedAndStreamDiscipline) {
   const lotlint::Report report = lotlint::AnalyzeFile(
       "src/core/rngstream.cc", ReadFixture("rngstream.cc.txt"));

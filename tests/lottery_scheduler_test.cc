@@ -35,6 +35,21 @@ TEST(LotteryScheduler, UnknownThreadThrows) {
   LotteryScheduler sched;
   EXPECT_THROW(sched.OnReady(9, kT0), std::invalid_argument);
   EXPECT_THROW(sched.thread_currency(9), std::invalid_argument);
+  // Records are indexed by id: adding thread 5 makes room for ids 0-4,
+  // which stay unknown.
+  sched.AddThread(5, kT0);
+  for (const ThreadId id : {0u, 3u, 4u}) {
+    EXPECT_THROW(sched.OnReady(id, kT0), std::invalid_argument) << id;
+    EXPECT_THROW(sched.client(id), std::invalid_argument) << id;
+    EXPECT_FALSE(sched.IsQueued(id)) << id;
+    EXPECT_EQ(sched.ThreadBaseValue(id).raw(), 0) << id;
+  }
+  // Ids the table would have to grow to are refused outright.
+  EXPECT_THROW(sched.AddThread(kInvalidThreadId, kT0), std::invalid_argument);
+  EXPECT_THROW(sched.AddThread(LotteryScheduler::kMaxThreadId + 1, kT0),
+               std::invalid_argument);
+  EXPECT_THROW(sched.thread_currency(LotteryScheduler::kMaxThreadId + 1),
+               std::invalid_argument);
 }
 
 TEST(LotteryScheduler, SingleReadyThreadAlwaysPicked) {
@@ -138,6 +153,33 @@ TEST(LotteryScheduler, RemoveThreadCleansUpCurrencyGraph) {
   // Self ticket + funding ticket retired.
   EXPECT_EQ(sched.table().num_tickets(), tickets_before - 2);
   EXPECT_THROW(sched.client(1), std::invalid_argument);
+  EXPECT_THROW(sched.RemoveThread(1, kT0), std::invalid_argument);
+
+  // The id can be added again: a fresh currency and client in the same
+  // record, whose value changes reach its slot while it is queued.
+  sched.AddThread(1, kT0);
+  sched.AddThread(2, kT0);
+  EXPECT_NE(sched.table().FindCurrency("thread:1"), nullptr);
+  sched.FundThread(2, sched.table().base(), 300);
+  sched.OnReady(1, kT0);
+  sched.OnReady(2, kT0);
+  EXPECT_TRUE(sched.IsQueued(1));
+  sched.FundThread(1, user, 100);
+  EXPECT_GT(sched.ThreadValue(1).raw(), 0);
+  const uint64_t runnable = sched.RunnableTickets();
+  EXPECT_EQ(runnable, sched.ThreadValue(1).raw_unsigned() +
+                          sched.ThreadValue(2).raw_unsigned());
+  const auto snapshot = sched.QueuedSnapshot();
+
+  // A client made directly on the table is not the scheduler's: dirtying
+  // it changes no queued weight.
+  Client stranger(&sched.table(), "stranger");
+  stranger.HoldTicket(sched.table().CreateTicket(sched.table().base(), 500));
+  stranger.SetActive(true);
+  sched.table().SetAmount(stranger.tickets()[0], 700);
+  EXPECT_GT(stranger.Value().raw(), 0);
+  EXPECT_EQ(sched.RunnableTickets(), runnable);
+  EXPECT_EQ(sched.QueuedSnapshot(), snapshot);
 }
 
 TEST(LotteryScheduler, HierarchicalFundingIsProportional) {

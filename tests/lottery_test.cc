@@ -320,29 +320,56 @@ TEST(TreeLottery, LargeWeightsUse64Bits) {
 }
 
 // Property sweep: for any size, SlotForValue partitions [0, total) into
-// intervals whose lengths equal the weights.
+// intervals whose lengths equal the weights. The leaves are the tree's only
+// copy of the weights, so the sweep also removes and re-weights slots and
+// then grows the tree past its capacity: Grow must carry the updated
+// leaves over.
 class TreePartitionSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(TreePartitionSweep, PartitionLengthsEqualWeights) {
   const int n = GetParam();
   TreeLottery tree;
   FastRand rng(static_cast<uint32_t>(100 + n));
-  std::vector<size_t> slots;
-  std::vector<uint64_t> weights;
-  for (int i = 0; i < n; ++i) {
+  std::map<size_t, uint64_t> weights;  // live slot -> weight
+  auto add = [&] {
     const uint64_t w = rng.NextBelow(20);  // zero weights allowed
-    slots.push_back(tree.Add(w));
-    weights.push_back(w);
-  }
-  std::map<size_t, uint64_t> hits;
-  for (uint64_t v = 0; v < tree.total(); ++v) {
-    ++hits[tree.SlotForValue(v)];
-  }
+    weights[tree.Add(w)] = w;
+  };
+  auto expect_partition = [&](const char* phase) {
+    ASSERT_EQ(tree.size(), weights.size()) << phase;
+    std::map<size_t, uint64_t> hits;
+    for (uint64_t v = 0; v < tree.total(); ++v) {
+      ++hits[tree.SlotForValue(v)];
+    }
+    for (const auto& [slot, w] : weights) {
+      EXPECT_EQ(hits[slot], w) << phase << ": slot " << slot;
+      EXPECT_EQ(tree.Weight(slot), w) << phase << ": slot " << slot;
+    }
+  };
   for (int i = 0; i < n; ++i) {
-    EXPECT_EQ(hits[slots[static_cast<size_t>(i)]],
-              weights[static_cast<size_t>(i)])
-        << "slot " << i;
+    add();
   }
+  expect_partition("added");
+
+  const size_t capacity = tree.capacity();
+  int i = 0;
+  for (auto it = weights.begin(); it != weights.end(); ++i) {
+    if (i % 3 == 0) {
+      tree.Remove(it->first);
+      it = weights.erase(it);
+      continue;
+    }
+    if (i % 2 == 0) {
+      it->second = rng.NextBelow(20);
+      tree.SetWeight(it->first, it->second);
+    }
+    ++it;
+  }
+  expect_partition("removed and re-weighted");
+  while (tree.capacity() == capacity) {
+    add();
+  }
+  expect_partition("grown");
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, TreePartitionSweep,

@@ -638,10 +638,11 @@ struct FuncDef {
   std::string name;  // qualified as written (Class::Method)
   std::string stem;  // last name component
   size_t scan_idx = 0;
-  size_t body_open = 0;   // token index of '{'
-  size_t body_close = 0;  // token index of matching '}'
-  int line = 0;           // line of the name token
-  int line_end = 0;       // line of the closing brace
+  size_t params_close = 0;  // token index of the parameter list's ')'
+  size_t body_open = 0;     // token index of '{'
+  size_t body_close = 0;    // token index of matching '}'
+  int line = 0;             // line of the name token
+  int line_end = 0;         // line of the closing brace
   bool reachable = false;
   bool ticket_reachable = false;
   std::string root;  // entry point that first reached it
@@ -656,7 +657,9 @@ struct CallSite {
 // Token-level function-definition recognizer: `Qualified::Name (params)`
 // followed by a qualifier/attribute/ctor-initializer tail ending in '{'.
 // Declarations end in ';' and expressions hit a token that can't appear in
-// the tail ('=', '?', ')', '<<', ...), so both are rejected.
+// the tail ('=', '?', ')', '<<', ...), so both are rejected. The scan
+// resumes inside a found definition's body, so the `member_(...)` entries
+// and attribute macros of its tail are not taken for definitions.
 void ExtractDefs(const Scan& scan, size_t scan_idx,
                  std::vector<FuncDef>* defs) {
   const auto& toks = scan.toks;
@@ -712,12 +715,14 @@ void ExtractDefs(const Scan& scan, size_t scan_idx,
     for (size_t k = start; k <= i; ++k) def.name += toks[k].text;
     def.stem = toks[i].text;
     def.scan_idx = scan_idx;
+    def.params_close = params_close;
     def.body_open = j;
     def.body_close = MatchingClose(toks, j);
     if (def.body_close >= toks.size()) continue;
     def.line = toks[i].line;
     def.line_end = toks[def.body_close].line;
     defs->push_back(std::move(def));
+    i = j;
   }
 }
 
@@ -1280,7 +1285,10 @@ Report Analyze(const std::vector<std::pair<std::string, std::string>>& files,
   std::multimap<std::string, size_t> by_stem;
   for (size_t d = 0; d < defs.size(); ++d) by_stem.emplace(defs[d].stem, d);
 
-  // Call sites, attributed to the innermost enclosing definition.
+  // Call sites, attributed to the innermost enclosing definition. A
+  // definition spans its tail and body (from the parameter list's ')' to
+  // its '}'), so the calls in a constructor's member-initializer list are
+  // the constructor's.
   std::vector<std::vector<CallSite>> calls(defs.size());
   Report report;
   for (size_t s = 0; s < scans.size(); ++s) {
@@ -1290,9 +1298,9 @@ Report Analyze(const std::vector<std::pair<std::string, std::string>>& files,
       if (NotFuncNames().count(toks[i].text) > 0) continue;
       size_t owner = defs.size();
       for (const size_t d : defs_in_scan[s]) {
-        if (i > defs[d].body_open && i < defs[d].body_close &&
+        if (i > defs[d].params_close && i < defs[d].body_close &&
             (owner == defs.size() ||
-             defs[d].body_open > defs[owner].body_open)) {
+             defs[d].params_close > defs[owner].params_close)) {
           owner = d;
         }
       }

@@ -127,7 +127,8 @@ struct FunctionNode {
   bool reachable = false;  // from any scheduling entry point
   std::string root;        // entry point that first reached it ("" if not)
   // Sorted top-level directories (src, tests, ...) of the call sites whose
-  // callee is this function's bare name, outside its own body. Matched by
+  // callee is this function's bare name, outside its own definition (its
+  // body and, for a constructor, its member-initializer list). Matched by
   // name only: a "tests"-only list is a candidate for deletion, to be
   // checked by hand.
   std::vector<std::string> caller_dirs;
