@@ -23,24 +23,27 @@ bench/fig4_relative_rate and friends). The script runs, from both builds:
     tree-backend trace; its stdout names the output path and is not
     compared);
   * bench_smp --seed=42 --seconds=20 (the only bench that runs the SMP
-    balancer's migrant lottery and its crossbar veto), comparing its
-    --json report with every key containing "_ns" dropped and its
-    --timeseries file byte for byte. Its stdout prints host-ns columns and
-    is not compared;
+    balancer's migrant lottery and prices its migrations on the crossbar;
+    no identity run vetoes a steal), comparing its --json report with
+    every key containing "_ns" dropped and its --timeseries file byte for
+    byte. Its stdout prints host-ns columns and is not compared;
   * faultctl --seed=7 --threads=12 --horizon-us=400000 with one plan that
     arms all eight fault classes, on the list, tree, stride and smp
-    (--cpus=2) backends, comparing stdout byte for byte. These are the
-    only runs of the fault paths that schedule kernel events (delayed
-    unblocks, RPC drop notices, chaos ticks, revocation restores,
+    (--cpus=2 and --cpus=8) backends, comparing stdout byte for byte.
+    These are the only runs of the fault paths that schedule kernel events
+    (delayed unblocks, RPC drop notices, chaos ticks, revocation restores,
     disk-timeout backoff); stdout carries the run's trace_hash, an FNV
-    hash of its dispatch log, and its per-class injection counts.
+    hash of its dispatch log, and its per-class injection counts. The
+    8-CPU leg's balancer builds dozens of crossbar circuits, so some of
+    its cell slots match several outputs at once.
 
-Every run is made and compared, also after one differs. Each run whose
-outputs differ (or that fails to run in either build) is named with the
-start of its difference as it is found, and listed again at the end. Exits
-0 when everything matches and 1 when any run differs. A change meant to
-alter only speed must pass this against its parent commit; a change that
-alters one output on purpose shows here that it alters no other.
+That is 32 runs in all. Every run is made and compared, also after one
+differs. Each run whose outputs differ (or that fails to run in either
+build) is named with the start of its difference as it is found, and
+listed again at the end. Exits 0 when everything matches and 1 when any
+run differs. A change meant to alter only speed must pass this against its
+parent commit; a change that alters one output on purpose shows here that
+it alters no other.
 """
 
 import difflib
@@ -103,6 +106,7 @@ FAULTCTL = [
     ["--backend=tree"],
     ["--backend=stride"],
     ["--backend=smp", "--cpus=2"],
+    ["--backend=smp", "--cpus=8"],
 ]
 FAULT_FLAGS = ["--seed=7", "--threads=12", "--horizon-us=400000"]
 FAULT_PLAN = ("crash:ppm=3000;spurious-wake:p=0.2;"

@@ -100,7 +100,11 @@ void CurrencyTable::UnlinkCurrency(Currency* currency) {
   (currency->list_next_ != nullptr ? currency->list_next_->list_prev_
                                    : currencies_tail_) = currency->list_prev_;
   --num_currencies_;
-  currency_by_name_.erase(currency->name());
+  // A retired currency gave its name up, perhaps to a successor.
+  const auto named = currency_by_name_.find(currency->name());
+  if (named != currency_by_name_.end() && named->second == currency) {
+    currency_by_name_.erase(named);
+  }
 }
 
 void CurrencyTable::LinkTicket(Ticket* ticket) {
@@ -228,7 +232,10 @@ void CurrencyTable::DestroyCurrency(Currency* currency) {
   while (!currency->backing_.empty()) {
     DestroyTicket(currency->backing_.back());
   }
-  if (FindCurrency(currency->name()) != currency) {
+  // A retired currency has issued tickets until DestroyTicket reclaims it,
+  // so only that reclamation gets here with one, and it has no name to
+  // check.
+  if (!currency->retired_ && FindCurrency(currency->name()) != currency) {
     throw std::logic_error("DestroyCurrency: unknown currency");
   }
   TraceCurrency(trace_, etrace::EventType::kCurrencyDestroy,
@@ -242,6 +249,9 @@ void CurrencyTable::RetireCurrency(Currency* currency) {
   if (currency == base_) {
     throw std::invalid_argument("RetireCurrency: cannot retire base");
   }
+  if (currency->retired_) {
+    return;  // its name may belong to a successor by now
+  }
   if (currency->issued_.empty()) {
     DestroyCurrency(currency);
     return;
@@ -253,6 +263,9 @@ void CurrencyTable::RetireCurrency(Currency* currency) {
   while (!currency->backing_.empty()) {
     DestroyTicket(currency->backing_.back());
   }
+  // Its name is free from now on, so a new currency (a re-added thread's)
+  // may take it while this one lingers.
+  currency_by_name_.erase(currency->name());
   currency->retired_ = true;
   TraceCurrency(trace_, etrace::EventType::kCurrencyRetire,
                 currency->trace_name_);
@@ -563,9 +576,14 @@ std::string CurrencyTable::DebugString() const {
 std::string CurrencyTable::ToDot() const {
   std::ostringstream out;
   out << "digraph currencies {\n  rankdir=BT;\n";
+  // A retired currency may share its name with a successor, so its node
+  // gets an id of its own.
+  const auto node = [](const Currency* c) {
+    return c->retired() ? c->name() + " (retired)" : c->name();
+  };
   for (const Currency* c = currencies_head_; c != nullptr;
        c = c->list_next_) {
-    out << "  \"" << c->name() << "\" [shape=box,label=\"" << c->name();
+    out << "  \"" << node(c) << "\" [shape=box,label=\"" << node(c);
     if (!c->is_base()) {
       out << "\\nvalue=" << CurrencyValue(c).ToBaseF();
     }
@@ -584,7 +602,7 @@ std::string CurrencyTable::ToDot() const {
     } else {
       continue;  // unattached tickets have no edge
     }
-    out << "  \"" << from << "\" -> \"" << t->denomination()->name()
+    out << "  \"" << from << "\" -> \"" << node(t->denomination())
         << "\" [label=\"" << t->amount() << "\""
         << (t->active() ? "" : ",style=dashed") << "];\n";
   }

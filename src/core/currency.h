@@ -71,7 +71,9 @@ class Currency {
   // A retired currency is awaiting destruction: its owner died while other
   // parties still held tickets issued in it (e.g. an in-flight RPC transfer
   // from a crashed client). Its backing is gone — issued tickets are worth
-  // zero — and the table reclaims it when the last issued ticket dies.
+  // zero — and the table reclaims it when the last issued ticket dies. It
+  // has given up its name: FindCurrency no longer returns it, and a new
+  // currency may be created under the same name.
   bool retired() const { return retired_; }
   // Sum of the amounts of currently active tickets issued in this currency.
   int64_t active_amount() const { return active_amount_; }
@@ -167,9 +169,10 @@ class CurrencyTable {
   // still be held by others (in-flight transfers from a crashed thread).
   // The backing tickets are destroyed immediately — the dead owner's
   // funding is withdrawn, so outstanding issued tickets are worth zero —
-  // and the currency itself lingers, retired, until DestroyTicket reclaims
-  // it with its last issued ticket. Equivalent to DestroyCurrency when no
-  // issued tickets remain.
+  // and the currency itself lingers, retired and nameless in lookups, until
+  // DestroyTicket reclaims it with its last issued ticket. Equivalent to
+  // DestroyCurrency when no issued tickets remain; a no-op on a currency
+  // already retired.
   void RetireCurrency(Currency* currency);
 
   // --- Ticket lifecycle ---------------------------------------------------

@@ -67,6 +67,9 @@ void SweepTicketConservation(const CurrencyTable& table,
     if (c->retired() && !c->backing().empty()) {
       add("retired currency " + c->name() + " still has backing");
     }
+    if (c->retired() && c->issued().empty()) {
+      add("retired currency " + c->name() + " has no issued ticket left");
+    }
   }
   for (const Ticket* t : table.Tickets()) {
     if (t->funds() != nullptr && t->holder() != nullptr) {

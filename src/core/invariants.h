@@ -12,8 +12,10 @@
 //     client XOR is unattached) and activation implies attachment; a
 //     backing ticket is active exactly when the currency it funds has
 //     active amount, a held ticket exactly when its holder is active; a
-//     retired currency has no backing left. Transfers move tickets; they
-//     must never mint or destroy amount as a side effect.
+//     retired currency has no backing left, and still has an issued
+//     ticket (the last one reclaims it, so an empty one has leaked).
+//     Transfers move tickets; they must never mint or destroy amount as a
+//     side effect.
 //   * Acyclicity — the funding graph (backing edges toward more primitive
 //     currencies) has no cycle, so value computation terminates and
 //     CurrencyTable::Fund's online check can be trusted.

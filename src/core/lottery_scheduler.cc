@@ -180,7 +180,8 @@ void LotteryScheduler::RemoveThread(ThreadId id, SimTime /*now*/) {
   // dies with in-flight transfers (a crashed RPC client whose call is still
   // queued) leaves tickets issued in this currency in others' hands; the
   // currency is then retired — worth zero, reclaimed with its last issued
-  // ticket — instead of destroyed outright.
+  // ticket — instead of destroyed outright. It gives up its name, so the id
+  // can be added again meanwhile.
   table_.RetireCurrency(state.currency);
   LOT_DCHECK_TABLE(table_);
 }

@@ -254,9 +254,10 @@ void SmpScheduler::TryBalanceSteal(int cpu, SimTime now) {
     }
     // Affinity veto: predicted transfer time vs the imbalance's worth of
     // CPU time until the next balance check (the window the imbalance
-    // would otherwise persist for). Backlog from recent migrations raises
-    // the prediction, so storms throttle themselves.
-    const int64_t cost_ns = PredictCostNs(victim, cpu, level);
+    // would otherwise persist for). Backlog from recent migrations that has
+    // not drained by `now` raises the prediction, so storms throttle
+    // themselves.
+    const int64_t cost_ns = PredictCostNs(victim, cpu, level, now);
     const uint64_t ratio = imbalance * 1024 / sum;  // <= 1024
     const int64_t gain_ns = static_cast<int64_t>(
         ratio * static_cast<uint64_t>(last_quantum_.nanos()) *
@@ -312,7 +313,12 @@ CrossbarSwitch::CircuitId SmpScheduler::CircuitFor(int src, int dst) {
   return id;
 }
 
-int64_t SmpScheduler::PredictCostNs(int src, int dst, int level) {
+int64_t SmpScheduler::PredictCostNs(int src, int dst, int level,
+                                    SimTime now) {
+  // Drain what the switch would have sent by now, so the veto reads the
+  // backlog a migration at `now` would queue behind. The switch does the
+  // same work however it is stepped, so this moves none of its draws.
+  xbar_.AdvanceTo(now);
   const CrossbarSwitch::CircuitId circuit = CircuitFor(src, dst);
   const uint64_t cells =
       static_cast<uint64_t>(xbar_.Backlog(circuit)) + kFootprintCells;

@@ -29,8 +29,9 @@
 // cache footprint being re-fetched — and a balance steal is vetoed when the
 // predicted transfer time (backlog + footprint, scaled by domain distance)
 // exceeds the imbalance's worth of CPU time per quantum. Migration storms
-// thus throttle themselves: backlog raises the predicted cost until the
-// crossbar drains.
+// thus throttle themselves: the switch is advanced to the check's time
+// before its backlog is read, so cells still queued then raise the
+// predicted cost, and a drained circuit costs the footprint alone.
 
 #ifndef SRC_SCHED_SMP_SMP_SCHEDULER_H_
 #define SRC_SCHED_SMP_SMP_SCHEDULER_H_
@@ -133,8 +134,9 @@ class SmpScheduler : public LotteryScheduler {
 
   // Crossbar bookkeeping: the victim->thief circuit, created on first use.
   CrossbarSwitch::CircuitId CircuitFor(int src, int dst);
-  // Predicted transfer time for one migration over `level` domain hops.
-  int64_t PredictCostNs(int src, int dst, int level);
+  // Predicted transfer time for one migration over `level` domain hops,
+  // behind the circuit's backlog at `now`.
+  int64_t PredictCostNs(int src, int dst, int level, SimTime now);
 
   // Moves `id` (queued on `src`) to `dst`'s queue and prices the move on
   // the crossbar; emits etrace/counters with `type` (kSteal or kMigrate).

@@ -19,6 +19,8 @@ CrossbarSwitch::CrossbarSwitch(Options options, FastRand* rng)
     throw std::invalid_argument("CrossbarSwitch: need >= 1 matching round");
   }
   const auto ports = static_cast<size_t>(options.num_ports);
+  by_output_.resize(ports);
+  output_queued_.assign(ports, 0);
   input_matched_.assign(ports, false);
   output_matched_.assign(ports, false);
   proposals_.resize(ports);
@@ -38,7 +40,9 @@ CrossbarSwitch::CircuitId CrossbarSwitch::AddCircuit(int input, int output,
   circuit.output = output;
   circuit.tickets = tickets;
   circuits_.push_back(std::move(circuit));
-  return static_cast<CircuitId>(circuits_.size() - 1);
+  const auto id = static_cast<CircuitId>(circuits_.size() - 1);
+  by_output_[static_cast<size_t>(output)].push_back(id);
+  return id;
 }
 
 void CrossbarSwitch::SetTickets(CircuitId circuit, uint64_t tickets) {
@@ -53,6 +57,7 @@ bool CrossbarSwitch::Enqueue(CircuitId circuit, SimTime when) {
   }
   c.cells.push_back(when);
   ++queued_;
+  ++output_queued_[static_cast<size_t>(c.output)];
   return true;
 }
 
@@ -63,32 +68,31 @@ void CrossbarSwitch::RunSlot() {
   const SimTime slot_end = now_ + options_.cell_time;
 
   for (int round = 0; round < options_.matching_rounds; ++round) {
-    // Step 1: each unmatched output draws a proposer among backlogged
-    // circuits from unmatched inputs.
+    // Step 1: each unmatched output with cells queued draws a proposer
+    // among its backlogged circuits from unmatched inputs.
     bool proposed = false;
     for (int out = 0; out < ports; ++out) {
-      if (output_matched_[static_cast<size_t>(out)]) {
+      const auto o = static_cast<size_t>(out);
+      if (output_matched_[o] || output_queued_[o] == 0) {
         continue;
       }
-      const auto eligible = [&](const Circuit& c) {
-        return c.output == out && !c.cells.empty() &&
-               c.cells.front() <= now_ &&
+      const auto eligible = [&](CircuitId id) {
+        const Circuit& c = circuits_[id];
+        return !c.cells.empty() && c.cells.front() <= now_ &&
                !input_matched_[static_cast<size_t>(c.input)];
       };
-      const auto first =
-          std::find_if(circuits_.begin(), circuits_.end(), eligible);
-      if (first == circuits_.end()) {
+      const std::vector<CircuitId>& mine = by_output_[o];
+      const auto first = std::find_if(mine.begin(), mine.end(), eligible);
+      if (first == mine.end()) {
         continue;
       }
-      auto it = DrawWeighted(*rng_, first, circuits_.end(),
-                             [&](const Circuit& c) {
-                               return eligible(c) ? c.tickets : uint64_t{0};
-                             });
-      if (it == circuits_.end()) {
+      auto it = DrawWeighted(*rng_, first, mine.end(), [&](CircuitId id) {
+        return eligible(id) ? circuits_[id].tickets : uint64_t{0};
+      });
+      if (it == mine.end()) {
         it = first;  // all-zero tickets: the first eligible circuit
       }
-      proposals_[static_cast<size_t>(it->input)].push_back(
-          static_cast<size_t>(it - circuits_.begin()));
+      proposals_[static_cast<size_t>(circuits_[*it].input)].push_back(*it);
       proposed = true;
     }
 
@@ -121,6 +125,7 @@ void CrossbarSwitch::RunSlot() {
       c.delay.Add((slot_end - c.cells.front()).ToSecondsF());
       c.cells.pop_front();
       --queued_;
+      --output_queued_[static_cast<size_t>(c.output)];
       ++c.sent;
       ++total_sent_;
     }

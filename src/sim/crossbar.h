@@ -21,6 +21,13 @@
 // circuit is AddCircuit(0, 0, tickets), and each slot is one lottery over
 // the circuits with a cell buffered, in the order they were added.
 //
+// Cost: each output keeps its circuit ids in ascending order and a count
+// of the cells queued on them, so step 1 skips an output with nothing
+// queued and draws over that output's own circuits only. A round costs
+// O(ports + circuits of the backlogged outputs), not O(ports x circuits):
+// the SMP balancer's switch, with a circuit per CPU pair that has ever
+// migrated, keeps most of them idle while one migration's cells drain.
+//
 // Clock: slots start on the grid now() + k * cell_time, and a cell that
 // arrived by a slot's start may go in that slot. While any cell is queued
 // the clock stays on the grid, so a slot that AdvanceTo's deadline splits
@@ -101,6 +108,10 @@ class CrossbarSwitch {
   size_t queued_ = 0;  // cells buffered across all circuits
   uint64_t total_sent_ = 0;
   uint64_t slots_ = 0;
+  // Per output: its circuits in ascending id order (the order every output
+  // lottery walks), and the cells buffered on them.
+  std::vector<std::vector<CircuitId>> by_output_;
+  std::vector<size_t> output_queued_;
   // RunSlot's working state, sized once per port: which ports a slot has
   // matched, and per input the circuits that won an output lottery this
   // round, in output order.

@@ -1,9 +1,19 @@
 // Tests for the lottery-matched crossbar switch, and for its one-port form,
-// a single congested link.
+// a single congested link; and a differential test of its indexed matching
+// against an all-circuit scan.
 
 #include "src/sim/crossbar.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <deque>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
+
+#include "src/core/weighted_draw.h"
 
 namespace lottery {
 namespace {
@@ -228,6 +238,269 @@ TEST_P(MatchingRounds, SaturationThroughput) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Rounds, MatchingRounds, ::testing::Values(1, 2, 4));
+
+// The switch before its outputs indexed their circuits: each output lottery
+// scans every circuit of the switch, in id order, and circuits of other
+// outputs weigh zero. It is the reference the indexed matching must follow
+// draw for draw, so its RunSlot and AdvanceTo are kept as they were.
+class ReferenceCrossbar {
+ public:
+  using CircuitId = CrossbarSwitch::CircuitId;
+
+  ReferenceCrossbar(CrossbarSwitch::Options options, FastRand* rng)
+      : options_(options), rng_(rng) {
+    const auto ports = static_cast<size_t>(options.num_ports);
+    input_matched_.assign(ports, false);
+    output_matched_.assign(ports, false);
+    proposals_.resize(ports);
+  }
+
+  CircuitId AddCircuit(int input, int output, uint64_t tickets) {
+    circuits_.push_back(Circuit{input, output, tickets, {}, 0, 0, {}});
+    return static_cast<CircuitId>(circuits_.size() - 1);
+  }
+  void SetTickets(CircuitId circuit, uint64_t tickets) {
+    circuits_.at(circuit).tickets = tickets;
+  }
+  bool Enqueue(CircuitId circuit, SimTime when) {
+    Circuit& c = circuits_.at(circuit);
+    if (c.cells.size() >= options_.buffer_cells) {
+      ++c.dropped;
+      return false;
+    }
+    c.cells.push_back(when);
+    ++queued_;
+    return true;
+  }
+  void AdvanceTo(SimTime deadline) {
+    while (queued_ > 0 && now_ + options_.cell_time <= deadline) {
+      RunSlot();
+      now_ += options_.cell_time;
+      ++slots_;
+    }
+    if (queued_ == 0 && now_ < deadline) {
+      slots_ += static_cast<uint64_t>((deadline - now_).nanos() /
+                                      options_.cell_time.nanos());
+      now_ = deadline;
+    }
+  }
+
+  SimTime now() const { return now_; }
+  uint64_t CellsSent(CircuitId circuit) const {
+    return circuits_.at(circuit).sent;
+  }
+  uint64_t CellsDropped(CircuitId circuit) const {
+    return circuits_.at(circuit).dropped;
+  }
+  size_t Backlog(CircuitId circuit) const {
+    return circuits_.at(circuit).cells.size();
+  }
+  const obs::StreamingStats& Delay(CircuitId circuit) const {
+    return circuits_.at(circuit).delay;
+  }
+  uint64_t total_cells_sent() const { return total_sent_; }
+  uint64_t slots_elapsed() const { return slots_; }
+
+ private:
+  struct Circuit {
+    int input;
+    int output;
+    uint64_t tickets;
+    std::deque<SimTime> cells;
+    uint64_t sent;
+    uint64_t dropped;
+    obs::StreamingStats delay;
+  };
+
+  void RunSlot() {
+    const int ports = options_.num_ports;
+    std::fill(input_matched_.begin(), input_matched_.end(), false);
+    std::fill(output_matched_.begin(), output_matched_.end(), false);
+    const SimTime slot_end = now_ + options_.cell_time;
+    for (int round = 0; round < options_.matching_rounds; ++round) {
+      bool proposed = false;
+      for (int out = 0; out < ports; ++out) {
+        if (output_matched_[static_cast<size_t>(out)]) {
+          continue;
+        }
+        const auto eligible = [&](const Circuit& c) {
+          return c.output == out && !c.cells.empty() &&
+                 c.cells.front() <= now_ &&
+                 !input_matched_[static_cast<size_t>(c.input)];
+        };
+        const auto first =
+            std::find_if(circuits_.begin(), circuits_.end(), eligible);
+        if (first == circuits_.end()) {
+          continue;
+        }
+        auto it = DrawWeighted(*rng_, first, circuits_.end(),
+                               [&](const Circuit& c) {
+                                 return eligible(c) ? c.tickets : uint64_t{0};
+                               });
+        if (it == circuits_.end()) {
+          it = first;
+        }
+        proposals_[static_cast<size_t>(it->input)].push_back(
+            static_cast<size_t>(it - circuits_.begin()));
+        proposed = true;
+      }
+      if (!proposed) {
+        break;
+      }
+      for (int input = 0; input < ports; ++input) {
+        std::vector<size_t>& candidates =
+            proposals_[static_cast<size_t>(input)];
+        if (candidates.empty()) {
+          continue;
+        }
+        size_t winner = candidates.front();
+        if (candidates.size() > 1) {
+          const auto it =
+              DrawWeighted(*rng_, candidates.begin(), candidates.end(),
+                           [this](size_t i) { return circuits_[i].tickets; });
+          if (it != candidates.end()) {
+            winner = *it;
+          }
+        }
+        candidates.clear();
+        Circuit& c = circuits_[winner];
+        input_matched_[static_cast<size_t>(input)] = true;
+        output_matched_[static_cast<size_t>(c.output)] = true;
+        c.delay.Add((slot_end - c.cells.front()).ToSecondsF());
+        c.cells.pop_front();
+        --queued_;
+        ++c.sent;
+        ++total_sent_;
+      }
+    }
+  }
+
+  CrossbarSwitch::Options options_;
+  FastRand* rng_;
+  std::vector<Circuit> circuits_;
+  SimTime now_ = SimTime::Zero();
+  size_t queued_ = 0;
+  uint64_t total_sent_ = 0;
+  uint64_t slots_ = 0;
+  std::vector<bool> input_matched_;
+  std::vector<bool> output_matched_;
+  std::vector<std::vector<size_t>> proposals_;
+};
+
+// Everything the public API shows of the two switches, and where their
+// generators stand.
+::testing::AssertionResult SameState(const CrossbarSwitch& sw,
+                                     const ReferenceCrossbar& ref,
+                                     size_t circuits, const FastRand& sw_rng,
+                                     const FastRand& ref_rng) {
+  const auto differ = [](const std::string& what) {
+    return ::testing::AssertionFailure() << what << " differs";
+  };
+  if (sw_rng.state() != ref_rng.state()) {
+    return differ("generator state");
+  }
+  if (sw.now() != ref.now() || sw.slots_elapsed() != ref.slots_elapsed() ||
+      sw.total_cells_sent() != ref.total_cells_sent()) {
+    return differ("clock or totals");
+  }
+  for (size_t i = 0; i < circuits; ++i) {
+    const auto vc = static_cast<CrossbarSwitch::CircuitId>(i);
+    const obs::StreamingStats& a = sw.Delay(vc);
+    const obs::StreamingStats& b = ref.Delay(vc);
+    if (sw.CellsSent(vc) != ref.CellsSent(vc) ||
+        sw.CellsDropped(vc) != ref.CellsDropped(vc) ||
+        sw.Backlog(vc) != ref.Backlog(vc) || a.count() != b.count() ||
+        a.mean() != b.mean() || a.min() != b.min() || a.max() != b.max() ||
+        a.variance() != b.variance()) {
+      return differ("circuit " + std::to_string(i));
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Seeded random traffic through both switches: zero-ticket circuits and
+// several circuits per (input, output) pair, circuits added and repriced
+// while cells flow, cells stamped after the current slot's start, bursts
+// that overflow the buffers, and AdvanceTo steps shorter and longer than a
+// cell.
+class IndexedMatching
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(IndexedMatching, FollowsTheAllCircuitScanDrawForDraw) {
+  const auto [ports, rounds] = GetParam();
+  CrossbarSwitch::Options o = Opts(ports, rounds);
+  o.buffer_cells = 6;
+  const int64_t cell_ns = o.cell_time.nanos();
+  const auto seed = static_cast<uint32_t>(7000 + 10 * ports + rounds);
+  FastRand sw_rng(seed);
+  FastRand ref_rng(seed);
+  FastRand traffic(seed + 1);
+  CrossbarSwitch sw(o, &sw_rng);
+  ReferenceCrossbar ref(o, &ref_rng);
+  const auto port = [&] {
+    return static_cast<int>(traffic.NextBelow(static_cast<uint32_t>(ports)));
+  };
+  const auto tickets = [&] {
+    constexpr uint64_t kTickets[] = {0, 0, 1, 3, 10, 100};
+    return kTickets[traffic.NextBelow(6)];
+  };
+  std::vector<std::pair<int, int>> pairs;  // (input, output) per circuit
+  const auto add_circuit = [&] {
+    std::pair<int, int> pair{port(), port()};
+    if (!pairs.empty() && traffic.NextBelow(3) == 0) {
+      pair = pairs[traffic.NextBelow(static_cast<uint32_t>(pairs.size()))];
+    }
+    const uint64_t t = tickets();
+    const auto id = sw.AddCircuit(pair.first, pair.second, t);
+    ASSERT_EQ(ref.AddCircuit(pair.first, pair.second, t), id);
+    pairs.push_back(pair);
+  };
+  const auto circuit = [&] {
+    return static_cast<CrossbarSwitch::CircuitId>(
+        traffic.NextBelow(static_cast<uint32_t>(pairs.size())));
+  };
+  for (int i = 0; i < ports + 1; ++i) {
+    add_circuit();
+  }
+  SimTime deadline = SimTime::Zero();
+  uint64_t dropped = 0;
+  for (int step = 0; step < 400; ++step) {
+    if (traffic.NextBelow(8) == 0) {
+      add_circuit();
+    }
+    if (traffic.NextBelow(6) == 0) {
+      const auto vc = circuit();
+      const uint64_t t = tickets();
+      sw.SetTickets(vc, t);
+      ref.SetTickets(vc, t);
+    }
+    const uint32_t burst =
+        traffic.NextBelow(static_cast<uint32_t>(2 * ports + 3));
+    for (uint32_t i = 0; i < burst; ++i) {
+      const auto vc = circuit();
+      const SimTime when =
+          sw.now() + SimDuration::Nanos(static_cast<int64_t>(
+                         traffic.NextBelow(static_cast<uint32_t>(3 * cell_ns))));
+      const bool queued = sw.Enqueue(vc, when);
+      ASSERT_EQ(ref.Enqueue(vc, when), queued) << "step " << step;
+      dropped += queued ? 0 : 1;
+    }
+    deadline = deadline + SimDuration::Nanos(static_cast<int64_t>(
+                              1 + traffic.NextBelow(
+                                      static_cast<uint32_t>(3 * cell_ns))));
+    sw.AdvanceTo(deadline);
+    ref.AdvanceTo(deadline);
+    ASSERT_TRUE(SameState(sw, ref, pairs.size(), sw_rng, ref_rng))
+        << "step " << step;
+  }
+  EXPECT_GT(sw.total_cells_sent(), 400u);
+  EXPECT_GT(dropped, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PortsAndRounds, IndexedMatching,
+    ::testing::Combine(::testing::Values(1, 2, 5, 16),
+                       ::testing::Values(1, 2, 4)));
 
 }  // namespace
 }  // namespace lottery

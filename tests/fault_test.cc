@@ -325,10 +325,11 @@ TEST(MutexOwnerExit, InjectedCrashOfOwnerPassesLockAndFundingToWaiter) {
   EXPECT_EQ(mutex.owner(), kInvalidThreadId);
   EXPECT_EQ(mutex.num_waiters(), 0u);
   EXPECT_EQ(injector.injections(FaultClass::kThreadCrash), 1u);
-  // Both thread currencies are fully reclaimed: only the base and the mutex
-  // currency survive, and the mutex inheritance ticket is parked.
-  EXPECT_EQ(scheduler.table().FindCurrency("thread:1"), nullptr);
-  EXPECT_EQ(scheduler.table().FindCurrency("thread:2"), nullptr);
+  // Both thread currencies are fully reclaimed, not left retired: only the
+  // base and the mutex currency survive, and the mutex inheritance ticket
+  // is parked.
+  EXPECT_EQ(scheduler.table().num_currencies(), 2u);
+  EXPECT_NE(scheduler.table().FindCurrency("mutex:m"), nullptr);
 }
 
 TEST(MutexOwnerExit, VoluntaryExitWhileHoldingAlsoReleases) {
@@ -373,10 +374,15 @@ TEST(RetireCurrency, LingersUntilLastIssuedTicketDies) {
   Ticket* issued_a = table.CreateTicket(currency, 50);
   Ticket* issued_b = table.CreateTicket(currency, 30);
 
+  const size_t live = table.num_currencies();
   table.RetireCurrency(currency);
   EXPECT_TRUE(currency->retired());
   EXPECT_TRUE(currency->backing().empty());  // dead owner's funding withdrawn
-  EXPECT_NE(table.FindCurrency("victim"), nullptr);
+  EXPECT_EQ(table.num_currencies(), live);
+  // It lingers without its name, which a new currency may take meanwhile.
+  EXPECT_EQ(table.FindCurrency("victim"), nullptr);
+  Currency* successor = table.CreateCurrency("victim");
+  EXPECT_EQ(table.FindCurrency("victim"), successor);
   // A retired currency accepts no new tickets or funding.
   EXPECT_THROW(table.CreateTicket(currency, 10), std::logic_error);
   Ticket* stray = table.CreateTicket(table.base(), 5);
@@ -384,9 +390,13 @@ TEST(RetireCurrency, LingersUntilLastIssuedTicketDies) {
   table.DestroyTicket(stray);
 
   table.DestroyTicket(issued_a);
-  EXPECT_NE(table.FindCurrency("victim"), nullptr);
+  EXPECT_EQ(table.num_currencies(), live + 1);
   table.DestroyTicket(issued_b);
-  // Last issued ticket gone: the currency is reaped with it.
+  // Last issued ticket gone: the currency is reaped with it, and the
+  // successor keeps the name.
+  EXPECT_EQ(table.num_currencies(), live);
+  EXPECT_EQ(table.FindCurrency("victim"), successor);
+  table.DestroyCurrency(successor);
   EXPECT_EQ(table.FindCurrency("victim"), nullptr);
 }
 
@@ -394,7 +404,32 @@ TEST(RetireCurrency, EquivalentToDestroyWhenNothingIssued) {
   CurrencyTable table;
   Currency* currency = table.CreateCurrency("empty");
   table.RetireCurrency(currency);
+  EXPECT_EQ(table.num_currencies(), 1u);  // reclaimed, not lingering
   EXPECT_EQ(table.FindCurrency("empty"), nullptr);
+}
+
+TEST(RetireCurrency, RetiringAgainLeavesTheSuccessorsName) {
+  CurrencyTable table;
+  Currency* currency = table.CreateCurrency("victim");
+  Client holder(&table, "holder");
+  Ticket* issued = table.CreateTicket(currency, 50);
+  holder.HoldTicket(issued);
+  table.RetireCurrency(currency);
+  Currency* successor = table.CreateCurrency("victim");
+  table.RetireCurrency(currency);  // a no-op: the name is not its own
+  EXPECT_EQ(table.FindCurrency("victim"), successor);
+  EXPECT_EQ(table.num_currencies(), 3u);
+  // The two share a name but are drawn as two nodes.
+  const std::string dot = table.ToDot();
+  EXPECT_NE(dot.find("\"victim\" [shape=box"), std::string::npos);
+  EXPECT_NE(dot.find("\"victim (retired)\" [shape=box"), std::string::npos);
+  EXPECT_NE(dot.find("\"holder\" -> \"victim (retired)\""), std::string::npos);
+
+  table.DestroyTicket(issued);
+  EXPECT_EQ(table.num_currencies(), 2u);
+  EXPECT_EQ(table.FindCurrency("victim"), successor);
+  table.DestroyCurrency(successor);
+  EXPECT_EQ(table.num_currencies(), 1u);
 }
 
 TEST(RetireCurrency, RefusesTheBase) {

@@ -119,18 +119,24 @@ TEST(InvariantSweep, ConservationReportsEachViolatedProperty) {
   Currency* team = table.CreateCurrency("team");
   table.Fund(team, table.CreateTicket(table.base(), 200));
   table.CreateTicket(team, 100);
+  Currency* orphan = table.CreateCurrency("orphan");
   std::vector<std::string> findings;
   invariants::SweepTicketConservation(table, &findings);
   EXPECT_TRUE(findings.empty());
 
   InvariantTestPeer::InflateIssuedAmount(team, 7);
   InvariantTestPeer::MarkRetired(team);  // retired, yet still backed
+  // Retired with nothing issued: no DestroyTicket will ever reclaim it.
+  InvariantTestPeer::MarkRetired(orphan);
   invariants::SweepTicketConservation(table, &findings);
-  ASSERT_EQ(findings.size(), 2u);
+  ASSERT_EQ(findings.size(), 3u);
   EXPECT_EQ(findings[0],
             "ticket conservation: issued_amount 107 != sum 100 in team");
   EXPECT_EQ(findings[1],
             "ticket conservation: retired currency team still has backing");
+  EXPECT_EQ(findings[2],
+            "ticket conservation: retired currency orphan has no issued "
+            "ticket left");
 }
 
 TEST(InvariantSweep, AcyclicityReportsTheCycle) {

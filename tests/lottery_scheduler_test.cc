@@ -147,8 +147,10 @@ TEST(LotteryScheduler, RemoveThreadCleansUpCurrencyGraph) {
                                                       1000));
   sched.FundThread(1, user, 100);
   const size_t tickets_before = sched.table().num_tickets();
+  const size_t currencies_before = sched.table().num_currencies();
   sched.OnReady(1, kT0);
   sched.RemoveThread(1, kT0);
+  EXPECT_EQ(sched.table().num_currencies(), currencies_before - 1);
   EXPECT_EQ(sched.table().FindCurrency("thread:1"), nullptr);
   // Self ticket + funding ticket retired.
   EXPECT_EQ(sched.table().num_tickets(), tickets_before - 2);
@@ -180,6 +182,43 @@ TEST(LotteryScheduler, RemoveThreadCleansUpCurrencyGraph) {
   EXPECT_GT(stranger.Value().raw(), 0);
   EXPECT_EQ(sched.RunnableTickets(), runnable);
   EXPECT_EQ(sched.QueuedSnapshot(), snapshot);
+}
+
+TEST(LotteryScheduler, ReAddsIdWhileItsRetiredCurrencyLingers) {
+  LotteryScheduler sched;
+  CurrencyTable& table = sched.table();
+  sched.AddThread(1, kT0);
+  sched.AddThread(2, kT0);
+  // Thread 2 holds a ticket issued in thread 1's currency, as an in-flight
+  // transfer from 1 would, so removing 1 retires its currency.
+  Ticket* in_flight = sched.FundThread(2, sched.thread_currency(1), 50);
+  const Currency* retired = sched.thread_currency(1);
+  sched.RemoveThread(1, kT0);
+  ASSERT_TRUE(retired->retired());
+  EXPECT_EQ(table.FindCurrency("thread:1"), nullptr);
+
+  sched.AddThread(1, kT0);
+  Currency* fresh = sched.thread_currency(1);
+  EXPECT_NE(fresh, retired);
+  EXPECT_EQ(table.FindCurrency("thread:1"), fresh);
+  sched.FundThread(1, table.base(), 100);
+  sched.FundThread(2, table.base(), 300);
+  sched.OnReady(1, kT0);
+  sched.OnReady(2, kT0);
+  EXPECT_EQ(sched.ThreadValue(1).raw_unsigned(),
+            Funding::FromBase(100).raw_unsigned());
+
+  // The retired currency's last issued ticket still reclaims it, and the
+  // new currency keeps the name.
+  const size_t currencies = table.num_currencies();
+  table.DestroyTicket(in_flight);
+  EXPECT_EQ(table.num_currencies(), currencies - 1);
+  EXPECT_EQ(table.FindCurrency("thread:1"), fresh);
+  EXPECT_EQ(sched.thread_currency(1), fresh);
+  EXPECT_EQ(sched.ThreadValue(1).raw_unsigned(),
+            Funding::FromBase(100).raw_unsigned());
+  sched.RemoveThread(1, kT0);
+  EXPECT_EQ(table.FindCurrency("thread:1"), nullptr);
 }
 
 TEST(LotteryScheduler, HierarchicalFundingIsProportional) {

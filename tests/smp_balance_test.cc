@@ -208,6 +208,54 @@ TEST(SmpBalance, PeriodicStealsEqualizeTicketValue) {
   EXPECT_EQ(a + b, total);
 }
 
+TEST(SmpBalance, CostVetoReadsTheBacklogAtTheCheck) {
+  obs::Registry reg;
+  SmpScheduler::Options o = BalanceOpts(2, &reg);
+  o.balance_period = 1;  // check on every dispatch
+  SmpScheduler sched(o);
+  // CPU 0 holds threads 1 and 3 (1 ticket each), CPU 1 threads 2 and 4
+  // (1000 each).
+  Populate(sched, 4, {1, 1000, 1, 1000});
+  // One 1 ms slice sets the quantum the veto weighs a steal's gain by: the
+  // imbalance's share of 1 ms, just under 1 ms here.
+  const SimDuration quantum = SimDuration::Millis(1);
+  const ThreadId ran = sched.PickNextOnCpu(1, SimTime::Zero());
+  ASSERT_NE(ran, kInvalidThreadId);
+  const SimTime t0 = SimTime::Zero() + quantum;
+  sched.OnQuantumEnd(ran, quantum, quantum, t0);
+  sched.OnReady(ran, t0);
+  // Twenty forced round trips of thread 2 at t0 queue 640 cells on the
+  // 1->0 circuit (the switch's first). Behind them a steal costs 672
+  // cells x 3 us, about 2 ms: more than its gain.
+  for (int i = 0; i < 20; ++i) {
+    sched.Migrate(2, 0, t0);
+    sched.Migrate(2, 1, t0);
+  }
+  const CrossbarSwitch::CircuitId one_to_zero = 0;
+  ASSERT_EQ(sched.crossbar().Backlog(one_to_zero), 640u);
+  const uint64_t forced = sched.migrations();
+
+  // At t0 the cells are still queued, so CPU 0's balance check vetoes the
+  // steal.
+  const ThreadId local = sched.PickNextOnCpu(0, t0);
+  ASSERT_NE(local, kInvalidThreadId);
+  EXPECT_EQ(sched.cost_vetoes(), 1u);
+  EXPECT_EQ(sched.migrations(), forced);
+  sched.OnQuantumEnd(local, quantum, quantum, t0 + quantum);
+  sched.OnReady(local, t0 + quantum);
+
+  // 10 ms later the switch has long sent them (640 slots of 3 us), so the
+  // steal costs its footprint alone (96 us) and goes ahead.
+  const SimTime later = t0 + SimDuration::Millis(10);
+  ASSERT_NE(sched.PickNextOnCpu(0, later), kInvalidThreadId);
+  EXPECT_EQ(sched.cost_vetoes(), 1u);
+  EXPECT_EQ(sched.migrations(), forced + 1);
+  EXPECT_EQ(sched.QueuedCount(1), 1u);
+  // Only the new footprint is queued on the circuit.
+  EXPECT_EQ(sched.crossbar().Backlog(one_to_zero), 32u);
+  sched.CheckIntegrity();
+}
+
 TEST(SmpBalance, DeterministicAcrossIdenticalRuns) {
   auto run = [] {
     obs::Registry reg;

@@ -159,14 +159,16 @@ TEST_P(WaitQueueContract, WaiterKilledWhileParkingLeavesTheQueue) {
   holder_tid_ = Spawn("holder", 100, &holder_);
   faults_->Protect(holder_tid_);
   kernel_->RunFor(SimDuration::Millis(50));
+  const size_t currencies = sched_->table().num_currencies();
   const ThreadId victim = Spawn("victim", 300, &waiter_);
   kernel_->RunFor(SimDuration::Millis(200));
   ASSERT_EQ(faults_->injections(FaultClass::kThreadCrash), 1u);
   EXPECT_FALSE(kernel_->Alive(victim));
   EXPECT_FALSE(waiter_->got());
   EXPECT_EQ(mutex_->num_waiters(), 0u);
-  // The victim's transfer is gone: its thread currency could be reclaimed
-  // and the holder is back to its own funding.
+  // The victim's transfer is gone: its thread currency was reclaimed, not
+  // left retired, and the holder is back to its own funding.
+  EXPECT_EQ(sched_->table().num_currencies(), currencies);
   EXPECT_EQ(sched_->table().FindCurrency("thread:" + std::to_string(victim)),
             nullptr);
   EXPECT_EQ(sched_->ThreadValue(holder_tid_).base_units(), 100);
