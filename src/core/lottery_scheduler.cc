@@ -192,9 +192,9 @@ void LotteryScheduler::Enqueue(ThreadState& state) {
   const uint64_t weight = state.client->Value().raw_unsigned();
   state.slot = q.Add(weight);
   if (state.slot >= q.slot_owner.size()) {
-    q.slot_owner.resize(state.slot + 1, nullptr);
+    q.slot_owner.resize(state.slot + 1, kInvalidThreadId);
   }
-  q.slot_owner[state.slot] = &state;
+  q.slot_owner[state.slot] = state.id;
   // The slot was seeded with the current value; any pending dirty mark
   // (e.g. from the unblock activation) is already folded in. Its dirty
   // list entry stays behind, stale, until the next sync.
@@ -215,7 +215,7 @@ void LotteryScheduler::Dequeue(ThreadState& state) {
   RunQueue& q = queues_[state.queue];
   util::SeqGuard guard(q.seq);
   q.Remove(state.slot);
-  q.slot_owner[state.slot] = nullptr;
+  q.slot_owner[state.slot] = kInvalidThreadId;
   NoteDisturbance(q);
   state.in_queue = false;
 }
@@ -279,11 +279,11 @@ void LotteryScheduler::SyncWeights(RunQueue& q) {
     // bench_sensitivity), it would reorder their kReprice events, and the
     // list's O(1) slot updates gain little from it.
     full_syncs_->Inc();
-    for (ThreadState* state : q.slot_owner) {
-      if (state == nullptr) {
-        continue;
+    for (size_t slot = 0; slot < q.slot_owner.size(); ++slot) {
+      const ThreadId id = q.slot_owner[slot];
+      if (id != kInvalidThreadId) {
+        q.SetWeight(slot, threads_[id].client->Value().raw_unsigned());
       }
-      q.SetWeight(state->slot, state->client->Value().raw_unsigned());
     }
   } else {
     // Threads not competing get a fresh weight from OnReady later. The
@@ -343,7 +343,7 @@ ThreadId LotteryScheduler::PickFrom(int queue, SimTime now) {
   // live slots' weights, or incremental SetWeight updates have drifted.
   if (tick % 64 == 0) {
     uint64_t weight_sum = 0;
-    q.ForEachQueued([&weight_sum](const ThreadState&, uint64_t weight) {
+    q.ForEachQueued([&weight_sum](ThreadId, size_t, uint64_t weight) {
       weight_sum += weight;
     });
     LOT_ASSERT(weight_sum == q.total(),
@@ -362,17 +362,16 @@ ThreadId LotteryScheduler::PickFrom(int queue, SimTime now) {
   // random value) by a prefix scan.
   if (etrace::On(options_.trace, etrace::kCatLotterySnapshot)) {
     uint32_t index = 0;
-    q.ForEachQueued([this, &index](const ThreadState& state, uint64_t weight) {
+    q.ForEachQueued([this, &index](ThreadId id, size_t, uint64_t weight) {
       etrace::Event e;
       e.t_ns = options_.trace->now();
-      e.a = state.id;
+      e.a = id;
       e.b = index++;
       e.v1 = weight;
       e.type = static_cast<uint16_t>(etrace::EventType::kCandidate);
       options_.trace->Append(e);
     });
   }
-  ThreadState* winner = nullptr;
   uint64_t drawn_value = 0;
   std::optional<size_t> drawn;
   bool batched = false;
@@ -404,33 +403,38 @@ ThreadId LotteryScheduler::PickFrom(int queue, SimTime now) {
     cost = batched ? 1 : q.tree.draw_depth();
   }
   draw_cost_->RecordSampled(cost);
+  // The winner's slot and id come from the slot map, not its record: the
+  // returned tid does not wait on the record's load. No slot has the
+  // starting value, so a fallback walk that finds no winner is caught.
+  size_t winner_slot = q.slot_owner.size();
   if (drawn.has_value()) {
-    winner = q.slot_owner[*drawn];
+    winner_slot = *drawn;
   } else {
     // All ready clients have zero funding; pick without a lottery so no
     // one starves. The list takes its front (the requeue appends, rotating
     // the list round-robin); the tree picks uniformly over its live slots.
-    size_t index = q.use_tree ? static_cast<size_t>(q.rng.NextBelow(
-                                    static_cast<uint32_t>(q.size())))
-                              : 0;
+    const size_t index = q.use_tree ? static_cast<size_t>(q.rng.NextBelow(
+                                          static_cast<uint32_t>(q.size())))
+                                    : 0;
     drawn_value = index;  // decision event: index into the candidates
-    q.ForEachQueued([&winner, &index](ThreadState& state, uint64_t) {
-      if (winner == nullptr && index-- == 0) {
-        winner = &state;
+    size_t seen = 0;
+    q.ForEachQueued([&](ThreadId, size_t slot, uint64_t) {
+      if (seen++ == index) {
+        winner_slot = slot;
       }
     });
     ++num_zero_fallbacks_;
     zero_fallbacks_->Inc();
   }
-  LOT_ASSERT(winner != nullptr, "run queue draw returned no winner");
-  // A drawn slot is the winner's: its weight and slot need no load through
-  // the winner's record.
-  const size_t winner_slot = drawn.has_value() ? *drawn : winner->slot;
+  LOT_ASSERT(winner_slot < q.slot_owner.size() &&
+                 q.slot_owner[winner_slot] != kInvalidThreadId,
+             "run queue draw returned no winner");
+  const ThreadId winner_id = q.slot_owner[winner_slot];
   const uint64_t winner_weight = q.Weight(winner_slot);
   if (etrace::On(options_.trace, etrace::kCatLottery)) {
     etrace::Event e;
     e.t_ns = options_.trace->now();
-    e.a = winner->id;
+    e.a = winner_id;
     e.v1 = drawn_value;
     e.v2 = q.total();
     e.v3 = winner_weight;
@@ -454,8 +458,9 @@ ThreadId LotteryScheduler::PickFrom(int queue, SimTime now) {
     FormBatch(q, q.total());
   }
   q.Remove(winner_slot);
-  q.slot_owner[winner_slot] = nullptr;
-  winner->in_queue = false;
+  q.slot_owner[winner_slot] = kInvalidThreadId;
+  ThreadState& winner = threads_[winner_id];
+  winner.in_queue = false;
   // Track the winner's expected re-entry whether or not a batch is live:
   // the matching OnReady is the one queue change that keeps the
   // steady-state cycle "clean" (and a live batch valid).
@@ -464,7 +469,7 @@ ThreadId LotteryScheduler::PickFrom(int queue, SimTime now) {
   q.restore_weight = winner_weight;
   // The thread starts its next quantum: any compensation ticket expires
   // (Section 4.5). Its tickets stay active while it runs.
-  Client* const client = &*winner->client;
+  Client* const client = &*winner.client;
   compensation_.OnQuantumStart(client);
   LOT_ASSERT(!client->has_compensation(),
              "quantum start left a live compensation factor on " +
@@ -475,7 +480,7 @@ ThreadId LotteryScheduler::PickFrom(int queue, SimTime now) {
         std::chrono::duration_cast<std::chrono::nanoseconds>(t2 - t1)
             .count()));
   }
-  return winner->id;
+  return winner_id;
 }
 
 void LotteryScheduler::OnQuantumEnd(ThreadId id, SimDuration used,
@@ -561,16 +566,26 @@ std::vector<std::pair<ThreadId, uint64_t>> LotteryScheduler::QueuedSnapshot(
   SyncWeights(q);
   std::vector<std::pair<ThreadId, uint64_t>> out;
   out.reserve(q.size());
-  q.ForEachQueued([&out](const ThreadState& state, uint64_t weight) {
-    out.emplace_back(state.id, weight);
+  q.ForEachQueued([&out](ThreadId id, size_t, uint64_t weight) {
+    out.emplace_back(id, weight);
   });
   return out;
 }
 
 void LotteryScheduler::CheckQueues() const {
   size_t members = 0;
-  for (size_t i = 0; i < queues_.size(); ++i) {
-    members += QueuedCount(static_cast<int>(i));
+  for (const RunQueue& q : queues_) {
+    util::SeqGuard guard(q.seq);
+    // A freed slot names no thread, so the map names only members.
+    const auto named = static_cast<size_t>(
+        std::count_if(q.slot_owner.begin(), q.slot_owner.end(),
+                      [](ThreadId id) { return id != kInvalidThreadId; }));
+    if (named != q.size()) {
+      throw std::logic_error("LotteryScheduler: a slot map names " +
+                             std::to_string(named) + " threads for " +
+                             std::to_string(q.size()) + " queue members");
+    }
+    members += q.size();
   }
   // Each queued thread is a member of its home queue, and there are as
   // many queued threads as members, so no queue holds anyone else.
@@ -584,7 +599,7 @@ void LotteryScheduler::CheckQueues() const {
     const RunQueue& q = queues_[state.queue];
     util::SeqGuard guard(q.seq);
     if (state.slot >= q.slot_owner.size() ||
-        q.slot_owner[state.slot] != &state) {
+        q.slot_owner[state.slot] != id) {
       throw std::logic_error("LotteryScheduler: queued thread " +
                              std::to_string(id) + " not in its home queue");
     }

@@ -181,8 +181,9 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   void MoveQueued(ThreadId id, int queue);
   // The run queue the thread is homed on.
   int QueueOf(ThreadId id) const;
-  // Every queue member is a queued thread homed there, and every queued
-  // thread is a member of its home queue. Throws std::logic_error.
+  // Every queue member is a queued thread homed there, every queued thread
+  // is a member of its home queue, and a slot map names exactly its queue's
+  // members. Throws std::logic_error.
   void CheckQueues() const;
   etrace::TraceBuffer* trace() const { return options_.trace; }
 
@@ -234,12 +235,15 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
     bool use_tree = false;
     ListLottery list GUARDED_BY(seq){/*move_to_front=*/false};
     TreeLottery tree GUARDED_BY(seq);
-    // Slot -> owning thread state, nullptr for free slots. Slots are small
-    // dense indices recycled by the draw structure, and records in the
-    // chunked thread table never move, so a flat vector of pointers makes
-    // winner resolution a single indexed load (a hash map here shows up at
-    // 10k clients in bench_draw_overhead's churn rig).
-    std::vector<ThreadState*> slot_owner GUARDED_BY(seq);
+    // Slot -> owning thread id, kInvalidThreadId for free slots. Slots are
+    // small dense indices recycled by the draw structure, so a flat vector
+    // makes winner resolution a single indexed load (a hash map here shows
+    // up at 10k clients in bench_draw_overhead's churn rig). It holds the
+    // id, not the record's address: the pick hands the kernel its tid
+    // without first loading the winner's record, so at 100k threads the
+    // record, the kernel's thread record and its body are fetched side by
+    // side instead of one after another (DESIGN.md "Incremental pricing").
+    std::vector<ThreadId> slot_owner GUARDED_BY(seq);
     // Threads homed here marked dirty since the last sync: a mark sets
     // ThreadState::dirty and appends, enqueueing clears the bit (the entry
     // stays, stale), and the sync skips unset bits and clear()s the vector
@@ -295,21 +299,21 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
       return use_tree ? tree.Draw(rng, drawn_value)
                       : list.Draw(rng, drawn_value);
     }
-    // Calls fn(state, weight) for each queued thread in draw order: the
+    // Calls fn(id, slot, weight) for each queued thread in draw order: the
     // list's order, or slot order for the tree (the prefix order its
     // descent resolves against).
     template <typename Fn>
     void ForEachQueued(Fn&& fn) const REQUIRES(seq) {
       if (use_tree) {
-        for (ThreadState* state : slot_owner) {
-          if (state != nullptr) {
-            fn(*state, tree.Weight(state->slot));
+        for (size_t slot = 0; slot < slot_owner.size(); ++slot) {
+          if (slot_owner[slot] != kInvalidThreadId) {
+            fn(slot_owner[slot], slot, tree.Weight(slot));
           }
         }
       } else {
-        const std::vector<ThreadState*>& owners = slot_owner;
+        const std::vector<ThreadId>& owners = slot_owner;
         list.ForEach([&owners, &fn](size_t slot, uint64_t weight) {
-          fn(*owners[slot], weight);
+          fn(owners[slot], slot, weight);
         });
       }
     }
@@ -363,7 +367,7 @@ class LotteryScheduler : public Scheduler, private ValueObserver {
   // Sized once at construction (RunQueue is not movable).
   std::vector<RunQueue> queues_;
   // Thread records indexed by thread id; records never move, so the run
-  // queues' slot_owner and dirty lists point into it.
+  // queues' dirty lists point into it.
   util::ChunkedVector<ThreadState> threads_;
   uint64_t num_lotteries_ = 0;
   uint64_t num_zero_fallbacks_ = 0;

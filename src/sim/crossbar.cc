@@ -137,14 +137,18 @@ void CrossbarSwitch::AdvanceTo(SimTime deadline) {
     RunSlot();
     now_ += options_.cell_time;
     ++slots_;
+    idle_ns_ = 0;  // the grid restarts where this busy stretch ends
   }
   if (queued_ == 0 && now_ < deadline) {
     // Idle: an empty slot matches nothing and draws nothing, so count the
     // whole slots up to the deadline and jump there instead of simulating
     // each one. Keeps sparse users (the SMP balancer advances only at
-    // migrations) O(cells) instead of O(elapsed / cell_time).
-    slots_ += static_cast<uint64_t>((deadline - now_).nanos() /
-                                    options_.cell_time.nanos());
+    // migrations) O(cells) instead of O(elapsed / cell_time). The partial
+    // slot carries into the next call, so an idle span counts the same
+    // slots however the caller splits it.
+    const int64_t idle = idle_ns_ + (deadline - now_).nanos();
+    slots_ += static_cast<uint64_t>(idle / options_.cell_time.nanos());
+    idle_ns_ = idle % options_.cell_time.nanos();
     now_ = deadline;
   }
 }

@@ -33,7 +33,9 @@
 // the clock stays on the grid, so a slot that AdvanceTo's deadline splits
 // runs whole in the next call: the cells sent and the draws made do not
 // depend on how the caller steps the switch. An empty switch jumps to the
-// deadline, and its grid restarts there.
+// deadline, and its grid restarts there. It counts the idle slots the jump
+// covers and carries the partial one to the next call, so slots_elapsed()
+// does not depend on how an idle switch is stepped either.
 
 #ifndef SRC_SIM_CROSSBAR_H_
 #define SRC_SIM_CROSSBAR_H_
@@ -108,6 +110,8 @@ class CrossbarSwitch {
   size_t queued_ = 0;  // cells buffered across all circuits
   uint64_t total_sent_ = 0;
   uint64_t slots_ = 0;
+  // Idle time since the last whole idle slot counted, < cell_time.
+  int64_t idle_ns_ = 0;
   // Per output: its circuits in ascending id order (the order every output
   // lottery walks), and the cells buffered on them.
   std::vector<std::vector<CircuitId>> by_output_;

@@ -21,7 +21,7 @@ void EventQueue::FreeNode(uint32_t index) {
 }
 
 void EventQueue::PopTop() {
-  std::pop_heap(heap_.begin(), heap_.end(), Later);
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
   heap_.pop_back();
 }
 
@@ -44,7 +44,7 @@ void EventQueue::PurgeCancelled() {
   }
   heap_.resize(kept);
   // Keys are unique (seq), so the rebuilt heap pops in the same order.
-  std::make_heap(heap_.begin(), heap_.end(), Later);
+  std::make_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 EventQueue::EventId EventQueue::Schedule(SimTime when, Handler handler) {
@@ -60,7 +60,7 @@ EventQueue::EventId EventQueue::Schedule(SimTime when, Handler handler) {
   nodes_[index].state = NodeState::kPending;
   handlers_[index] = std::move(handler);  // destroys any stale predecessor
   heap_.push_back(Entry{when.nanos(), next_seq_++, index});
-  std::push_heap(heap_.begin(), heap_.end(), Later);
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++live_;
   return (static_cast<uint64_t>(nodes_[index].gen) << kIndexBits) |
          static_cast<uint64_t>(index);

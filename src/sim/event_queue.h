@@ -84,11 +84,16 @@ class EventQueue {
   };
   static_assert(sizeof(Entry) == 24, "keep heap entries compact");
   // Heap comparator: std::*_heap keep the greatest element on top, so
-  // "later" ordering makes heap_.front() the earliest (when, seq).
-  static bool Later(const Entry& a, const Entry& b) {
-    return a.when_ns > b.when_ns ||
-           (a.when_ns == b.when_ns && a.seq > b.seq);
-  }
+  // "later" ordering makes heap_.front() the earliest (when, seq). A
+  // function object, not a function: the heap algorithms are instantiated
+  // on its type and inline the compare, where a function pointer is called
+  // out of line at every sift step.
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return a.when_ns > b.when_ns ||
+             (a.when_ns == b.when_ns && a.seq > b.seq);
+    }
+  };
 
   void FreeNode(uint32_t index);
   void PopTop();

@@ -208,7 +208,7 @@ ThreadId Kernel::Spawn(const std::string& name,
   const ThreadId tid = next_tid_++;
   Thread& thread = threads_.EmplaceBack();
   thread.name = name;
-  thread.body = std::move(body);
+  bodies_.push_back(std::move(body));
   ++live_threads_;
   if (etrace::On(options_.trace, etrace::kCatSched)) {
     etrace::Event e;
@@ -428,7 +428,10 @@ void Kernel::RunUntil(SimTime end) {
       continue;
     }
 
+    // ThreadOf validates the tid; the body's address then comes from its
+    // own table, so its load does not wait on the record's.
     Thread& thread = ThreadOf(tid);
+    ThreadBody* const body = bodies_[tid - 1].get();
     if (!thread.runnable) {
       throw std::logic_error("Kernel: scheduler picked non-runnable thread");
     }
@@ -445,7 +448,7 @@ void Kernel::RunUntil(SimTime end) {
     thread.pending_wake = false;
 
     RunContext ctx(this, tid, now_, options_.quantum);
-    thread.body->Run(ctx);
+    body->Run(ctx);
     // Before the outcome is applied: an exit, block, sleep or injected
     // crash keeps every unit the slice reported.
     ctx.FlushProgress();

@@ -280,9 +280,12 @@ class Kernel {
  private:
   friend class RunContext;
 
+  // Everything the kernel keeps per thread but its body, which lives in
+  // bodies_: a dispatch reaches both from the tid alone, so the two cold
+  // lines are fetched side by side instead of the body's address waiting on
+  // the record's.
   struct Thread {
     std::string name;
-    std::unique_ptr<ThreadBody> body;
     bool alive = true;
     bool runnable = false;  // in run queue or running
     bool running = false;   // currently occupying a CPU (slice in flight)
@@ -327,6 +330,11 @@ class Kernel {
   // Chunked so records never move or copy on growth — a million spawns cost
   // a few hundred chunk allocations instead of hash-table churn.
   util::ChunkedVector<Thread> threads_;
+  // Thread bodies, indexed like threads_. Growth moves only the owning
+  // pointers, never a body. A body outlives its thread and is destroyed
+  // with the kernel: callers keep raw pointers into bodies to harvest
+  // final workload state after the run.
+  std::vector<std::unique_ptr<ThreadBody>> bodies_;
   SimTime now_;
   SimTime last_tick_;
   ThreadId next_tid_ = 1;

@@ -16,7 +16,8 @@
 //     fixed-size chunks so elements never move (unlike std::vector) and
 //     growth never copies. Records addressed by dense integer ids (the
 //     kernel's and the lottery scheduler's thread records, event-node
-//     indices) live here.
+//     indices) live here. DESIGN.md §4d says why a dispatch reaches them
+//     by id rather than through pointers stored in other records.
 //
 // Neither container is thread-safe; the simulator is single-threaded by
 // design (determinism contract, DESIGN.md). Neither uses unordered

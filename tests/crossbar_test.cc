@@ -199,6 +199,37 @@ TEST(Crossbar, OnePortDelayTracksTickets) {
   EXPECT_LT(link.Delay(rich).mean(), link.Delay(poor).mean());
 }
 
+// An idle span counts the same slots however the caller splits it: one
+// port, 3 us cells, a cell at 0 and one at 10 us. Advancing an idle switch
+// to 10 us in one call or through 5 us first reports 333 slots at 1 ms, and
+// sends the same cells at the same times.
+TEST(Crossbar, IdleSlotCountDoesNotDependOnStepping) {
+  std::vector<SimTime> stops_a = {At(10), At(1000)};
+  std::vector<SimTime> stops_b = {At(5), At(10), At(1000)};
+  std::vector<uint64_t> slots;
+  std::vector<double> delays;
+  for (const auto* stops : {&stops_a, &stops_b}) {
+    FastRand rng(9);
+    CrossbarSwitch::Options o = LinkOpts();
+    o.cell_time = SimDuration::Micros(3);
+    CrossbarSwitch link(o, &rng);
+    const auto vc = link.AddCircuit(0, 0, 1);
+    ASSERT_TRUE(link.Enqueue(vc, At(0)));
+    for (const SimTime stop : *stops) {
+      link.AdvanceTo(stop);
+      if (stop == At(10)) {
+        ASSERT_TRUE(link.Enqueue(vc, At(10)));
+      }
+    }
+    EXPECT_EQ(link.CellsSent(vc), 2u);
+    slots.push_back(link.slots_elapsed());
+    delays.push_back(link.Delay(vc).mean());
+  }
+  EXPECT_EQ(slots[0], 333u);
+  EXPECT_EQ(slots[1], 333u);
+  EXPECT_EQ(delays[0], delays[1]);
+}
+
 // The classic randomized-matching result: with uniform saturated traffic,
 // one proposal round achieves ~(1 - 1/e) ~ 0.63 of the bisection
 // bandwidth; more rounds approach 1.
@@ -242,7 +273,8 @@ INSTANTIATE_TEST_SUITE_P(Rounds, MatchingRounds, ::testing::Values(1, 2, 4));
 // The switch before its outputs indexed their circuits: each output lottery
 // scans every circuit of the switch, in id order, and circuits of other
 // outputs weigh zero. It is the reference the indexed matching must follow
-// draw for draw, so its RunSlot and AdvanceTo are kept as they were.
+// draw for draw, so its RunSlot is kept as it was; its AdvanceTo has the
+// switch's clock rule, idle remainder included.
 class ReferenceCrossbar {
  public:
   using CircuitId = CrossbarSwitch::CircuitId;
@@ -277,10 +309,12 @@ class ReferenceCrossbar {
       RunSlot();
       now_ += options_.cell_time;
       ++slots_;
+      idle_ns_ = 0;
     }
     if (queued_ == 0 && now_ < deadline) {
-      slots_ += static_cast<uint64_t>((deadline - now_).nanos() /
-                                      options_.cell_time.nanos());
+      const int64_t idle = idle_ns_ + (deadline - now_).nanos();
+      slots_ += static_cast<uint64_t>(idle / options_.cell_time.nanos());
+      idle_ns_ = idle % options_.cell_time.nanos();
       now_ = deadline;
     }
   }
@@ -382,6 +416,7 @@ class ReferenceCrossbar {
   size_t queued_ = 0;
   uint64_t total_sent_ = 0;
   uint64_t slots_ = 0;
+  int64_t idle_ns_ = 0;
   std::vector<bool> input_matched_;
   std::vector<bool> output_matched_;
   std::vector<std::vector<size_t>> proposals_;

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "src/sched/round_robin.h"
 #include "src/sim/fault.h"
 #include "src/workloads/compute.h"
@@ -293,8 +297,8 @@ TEST(Kernel, SpawnFromInsideARunningBody) {
   // Forking: a body may spawn children mid-slice through ctx.kernel().
   RoundRobinScheduler sched;
   Kernel kernel(&sched, DefaultOptions());
-  // The child id is written through an external pointer: the forker's body
-  // object is destroyed when the thread exits.
+  // The child id is written through an external pointer, so the test
+  // reads nothing through the forker's body.
   class Forker : public ThreadBody {
    public:
     explicit Forker(ThreadId* child_out) : child_out_(child_out) {}
@@ -311,6 +315,78 @@ TEST(Kernel, SpawnFromInsideARunningBody) {
   ASSERT_NE(child, kInvalidThreadId);
   EXPECT_TRUE(kernel.Alive(child));
   EXPECT_GT(kernel.CpuTime(child).ToSecondsF(), 0.9);
+}
+
+// Counts its dispatches and any slice that names another thread, and exits
+// after `lifetime` dispatches (never when 0).
+class SelfCheck : public ThreadBody {
+ public:
+  explicit SelfCheck(uint64_t dispatches) : lifetime(dispatches) {}
+  void Run(RunContext& ctx) override {
+    ++runs;
+    if (ctx.self() != tid) {
+      ++foreign_runs;
+    }
+    ctx.Consume(ctx.remaining());
+    if (runs == lifetime) {
+      ctx.ExitThread();
+    }
+  }
+
+  const uint64_t lifetime;
+  ThreadId tid = kInvalidThreadId;
+  uint64_t runs = 0;
+  uint64_t foreign_runs = 0;
+};
+
+TEST(Kernel, EachDispatchRunsTheBodySpawnedWithItsTid) {
+  // Bodies sit in a table indexed by tid, apart from the thread records.
+  // The raw pointers are taken at spawn, before later spawns grow the
+  // table, and stay valid through growth and past each thread's exit.
+  LotteryScheduler::Options sched_opts;
+  sched_opts.backend = RunQueueBackend::kTree;
+  sched_opts.seed = 5;
+  LotteryScheduler sched(sched_opts);
+  Kernel::Options opts = DefaultOptions();
+  opts.quantum = SimDuration::Millis(1);
+  Kernel kernel(&sched, opts);
+  std::vector<SelfCheck*> bodies;
+  const auto spawn = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      // Every fourth thread exits after its second dispatch.
+      const uint64_t lifetime = bodies.size() % 4 == 3 ? 2 : 0;
+      auto body = std::make_unique<SelfCheck>(lifetime);
+      SelfCheck* raw = body.get();
+      raw->tid = kernel.Spawn("t" + std::to_string(bodies.size()),
+                              std::move(body));
+      ASSERT_EQ(raw->tid, bodies.size() + 1);
+      sched.FundThread(raw->tid, sched.table().base(),
+                       1 + static_cast<int64_t>(raw->tid % 7));
+      bodies.push_back(raw);
+    }
+  };
+  spawn(3000);
+  kernel.RunFor(SimDuration::Seconds(40));
+  spawn(2500);
+  kernel.RunFor(SimDuration::Seconds(120));
+
+  // Which lifetime-2 threads won two draws depends on the lottery stream,
+  // so the exits are counted from the bodies, not predicted.
+  uint64_t runs = 0;
+  size_t exited = 0;
+  for (const SelfCheck* body : bodies) {
+    ASSERT_EQ(body->foreign_runs, 0u) << "thread " << body->tid;
+    ASSERT_EQ(body->runs, kernel.Dispatches(body->tid))
+        << "thread " << body->tid;
+    const bool reached = body->lifetime != 0 && body->runs == body->lifetime;
+    EXPECT_EQ(kernel.Alive(body->tid), !reached) << "thread " << body->tid;
+    exited += reached ? 1 : 0;
+    runs += body->runs;
+  }
+  EXPECT_EQ(runs, kernel.total_dispatches());
+  // Most of the 1,375 lifetime-2 threads get two of the 160k dispatches.
+  EXPECT_GT(exited, bodies.size() / 8);
+  EXPECT_EQ(kernel.num_live_threads(), bodies.size() - exited);
 }
 
 TEST(Kernel, RejectsBadQuantum) {

@@ -10,6 +10,7 @@
 #include "src/obs/etrace/trace_buffer.h"
 #include "src/obs/histogram.h"
 #include "src/obs/registry.h"
+#include "src/util/fastrand.h"
 
 namespace lottery {
 namespace {
@@ -521,6 +522,155 @@ TEST_P(QueueValueSync, MarksOffTheQueueNeverReachASlot) {
   sched_->OnReady(running, kT0);
   ExpectQueueFollowsValues();
 }
+
+// A scheduler whose queue-membership check the tests can call.
+class CheckedScheduler : public LotteryScheduler {
+ public:
+  using LotteryScheduler::CheckQueues;
+  using LotteryScheduler::LotteryScheduler;
+};
+
+// Seeded churn over a small id range: picks, requeues, blocks, wakes,
+// removals and re-adds of removed ids, so the draw structure recycles slots
+// under every kind of owner change. Some threads are unfunded, and now and
+// then every funded thread blocks, so the zero-funding fallback picks too.
+// After each step the slot maps are exact (CheckQueues) and IsQueued
+// matches the model; each pick returns a thread that was queued and is no
+// longer.
+class SlotChurn : public ::testing::TestWithParam<RunQueueBackend> {};
+
+TEST_P(SlotChurn, PicksNameQueuedThreadsAndSlotMapsStayExact) {
+  enum class State { kAbsent, kBlocked, kQueued, kRunning };
+  constexpr ThreadId kIds = 40;
+  obs::Registry metrics;
+  LotteryScheduler::Options opts;
+  opts.backend = GetParam();
+  opts.seed = 2718;
+  opts.metrics = &metrics;
+  CheckedScheduler sched(opts);
+  FastRand traffic(31);
+  std::vector<State> model(kIds + 1, State::kAbsent);
+  std::vector<bool> funded(kIds + 1, false);
+  std::vector<bool> added_before(kIds + 1, false);
+  const auto any = [&](State state) {
+    std::vector<ThreadId> ids;
+    for (ThreadId id = 1; id <= kIds; ++id) {
+      if (model[id] == state) {
+        ids.push_back(id);
+      }
+    }
+    return ids;
+  };
+  const auto one_of = [&](const std::vector<ThreadId>& ids) {
+    return ids[traffic.NextBelow(static_cast<uint32_t>(ids.size()))];
+  };
+  size_t picks = 0;
+  size_t readds = 0;
+  for (int step = 0; step < 4000; ++step) {
+    const uint32_t op = traffic.NextBelow(16);
+    if (op < 5) {
+      const bool queued = !any(State::kQueued).empty();
+      const ThreadId winner = sched.PickNext(kT0);
+      if (!queued) {
+        ASSERT_EQ(winner, kInvalidThreadId) << "step " << step;
+      } else {
+        ASSERT_NE(winner, kInvalidThreadId) << "step " << step;
+        ASSERT_LE(winner, kIds);
+        ASSERT_EQ(model[winner], State::kQueued) << "step " << step;
+        ASSERT_FALSE(sched.IsQueued(winner)) << "step " << step;
+        model[winner] = State::kRunning;
+        ++picks;
+      }
+    } else if (op < 9) {
+      const auto running = any(State::kRunning);
+      if (!running.empty()) {
+        const ThreadId id = one_of(running);
+        const auto used = SimDuration::Millis(
+            1 + static_cast<int64_t>(traffic.NextBelow(100)));
+        sched.OnQuantumEnd(id, used, kQuantum, kT0);
+        const uint32_t next = traffic.NextBelow(6);
+        if (next < 3) {
+          sched.OnReady(id, kT0);
+          model[id] = State::kQueued;
+        } else if (next < 5) {
+          sched.OnBlocked(id, kT0);
+          model[id] = State::kBlocked;
+        } else {
+          sched.RemoveThread(id, kT0);
+          model[id] = State::kAbsent;
+        }
+      }
+    } else if (op == 9) {
+      const auto queued = any(State::kQueued);
+      if (!queued.empty()) {
+        const ThreadId id = one_of(queued);
+        sched.OnBlocked(id, kT0);
+        model[id] = State::kBlocked;
+      }
+    } else if (op < 12) {
+      const auto blocked = any(State::kBlocked);
+      if (!blocked.empty()) {
+        const ThreadId id = one_of(blocked);
+        sched.OnReady(id, kT0);
+        model[id] = State::kQueued;
+      }
+    } else if (op == 12) {
+      std::vector<ThreadId> present = any(State::kQueued);
+      const auto blocked = any(State::kBlocked);
+      present.insert(present.end(), blocked.begin(), blocked.end());
+      if (!present.empty()) {
+        const ThreadId id = one_of(present);
+        sched.RemoveThread(id, kT0);
+        model[id] = State::kAbsent;
+      }
+    } else if (op < 15) {
+      const auto absent = any(State::kAbsent);
+      if (!absent.empty()) {
+        const ThreadId id = one_of(absent);
+        sched.AddThread(id, kT0);
+        if (added_before[id]) {
+          ++readds;
+        }
+        added_before[id] = true;
+        funded[id] = traffic.NextBelow(3) != 0;
+        if (funded[id]) {
+          sched.FundThread(id, sched.table().base(),
+                           1 + static_cast<int64_t>(traffic.NextBelow(50)));
+        }
+        model[id] = State::kBlocked;
+        if (traffic.NextBelow(4) != 0) {
+          sched.OnReady(id, kT0);
+          model[id] = State::kQueued;
+        }
+      }
+    } else {
+      // Only unfunded threads stay queued: the next picks fall back.
+      for (const ThreadId id : any(State::kQueued)) {
+        if (funded[id]) {
+          sched.OnBlocked(id, kT0);
+          model[id] = State::kBlocked;
+        }
+      }
+    }
+    ASSERT_NO_THROW(sched.CheckQueues()) << "step " << step;
+    for (ThreadId id = 1; id <= kIds; ++id) {
+      ASSERT_EQ(sched.IsQueued(id), model[id] == State::kQueued)
+          << "step " << step << " thread " << id;
+    }
+  }
+  EXPECT_GT(picks, 600u);
+  EXPECT_GT(readds, 200u);
+  EXPECT_GT(sched.num_zero_fallbacks(), 50u);
+  EXPECT_GT(sched.num_lotteries(), sched.num_zero_fallbacks());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, SlotChurn,
+    ::testing::Values(RunQueueBackend::kList, RunQueueBackend::kTree),
+    [](const auto& param_info) {
+      return std::string(param_info.param == RunQueueBackend::kList ? "List"
+                                                                    : "Tree");
+    });
 
 INSTANTIATE_TEST_SUITE_P(
     Backends, QueueValueSync,

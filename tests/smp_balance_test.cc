@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "src/obs/registry.h"
 #include "src/sched/smp/balance_domains.h"
 #include "src/sched/smp/smp_scheduler.h"
+#include "src/util/fastrand.h"
 
 namespace lottery {
 namespace {
@@ -145,6 +147,75 @@ TEST(SmpMigrate, RejectsRunningBlockedAndResidentThreads) {
                std::invalid_argument);
   // Unknown thread.
   EXPECT_THROW(sched.Migrate(999, 1, SimTime::Zero()), std::invalid_argument);
+}
+
+TEST(SmpMigrate, ChurnKeepsEveryQueueExact) {
+  // Forced migrations between picks, requeues, blocks and wakes on four
+  // CPUs: each move frees a slot in one queue's slot map and fills one in
+  // another's, and the integrity check after every move finds each queued
+  // thread in its home queue.
+  obs::Registry reg;
+  SmpScheduler sched(BalanceOpts(4, &reg));
+  constexpr int kThreads = 24;
+  std::vector<int64_t> amounts;
+  for (int i = 0; i < kThreads; ++i) {
+    amounts.push_back(10 + 30 * (i % 5));
+  }
+  const auto tids = Populate(sched, kThreads, amounts);
+  FastRand traffic(515);
+  std::vector<ThreadId> running(4, kInvalidThreadId);
+  std::vector<ThreadId> blocked;
+  const SimDuration quantum = SimDuration::Millis(5);
+  SimTime now = SimTime::Zero();
+  uint64_t forced = 0;
+  for (int step = 0; step < 3000; ++step) {
+    now = now + SimDuration::Micros(500);
+    const int cpu = static_cast<int>(traffic.NextBelow(4));
+    const auto c = static_cast<size_t>(cpu);
+    switch (traffic.NextBelow(4)) {
+      case 0: {
+        const ThreadId tid = tids[traffic.NextBelow(kThreads)];
+        if (!sched.IsQueued(tid) || sched.HomeCpu(tid) == cpu) {
+          break;
+        }
+        sched.Migrate(tid, cpu, now);
+        ++forced;
+        ASSERT_EQ(sched.HomeCpu(tid), cpu);
+        ASSERT_TRUE(sched.IsQueued(tid));
+        ASSERT_NO_THROW(sched.CheckIntegrity()) << "step " << step;
+        break;
+      }
+      case 1:
+        if (running[c] == kInvalidThreadId) {
+          running[c] = sched.PickNextOnCpu(cpu, now);
+        }
+        break;
+      case 2:
+        if (running[c] != kInvalidThreadId) {
+          const ThreadId tid = running[c];
+          running[c] = kInvalidThreadId;
+          sched.OnQuantumEnd(tid, quantum, quantum, now);
+          if (traffic.NextBelow(3) == 0) {
+            sched.OnBlocked(tid, now);
+            blocked.push_back(tid);
+          } else {
+            sched.OnReady(tid, now);
+          }
+        }
+        break;
+      default:
+        if (!blocked.empty()) {
+          const size_t i =
+              traffic.NextBelow(static_cast<uint32_t>(blocked.size()));
+          sched.OnReady(blocked[i], now);
+          blocked.erase(blocked.begin() + static_cast<std::ptrdiff_t>(i));
+        }
+        break;
+    }
+  }
+  sched.CheckIntegrity();
+  EXPECT_GT(forced, 400u);
+  EXPECT_GE(sched.migrations(), forced);
 }
 
 TEST(SmpSteal, IdleCpuPullsFromNearestBusyDomain) {
